@@ -258,7 +258,11 @@ def _parse_header(data: bytes):
         raise DecodeError(f"bad magic {magic!r}")
     if version != VERSION:
         raise DecodeError(f"unsupported version {version}")
+    if eps_exp != EPS_EXPONENT or eps_num == 0:
+        raise DecodeError(f"eps {eps_num}/2^{eps_exp} is not a dyadic in (0, 1)")
     eps = eps_num / float(1 << eps_exp)
+    if phi_exp >= 1 << 63:
+        raise DecodeError(f"root level {phi_exp} outside int64")
     return flags, n, d, _p_from_code(p_code), eps, scale_exp, phi_exp
 
 
@@ -359,7 +363,10 @@ def _decode(sketch: SketchBits) -> RelativeLocationTree:
         elif tag == 1:
             ingress[v] = parent_a[v]
         elif tag == 2:
-            ingress[v] = leaf_nodes[r.read_uint(w_leaf)]
+            k = r.read_uint(w_leaf)
+            if k >= n_leaf:
+                raise DecodeError(f"ingress leaf index {k} >= {n_leaf}")
+            ingress[v] = leaf_nodes[k]
         else:
             raise DecodeError(f"bad ingress tag {tag}")
 
@@ -392,6 +399,8 @@ def _decode(sketch: SketchBits) -> RelativeLocationTree:
     n_land = r.read_uint(64)
     w_land = r.read_uint(16)
     K = r.read_uint(16)
+    if w_land < 1:
+        raise DecodeError("landmark width 0")
     w_node = width_for_count(m)
     landmarks: dict[int, np.ndarray] = {}
     off = 1 << (w_land - 1)

@@ -149,16 +149,17 @@ def scale_points(points: np.ndarray, p, base_exponent: int = 0) -> PointSet:
     if n == 1:
         return PointSet(points, p, base_exponent, 1.0, dist=np.zeros((1, 1)))
     dmat = pairwise_distances(points, p)
-    off = dmat[~np.eye(n, dtype=bool)]
-    m = float(off.min())
+    np.fill_diagonal(dmat, np.inf)  # in place: no n^2 copies
+    m = float(dmat.min())
     if m <= 0.0:
         raise ValueError("duplicate points (pairwise distance 0)")
     e = math.frexp(m)[1] - 1  # 2^e in (m/2, m]
     scale = math.ldexp(1.0, e)
     scaled = points / scale
-    dnew = dmat / scale
-    phi = float(dnew[~np.eye(n, dtype=bool)].max())
-    return PointSet(scaled, p, base_exponent + e, phi, dist=dnew)
+    dmat /= scale
+    np.fill_diagonal(dmat, 0.0)
+    phi = float(dmat.max())
+    return PointSet(scaled, p, base_exponent + e, phi, dist=dmat)
 
 
 def round_to_net(v: np.ndarray, gamma: float, p) -> NetElement:

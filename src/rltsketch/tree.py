@@ -4,6 +4,11 @@ Pipeline: build the level hierarchy by transitive merging, compress
 non-branching paths into annotated long edges, then annotate the compressed
 tree with centers, ingresses, quantized displacements (coarse and fine), and
 landmark shortcuts. The finished tree is immutable and safe to share.
+
+Level l of the hierarchy merges, transitively, the clusters closer than 2^l.
+Those clusters are the single-linkage clusters at threshold 2^l, i.e. the
+connected components of the minimum spanning tree's edges lighter than 2^l
+(Gower & Ross 1969), so the whole hierarchy is read off one MST.
 """
 from __future__ import annotations
 
@@ -11,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .metric import PointSet, lp_norm, norm_root, round_to_net
 
@@ -45,9 +48,6 @@ class RawHierarchy:
     delta: list[float]  # exact cluster diameter
     root: int
     leaf_of_point: np.ndarray
-    # per level >= 1: min distance between distinct clusters of the level-(l-1)
-    # partition (inf when a single cluster remains); used by separation checks
-    min_cross_at_level: list[float]
 
     @property
     def node_count(self) -> int:
@@ -120,7 +120,6 @@ class RelativeLocationTree:
     child_order: list[list[int]] | None = None  # tau-DFS order of children
     tstar_level: np.ndarray | None = None
     tstar_delta: np.ndarray | None = None
-    min_cross_at_level: list[float] | None = None
 
     @property
     def node_count(self) -> int:
@@ -155,27 +154,48 @@ class RelativeLocationTree:
         return x_root + self.s_units[v] * self.unit()
 
 
-def _cluster_min_matrix(dm: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-cluster-pair minimum point distance (diagonal holds in-cluster mins)."""
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
-    sub = dm[np.ix_(order, order)]
-    red = np.minimum.reduceat(sub, starts, axis=0)
-    red = np.minimum.reduceat(red, starts, axis=1)
-    return red
+def _mst_edges(dm: np.ndarray) -> list[tuple[float, int, int]]:
+    """Prim's algorithm over the rows of a dense distance matrix: the n - 1
+    edges (weight, u, v) of a minimum spanning tree, heaviest first.
+
+    Weights are entries of dm, so they compare exactly against power-of-two
+    thresholds.
+    """
+    n = dm.shape[0]
+    best = np.full(n, np.inf)  # lightest edge from the tree to each vertex
+    src = np.zeros(n, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    edges = []
+    v = 0
+    for _ in range(n - 1):
+        done[v] = True
+        best[v] = np.inf
+        row = dm[v]
+        closer = (row < best) & ~done
+        best[closer] = row[closer]
+        src[closer] = v
+        v = int(np.argmin(best))
+        edges.append((float(best[v]), int(src[v]), v))
+    return sorted(edges, reverse=True)
 
 
 def build_hierarchy(ps: PointSet) -> RawHierarchy:
     """Bottom-up hierarchy: level 0 singletons; level l transitively merges
     clusters at distance < 2^l; stops when one cluster remains.
+
+    The level-l clusters are the connected components of the minimum spanning
+    tree's edges of weight < 2^l (single linkage), so one MST replaces a
+    cluster-distance matrix per level. Every MST gives the same components,
+    so ties between edge weights do not matter. A merged cluster's diameter
+    is the max of its children's diameters and of the distances across
+    children, so each point pair is read once, at the level where its two
+    points first share a cluster.
     """
     n = ps.n
     dm = ps.distance_matrix()
-    if n > 1:
-        off = dm[~np.eye(n, dtype=bool)]
-        if off.min() <= 0.0:
-            raise ValueError("duplicate points (pairwise distance 0) are not supported")
+    edges = _mst_edges(dm)  # popped lightest first
+    if edges and edges[-1][0] <= 0.0:
+        raise ValueError("duplicate points (pairwise distance 0) are not supported")
 
     level = [0] * n
     parent = [-1] * n
@@ -183,50 +203,61 @@ def build_hierarchy(ps: PointSet) -> RawHierarchy:
     members: list[np.ndarray] = [np.array([i], dtype=np.int64) for i in range(n)]
     delta: list[float] = [0.0] * n
     leaf_of_point = np.arange(n, dtype=np.int64)
-    min_cross: list[float] = []
+
+    # union-find over points; a set's root is its min point index, which is
+    # also lead[node], the min member of the cluster node holding it
+    uf = list(range(n))
+    lead = list(range(n))
+
+    def find(x: int) -> int:
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
 
     current = list(range(n))  # node ids of the current level's clusters
     lvl = 0
     while len(current) > 1:
         lvl += 1
-        k = len(current)
-        labels = np.empty(n, dtype=np.int64)
-        for ci, node in enumerate(current):
-            labels[members[node]] = ci
-        cm = _cluster_min_matrix(dm, labels)
-        off_mask = ~np.eye(k, dtype=bool)
-        min_cross.append(float(cm[off_mask].min()))
+        thr = math.pow(2.0, lvl)
+        while edges and edges[-1][0] < thr:
+            _, a, b = edges.pop()
+            a, b = find(a), find(b)
+            uf[max(a, b)] = min(a, b)
 
-        adj = (cm < math.pow(2.0, lvl)) & off_mask
-        ncomp, comp = connected_components(csr_matrix(adj), directed=False)
-
-        # canonical component order: ascending min member index
-        groups: list[list[int]] = [[] for _ in range(ncomp)]
-        for ci, node in enumerate(current):
-            groups[comp[ci]].append(node)
-        groups.sort(key=lambda grp: min(int(members[x][0]) for x in grp))
+        # current is sorted by min member, so first-seen order of the roots
+        # is the canonical order (ascending min member) of groups and children
+        groups: dict[int, list[int]] = {}
+        for node in current:
+            groups.setdefault(find(lead[node]), []).append(node)
 
         nxt = []
-        for grp in groups:
-            grp.sort(key=lambda x: int(members[x][0]))
+        for grp in groups.values():
             node = len(level)
             level.append(lvl)
             parent.append(-1)
-            children.append(list(grp))
+            children.append(grp)
+            lead.append(lead[grp[0]])
             for ch in grp:
                 parent[ch] = node
             if len(grp) == 1:
                 members.append(members[grp[0]])
                 delta.append(delta[grp[0]])
             else:
-                mem = np.sort(np.concatenate([members[ch] for ch in grp]))
-                members.append(mem)
-                delta.append(float(dm[np.ix_(mem, mem)].max()))
+                parts = [members[ch] for ch in grp]
+                mem = np.concatenate(parts)
+                diam = max(delta[ch] for ch in grp)
+                start = 0
+                for part in parts[:-1]:
+                    start += len(part)
+                    diam = max(diam, float(dm[part[:, None], mem[start:]].max()))
+                members.append(np.sort(mem))
+                delta.append(diam)
             nxt.append(node)
         current = nxt
 
     root = current[0]
-    return RawHierarchy(level, parent, children, members, delta, root, leaf_of_point, min_cross)
+    return RawHierarchy(level, parent, children, members, delta, root, leaf_of_point)
 
 
 def compress_paths(raw: RawHierarchy, eps: float) -> RelativeLocationTree:
@@ -330,7 +361,6 @@ def compress_paths(raw: RawHierarchy, eps: float) -> RelativeLocationTree:
         child_order=[[] for _ in range(m)],
         tstar_level=np.array(raw.level, dtype=np.int64),
         tstar_delta=np.array(raw.delta, dtype=np.float64),
-        min_cross_at_level=raw.min_cross_at_level,
     )
 
 
@@ -394,13 +424,11 @@ def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
         while head < len(queue):
             a = queue[head]
             head += 1
-            for b in np.flatnonzero(adj[a]):
-                b = int(b)
-                if not seen[b]:
-                    seen[b] = True
-                    tau_parent[b] = a
-                    tau_children[a].append(b)
-                    queue.append(b)
+            nb = np.flatnonzero(adj[a] & ~seen)
+            seen[nb] = True
+            tau_parent[nb] = a
+            tau_children[a] = nb.tolist()
+            queue.extend(tau_children[a])
         if not seen.all():
             raise AssertionError("child neighbor graph is disconnected (construction bug)")
 

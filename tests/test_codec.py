@@ -5,6 +5,8 @@ import pytest
 
 from rltsketch.bits import BitReader, BitWriter, width_for_bound, width_for_count
 from rltsketch.codec import (
+    _HEADER,
+    SECTION_NAMES,
     DecodeError,
     SketchBits,
     build_lp_sketch,
@@ -295,3 +297,42 @@ def test_level_recovery_under_long_edges():
         gap = int(dec.edge_len[v]) - 1 if dec.edge_long[v] else 1
         assert dec.level[v] == dec.level[dec.parent[v]] - gap
     assert np.array_equal(dec.level, t.level)
+
+
+def _section_span(data: bytes, name: str) -> tuple[int, int]:
+    """Byte range of a section in a sketch file, 64-bit length prefix included."""
+    def end(start):
+        return start + 8 + (int.from_bytes(data[start:start + 8], "little") + 7) // 8
+
+    lo = _HEADER.size
+    for _ in range(SECTION_NAMES.index(name)):
+        lo = end(lo)
+    return lo, end(lo)
+
+
+def test_decode_rejects_zero_landmark_width():
+    sk = build_lp_sketch(random_pointset(np.random.default_rng(5), 20, 2, 2), 0.25)
+    lo, _ = _section_span(sk.data, "landmarks")
+    bad = bytearray(sk.data)
+    bad[lo + 16:lo + 18] = b"\x00\x00"  # payload bits 64..79: the value width
+    with pytest.raises(DecodeError):
+        decode(SketchBits(bytes(bad)))
+
+
+def test_decode_single_bit_flips_of_header_and_ingresses():
+    # every single-bit flip of the header and of the ingresses section
+    # (length prefix included) decodes or raises DecodeError, nothing else
+    rng = np.random.default_rng(71)
+    ps = random_pointset(rng, 40, 3, 2)
+    sk = build_lp_sketch(ps, 0.25)
+    base = bytes(sk.data)
+    lo, hi = _section_span(base, "ingresses")
+    assert hi > lo + 8
+    for byte in list(range(_HEADER.size)) + list(range(lo, hi)):
+        for bit in range(8):
+            bad = bytearray(base)
+            bad[byte] ^= 1 << bit
+            try:
+                decode(SketchBits(bytes(bad)))
+            except DecodeError:
+                pass

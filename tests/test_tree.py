@@ -11,6 +11,7 @@ from rltsketch.tree import (
 )
 
 from invariants import check_pair_floor, check_tree_invariants
+from reference_hierarchy import reference_hierarchy
 
 
 def pointset_1d(coords, p=2):
@@ -53,6 +54,37 @@ def test_hierarchy_rejects_duplicates():
     ps = PointSet(np.array([[1.0], [1.0]]), 2, 0, 1.0)
     with pytest.raises(ValueError):
         build_hierarchy(ps)
+
+
+def _reference_inputs():
+    rng = np.random.default_rng(41)
+    for p in (1, 2, INF):
+        for n, d in ((2, 1), (17, 2), (60, 4)):
+            yield f"uniform-p{p}-n{n}", scale_points(rng.uniform(0, 100, size=(n, d)), p)
+        # clusters at widely different scales: many levels and chain nodes
+        centers = rng.uniform(0, 1e5, size=(5, 3))
+        spread = np.ldexp(1.0, rng.integers(-4, 8, size=50))
+        pts = centers[rng.integers(0, 5, size=50)] + rng.normal(size=(50, 3)) * spread[:, None]
+        yield f"clustered-p{p}", scale_points(pts, p)
+        # integer grids: many pairwise distances are exact powers of two
+        grid = np.stack(np.meshgrid(np.arange(0, 16, 2), np.arange(0, 12, 4), [0, 1, 8]),
+                        axis=-1).reshape(-1, 3)
+        yield f"grid-p{p}", scale_points(grid.astype(float), p)
+        yield f"line-p{p}", pointset_1d([0, 1, 3, 4, 8, 16, 17, 33, 64], p)
+
+
+@pytest.mark.parametrize("name,ps", list(_reference_inputs()))
+def test_hierarchy_matches_per_level_reference(name, ps):
+    level, parent, children, members, delta, root = reference_hierarchy(ps.distance_matrix())
+    raw = build_hierarchy(ps)
+    assert raw.level == level
+    assert raw.parent == parent
+    assert raw.children == children
+    assert len(raw.members) == len(members)
+    for got, want in zip(raw.members, members):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    assert raw.delta == delta  # exact float equality
+    assert raw.root == root
 
 
 def test_compression_on_three_points():
