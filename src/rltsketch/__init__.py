@@ -10,7 +10,6 @@ from .codec import DecodeError, SketchBits, build_lp_sketch, decode, encode, siz
 from .estimator import QueryContext
 from .euclid import JlConfig, build_augmentations, build_euclidean_sketch, jl_transform
 from .harness import (
-    ContractViolation,
     DistortionReport,
     GeneralMetric,
     InputError,
@@ -23,8 +22,6 @@ from .harness import (
     recover_bits,
 )
 from .metric import (
-    GridCorner,
-    NetElement,
     PointSet,
     lp_distance,
     pairwise_distances,
@@ -37,14 +34,11 @@ from .tree import RelativeLocationTree, build_tree
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractViolation",
     "DecodeError",
     "DistortionReport",
     "GeneralMetric",
-    "GridCorner",
     "InputError",
     "JlConfig",
-    "NetElement",
     "PointSet",
     "QueryContext",
     "RelativeLocationTree",

@@ -1,119 +1,158 @@
-"""MSB-first bit streams with vectorized fixed-width blocks and Elias-gamma codes."""
+"""MSB-first bit streams. Arrays of values are written and read with one
+call, each value in its own width (0 to 64 bits); an Elias-gamma code of v is
+the write of v in 2*bitlen(v) - 1 bits. Both directions work in chunks of
+CHUNK values, so a stream is never held whole as one byte per bit.
+"""
 from __future__ import annotations
 
 import numpy as np
 
+CHUNK = 1 << 16  # values per vectorized step: bounds the temporaries
+_U8 = np.uint64(8)
+
+
+def bit_length(values) -> np.ndarray:
+    """Exact int.bit_length of each nonnegative int64 value."""
+    v = np.asarray(values, dtype=np.int64)
+    e = np.frexp(v.astype(np.float64))[1].astype(np.int64)  # exact or one too large
+    return e - (((v >> np.maximum(e - 1, 0)) == 0) & (v > 0))
+
+
+def _row_chunks(*arrays):
+    """Broadcast the arrays to one shape, view it as rows, and yield
+    flattened chunks of about CHUNK values (whole rows)."""
+    arrays = np.broadcast_arrays(*(np.asarray(a) for a in arrays))
+    rows = [a[:, None] if a.ndim == 1 else a for a in arrays]
+    step = max(1, CHUNK // max(1, rows[0].shape[1]))
+    for lo in range(0, len(rows[0]), step):
+        yield [a[lo:lo + step].ravel() for a in rows]
+
 
 class BitWriter:
-    """Append-only MSB-first bit buffer. Fixed-width array writes are vectorized;
-    scalar writes are for headers, flags and the (few) gamma codes."""
+    """Append-only MSB-first bit buffer, packed as it is written."""
 
     def __init__(self):
-        self._chunks: list[np.ndarray] = []  # uint8 arrays of 0/1
+        self._packed: list[bytes] = []
+        self._tail = np.zeros(0, dtype=np.uint8)  # the last bit_length % 8 bits
         self.bit_length = 0
 
+    def write_uint_array(self, values, widths):
+        """Write each value in its width; widths broadcast against values
+        (at most 2-D), and the values go out in row-major order."""
+        for v, w in _row_chunks(values, widths):
+            w = w.astype(np.int64)
+            if not w.size:
+                continue
+            if v.dtype.kind == "i" and v.min() < 0:
+                raise ValueError("negative values cannot be written")
+            v = v.astype(np.uint64)
+            lo, hi = int(w.min()), int(w.max())
+            if lo < 0 or hi > 64 or np.any(
+                    ((v >> np.minimum(w, 63).astype(np.uint64)) != 0) & (w < 64)):
+                raise ValueError(f"values do not fit in widths {lo}..{hi}")
+            # left-align each value in 64 bits; a zero width holds 0 and no bits
+            left = v << np.where(w > 0, 64 - w, 0).astype(np.uint64)
+            bits = np.unpackbits(left.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1,
+                                 count=hi)
+            bits = bits.ravel() if lo == hi else bits[np.arange(hi) < w[:, None]]
+            bits = np.concatenate([self._tail, bits])
+            whole = len(bits) & ~7
+            self._packed.append(np.packbits(bits[:whole]).tobytes())
+            self._tail = bits[whole:]
+            self.bit_length += int(w.sum())
+
     def write_uint(self, value: int, width: int):
-        if width == 0:
-            return
-        if value < 0 or value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        bits = np.empty(width, dtype=np.uint8)
-        for i in range(width):
-            bits[i] = (value >> (width - 1 - i)) & 1
-        self._chunks.append(bits)
-        self.bit_length += width
+        self.write_uint_array([value], width)
 
     def write_bit(self, bit: int):
-        self._chunks.append(np.array([bit & 1], dtype=np.uint8))
-        self.bit_length += 1
-
-    def write_uint_array(self, values: np.ndarray, width: int):
-        """Write len(values) unsigned integers of the same width (vectorized)."""
-        if width == 0 or len(values) == 0:
-            return
-        values = np.asarray(values, dtype=np.int64)
-        if values.min() < 0 or (width < 63 and values.max() >> width):
-            raise ValueError(f"values do not fit in {width} bits")
-        shifted = (values.astype(np.uint64) << np.uint64(64 - width)).astype(">u8")
-        bits = np.unpackbits(shifted.view(np.uint8).reshape(-1, 8), axis=1, count=width)
-        self._chunks.append(bits.ravel())
-        self.bit_length += width * len(values)
+        self.write_uint(bit & 1, 1)
 
     def write_gamma(self, value: int):
-        """Elias-gamma code of value >= 1: floor(log2 v) zeros then v in binary."""
+        """Elias-gamma code of value >= 1: floor(log2 v) zeros then v in binary,
+        i.e. v in 2*bitlen(v) - 1 bits."""
         if value < 1:
             raise ValueError("gamma codes require value >= 1")
-        nbits = value.bit_length()  # floor(log2 v) + 1
-        self.write_uint(0, nbits - 1)
-        self.write_uint(value, nbits)
+        self.write_uint(value, 2 * value.bit_length() - 1)
 
     def getvalue(self) -> bytes:
-        if not self._chunks:
-            return b""
-        allbits = np.concatenate(self._chunks)
-        return np.packbits(allbits).tobytes()
+        return b"".join(self._packed) + np.packbits(self._tail).tobytes()
 
 
 class BitReader:
     """MSB-first reader over a byte payload with a known bit length."""
 
     def __init__(self, payload: bytes, bit_length: int):
-        arr = np.frombuffer(payload, dtype=np.uint8)
-        self._bits = np.unpackbits(arr)[:bit_length]
+        self._data = bytes(payload) + bytes(9)  # zero pad: 9-byte windows never run off
+        self._bytes = np.frombuffer(self._data, dtype=np.uint8)
+        # the big-endian 64-bit word starting at every byte
+        self._words = np.ndarray((len(self._data) - 8,), dtype=">u8", buffer=self._data,
+                                 strides=(1,))
         self.bit_length = bit_length
         self.pos = 0
 
-    def _take(self, count: int) -> np.ndarray:
-        if self.pos + count > self.bit_length:
-            raise EOFError("truncated bit stream")
-        out = self._bits[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
     def read_uint(self, width: int) -> int:
-        if width == 0:
-            return 0
-        bits = self._take(width)
-        value = 0
-        for b in bits:
-            value = (value << 1) | int(b)
-        return value
+        end = self.pos + width
+        if end > self.bit_length:
+            raise EOFError("truncated bit stream")
+        first, last = self.pos >> 3, (end + 7) >> 3
+        word = int.from_bytes(self._data[first:last], "big")
+        self.pos = end
+        return (word >> (8 * last - end)) & ((1 << width) - 1)
 
     def read_bit(self) -> int:
-        return int(self._take(1)[0])
-
-    def read_uint_array(self, count: int, width: int) -> np.ndarray:
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        if width == 0:
-            return np.zeros(count, dtype=np.int64)
-        if width > 63:
-            raise EOFError(f"unreasonable field width {width} (corrupt stream)")
-        bits = self._take(count * width).reshape(count, width)
-        by = np.packbits(bits, axis=1)  # MSB-aligned, zero-padded on the right
-        val = np.zeros(count, dtype=np.uint64)
-        for k in range(by.shape[1]):
-            val = (val << np.uint64(8)) | by[:, k]
-        val >>= np.uint64(8 * by.shape[1] - width)
-        return val.astype(np.int64)
+        return self.read_uint(1)
 
     def read_gamma(self) -> int:
-        zeros = 0
-        while True:
-            if self.pos >= self.bit_length:
+        byte = self.pos >> 3
+        bits = self._data[byte] & (0xFF >> (self.pos & 7))
+        while not bits:  # a zero byte: eight more leading zeros
+            byte += 1
+            if 8 * byte >= self.bit_length:
                 raise EOFError("truncated gamma code")
-            if self._bits[self.pos]:
-                break
-            zeros += 1
-            self.pos += 1
-        return self.read_uint(zeros + 1)
+            bits = self._data[byte]
+        zeros = 8 * byte + 8 - bits.bit_length() - self.pos
+        return self.read_uint(2 * zeros + 1)
+
+    def read_uint_array(self, shape, widths) -> np.ndarray:
+        """Read an array of the given shape (at most 2-D), each value in its
+        width; widths broadcast against shape. 64-bit values come back as
+        their int64 bit pattern."""
+        given = np.asarray(widths, dtype=np.int64)
+        widths = np.broadcast_to(given, shape)
+        if given.min(initial=1) > 0 and widths.size > self.bit_length - self.pos:
+            raise EOFError("truncated bit stream")  # checked before allocating
+        out = np.empty(widths.size, dtype=np.int64)
+        done = 0
+        for (w,) in _row_chunks(widths):
+            if not w.size:
+                continue
+            lo, hi = int(w.min()), int(w.max())
+            if lo < 0 or hi > 64:
+                raise EOFError("unreasonable field width (corrupt stream)")
+            ends = self.pos + np.cumsum(w)
+            if ends[-1] > self.bit_length:
+                raise EOFError("truncated bit stream")
+            starts = ends - w
+            byte = starts >> 3
+            off = (starts & 7).astype(np.uint64)
+            word = self._words[byte].astype(np.uint64) << off
+            if hi > 57:  # value bits may reach into a ninth byte
+                word |= self._bytes[byte + 8].astype(np.uint64) >> (_U8 - off)
+            word >>= np.minimum(64 - w, 63).astype(np.uint64)
+            if not lo:
+                word[w == 0] = 0
+            out[done:done + len(w)] = word.view(np.int64)
+            done += len(w)
+            self.pos = int(ends[-1])
+        return out.reshape(shape)
 
 
-def width_for_bound(bound: int) -> int:
-    """Bits needed for offset-binary storage of integers in [-bound, bound]."""
-    if bound < 0:
+def width_for_bound(bound):
+    """Bits needed for offset-binary storage of integers in [-bound, bound]
+    (elementwise for an array of bounds)."""
+    if np.any(np.asarray(bound) < 0):
         raise ValueError("bound must be >= 0")
-    return max(1, int(2 * bound).bit_length())
+    return np.maximum(1, bit_length(2 * np.asarray(bound, dtype=np.int64)))
 
 
 def width_for_count(count: int) -> int:

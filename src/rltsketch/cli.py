@@ -16,7 +16,7 @@ from . import harness
 from .codec import DecodeError, SketchBits, build_lp_sketch, decode, size_report
 from .estimator import QueryContext
 from .euclid import build_euclidean_sketch
-from .harness import ContractViolation, InputError
+from .harness import InputError
 from .metric import INF, pairwise_distances
 
 
@@ -214,9 +214,6 @@ def main(argv=None) -> int:
     except (InputError, DecodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ContractViolation as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -17,13 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitReader, BitWriter, width_for_bound, width_for_count
+from .bits import BitReader, BitWriter, bit_length, width_for_bound, width_for_count
 from .metric import INF, PointSet, norm_root
-from .tree import EPS_EXPONENT, Augmentations, RelativeLocationTree, build_tree
+from .tree import EPS_EXPONENT, Augmentations, RelativeLocationTree, build_tree, tree_structure
 
 MAGIC = b"RLTS"
 VERSION = 1
 FLAG_EUCLIDEAN = 0x01
+# largest binary exponent of a finite double: bounds levels and the scale
+MAX_EXPONENT = 1023
 EUCLIDEAN_TREE_EPS = 0.5  # fixed tree precision for the Euclidean flavor
 
 _HEADER = struct.Struct("<4sBBQQQIIqQ")
@@ -42,7 +44,8 @@ SECTION_NAMES = (
 
 
 class DecodeError(Exception):
-    """Malformed sketch: bad magic/version, truncation, or imbalance."""
+    """Malformed sketch: a bad header, truncation, or a tree that queries
+    cannot use."""
 
 
 @dataclass(eq=False)
@@ -56,19 +59,23 @@ class SketchBits:
         return 8 * len(self.data)
 
 
-def eta_bound(dp: float, g: int) -> int:
-    """Coordinate bound for a coarse net element at precision 1/g."""
-    return int(math.ceil(2.0 * dp * g))
-
-
-def eta_eps_bound(dp: float, g: int, eps: float) -> int:
-    """Coordinate bound for a fine net element at precision eps/g."""
-    return int(math.ceil(2.0 * dp * g / eps))
+def eta_bound(dp: float, g, eps: float = 1.0) -> np.ndarray:
+    """Coordinate bound ceil(2 * dp * g / eps) of a net element at precision
+    eps/g, for each precision code g (coarse net: eps = 1)."""
+    bound = np.ceil(2.0 * dp * np.asarray(g, dtype=np.float64) / eps)
+    if not np.all(bound < 2.0**62):
+        raise ValueError("net coordinate bound needs more than 63 bits")
+    return bound.astype(np.int64)
 
 
 def corner_bound(d: int) -> int:
     """Coordinate bound for randomized grid corners of in-ball displacements."""
     return int(math.ceil(math.sqrt(d))) + 1
+
+
+def _gamma_width(values: np.ndarray) -> np.ndarray:
+    """Width of the Elias-gamma code of each value: 2*bitlen(v) - 1."""
+    return 2 * bit_length(values) - 1
 
 
 def _p_code(p) -> int:
@@ -83,163 +90,106 @@ def _tree_eps(flags: int, header_eps: float) -> float:
     return EUCLIDEAN_TREE_EPS if flags & FLAG_EUCLIDEAN else header_eps
 
 
-def _subtree_leaf_nodes(t: RelativeLocationTree) -> np.ndarray:
-    return np.flatnonzero(t.is_subtree_leaf)
+def _row_codes(bound: np.ndarray, rows: np.ndarray):
+    """Per-row offset and width of offset-binary net coordinates: the given
+    rows at their bound's width, every other row zero and 0 bits wide."""
+    bound = np.where(rows, bound, 0)[:, None]
+    return bound, np.where(rows[:, None], width_for_bound(bound), 0)
 
 
-def _encode_topology(t: RelativeLocationTree) -> BitWriter:
-    w = BitWriter()
-    bits = np.empty(2 * t.node_count, dtype=np.uint8)
-    pos = 0
-    stack: list[tuple[int, bool]] = [(0, False)]
-    while stack:
-        node, closing = stack.pop()
-        if closing:
-            bits[pos] = 0
-        else:
-            bits[pos] = 1
-            stack.append((node, True))
-            for c in reversed(t.children[node]):
-                stack.append((c, False))
-        pos += 1
-    w._chunks.append(bits)
-    w.bit_length = pos
-    return w
+def _write_rows(w: BitWriter, mat: np.ndarray, bound: np.ndarray, rows: np.ndarray):
+    bound, widths = _row_codes(bound, rows)
+    if np.any(np.abs(mat) > bound):
+        raise ValueError("net coordinate out of range, or set in an undefined row")
+    w.write_uint_array(mat + bound, widths)
+
+
+def _read_rows(r: BitReader, shape: tuple, bound: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    bound, widths = _row_codes(bound, rows)
+    mat = r.read_uint_array(shape, widths)
+    mat -= bound
+    return mat
 
 
 def encode(t: RelativeLocationTree, aug: Augmentations | None = None) -> SketchBits:
     """Serialize an annotated tree (plus optional Euclidean augmentations)."""
-    m = t.node_count
-    dp = norm_root(t.d, t.p)
+    m, d = t.node_count, t.d
+    dp = norm_root(d, t.p)
     flags = FLAG_EUCLIDEAN if (t.flags_euclidean or aug is not None) else 0
     if flags and t.eps != EUCLIDEAN_TREE_EPS:
         raise ValueError("euclidean sketches require a tree built at eps = 1/2")
-    tree_eps = t.eps
 
     header_eps = t.header_eps if t.header_eps is not None else t.eps
     eps_num = int(math.floor(header_eps * (1 << EPS_EXPONENT)))
     if not 0 < eps_num < (1 << 32):
         raise ValueError(f"eps {header_eps} not representable")
 
-    subroot_mask = np.zeros(m, dtype=bool)
-    subroot_mask[t.subtree_root] = True
-    leaf_nodes = _subtree_leaf_nodes(t)
-    leaf_index = {int(v): i for i, v in enumerate(leaf_nodes)}
-    n_leaf = len(leaf_nodes)
+    ids = np.arange(m)
+    is_root = t.subtree_root == ids
+    fine = t.is_subtree_leaf & ~is_root
+    sections = {name: BitWriter() for name in SECTION_NAMES}
 
-    sections: dict[str, BitWriter] = {}
+    # balanced parentheses: before node v opens, the v earlier nodes have
+    # opened and all but its depth[v] ancestors have closed
+    topology = np.zeros(2 * m, dtype=np.uint8)
+    topology[2 * ids - t.depth] = 1
+    sections["topology"].write_uint_array(topology, 1)
 
-    sections["topology"] = _encode_topology(t)
+    long_, length = t.edge_long[1:], t.edge_len[1:]
+    sections["long_edges"].write_uint_array(
+        np.stack([long_, length], axis=1),
+        np.stack([np.ones_like(length), np.where(long_, _gamma_width(length), 0)], axis=1))
 
-    w = BitWriter()
-    for v in range(1, m):
-        w.write_bit(1 if t.edge_long[v] else 0)
-        if t.edge_long[v]:
-            w.write_gamma(int(t.edge_len[v]))
-    sections["long_edges"] = w
+    sections["centers"].write_uint_array(t.center, width_for_count(t.n))
 
-    w = BitWriter()
-    w.write_uint_array(t.center, width_for_count(t.n))
-    sections["centers"] = w
+    inn = t.ingress
+    if np.any(inn < 0):
+        raise ValueError("missing ingress annotation")
+    if np.any((inn == ids) != is_root):
+        raise ValueError("self-ingress not exactly at the subtree roots")
+    tag = np.where(inn == ids, 0, np.where(inn == t.parent, 1, 2))
+    leaf = np.where(tag == 2, t.leaf_row[inn], 0)
+    if np.any(leaf < 0):
+        raise ValueError("ingress target is not a subtree leaf")
+    w_leaf = width_for_count(np.count_nonzero(t.is_subtree_leaf))
+    sections["ingresses"].write_uint_array(
+        np.stack([tag, leaf], axis=1),
+        np.stack([np.full(m, 2), np.where(tag == 2, w_leaf, 0)], axis=1))
 
-    w = BitWriter()
-    w_leaf = width_for_count(n_leaf)
-    for v in range(m):
-        inn = int(t.ingress[v])
-        if inn < 0:
-            raise ValueError(f"missing ingress annotation at node {v}")
-        if inn == v:
-            if not subroot_mask[v]:
-                raise ValueError("self-ingress at a non-subtree-root node")
-            w.write_uint(0, 2)
-        elif inn == t.parent[v]:
-            w.write_uint(1, 2)
-        else:
-            w.write_uint(2, 2)
-            w.write_uint(leaf_index[inn], w_leaf)
-    sections["ingresses"] = w
+    g = t.g[~is_root]
+    if np.any(g < 5):
+        raise ValueError("missing precision annotation")
+    sections["gammas"].write_uint_array(g, _gamma_width(g))
 
-    w = BitWriter()
-    for v in range(m):
-        if subroot_mask[v]:
-            continue
-        if t.g[v] < 5:
-            raise ValueError(f"missing precision annotation at node {v}")
-        w.write_gamma(int(t.g[v]))
-    sections["gammas"] = w
+    _write_rows(sections["etas"], t.eta, eta_bound(dp, t.g), ~is_root)
+    _write_rows(sections["leaf_etas"], t.eta_eps, eta_bound(dp, t.g, t.eps), fine)
 
-    w = BitWriter()
-    for v in range(m):
-        if subroot_mask[v]:
-            continue
-        if t.eta[v] is None:
-            raise ValueError(f"missing net element at node {v}")
-        bound = eta_bound(dp, int(t.g[v]))
-        coords = t.eta[v]
-        if np.abs(coords).max(initial=0) > bound:
-            raise ValueError(f"net coordinate out of range at node {v}")
-        w.write_uint_array(coords + bound, width_for_bound(bound))
-    sections["etas"] = w
+    units = t.landmark_units.astype(np.int64)
+    w_land = int(np.abs(units).max(initial=0)).bit_length() + 1  # signed, offset 2^(W-1)
+    units += 1 << (w_land - 1)
+    sections["landmarks"].write_uint_array(
+        np.concatenate([[len(t.landmarks), w_land, t.K],
+                        np.column_stack([t.landmarks, units]).ravel()]),
+        np.concatenate([[64, 16, 16],
+                        np.tile(np.r_[width_for_count(m), np.full(d, w_land)], len(units))]))
 
-    w = BitWriter()
-    for v in leaf_nodes:
-        v = int(v)
-        if subroot_mask[v]:
-            continue
-        if t.eta_eps[v] is None:
-            raise ValueError(f"missing fine net element at node {v}")
-        bound = eta_eps_bound(dp, int(t.g[v]), tree_eps)
-        coords = t.eta_eps[v]
-        if np.abs(coords).max(initial=0) > bound:
-            raise ValueError(f"fine net coordinate out of range at node {v}")
-        w.write_uint_array(coords + bound, width_for_bound(bound))
-    sections["leaf_etas"] = w
-
-    w = BitWriter()
-    land_nodes = sorted(t.landmarks)
-    maxabs = 0
-    for v in land_nodes:
-        vals = t.landmarks[v]
-        if vals.size:
-            maxabs = max(maxabs, int(np.abs(vals).max()))
-    w_land = maxabs.bit_length() + 1  # signed, offset 2^(W-1)
-    w.write_uint(len(land_nodes), 64)
-    w.write_uint(w_land, 16)
-    w.write_uint(int(t.K), 16)
-    w_node = width_for_count(m)
-    off = 1 << (w_land - 1)
-    for v in land_nodes:
-        w.write_uint(v, w_node)
-        ints = t.landmarks[v].astype(np.int64)
-        w.write_uint_array(ints + off, w_land)
-    sections["landmarks"] = w
-
-    w = BitWriter()
     if flags:
         if aug is None:
             raise ValueError("euclidean flag set but augmentations missing")
-        bound = corner_bound(t.d)
-        wa = width_for_bound(bound)
-        for mat in (aug.a1, aug.a2):
-            if mat.shape != (n_leaf, t.d):
-                raise ValueError("augmentation shape mismatch")
-            if mat.size and np.abs(mat).max() > bound:
-                raise ValueError("corner outside the encodable ball")
-            w.write_uint_array(mat.ravel() + bound, wa)
-        b_expect = np.array(
-            [v for v in leaf_nodes if t.subtree_root[v] != 0], dtype=np.int64)
-        if not np.array_equal(np.sort(aug.b_nodes), b_expect):
-            raise ValueError("long-edge corner node set mismatch")
-        for mat in (aug.b1, aug.b2):
-            if mat.shape != (len(b_expect), t.d):
-                raise ValueError("augmentation shape mismatch")
-            if mat.size and np.abs(mat).max() > bound:
-                raise ValueError("corner outside the encodable ball")
-            w.write_uint_array(mat.ravel() + bound, wa)
-    sections["augmentations"] = w
+        n_leaf = np.count_nonzero(t.is_subtree_leaf)
+        n_corner = np.count_nonzero(t.corner_row >= 0)
+        shapes = [(n_leaf, d), (n_leaf, d), (n_corner, d), (n_corner, d)]
+        if [mat.shape for mat in (aug.a1, aug.a2, aug.b1, aug.b2)] != shapes:
+            raise ValueError("augmentation shape mismatch")
+        corners = np.concatenate([aug.a1, aug.a2, aug.b1, aug.b2])
+        bound = corner_bound(d)
+        if np.abs(corners).max(initial=0) > bound:
+            raise ValueError("corner outside the encodable ball")
+        corners += bound
+        sections["augmentations"].write_uint_array(corners, width_for_bound(bound))
 
     header = _HEADER.pack(
-        MAGIC, VERSION, flags, t.n, t.d, _p_code(t.p),
+        MAGIC, VERSION, flags, t.n, d, _p_code(t.p),
         eps_num, EPS_EXPONENT, int(t.scale_exponent), int(t.phi_exponent))
     out = bytearray(header)
     for name in SECTION_NAMES:
@@ -261,8 +211,10 @@ def _parse_header(data: bytes):
     if eps_exp != EPS_EXPONENT or eps_num == 0:
         raise DecodeError(f"eps {eps_num}/2^{eps_exp} is not a dyadic in (0, 1)")
     eps = eps_num / float(1 << eps_exp)
-    if phi_exp >= 1 << 63:
-        raise DecodeError(f"root level {phi_exp} outside int64")
+    if phi_exp > MAX_EXPONENT:
+        raise DecodeError(f"root level {phi_exp} above {MAX_EXPONENT}")
+    if scale_exp > MAX_EXPONENT:
+        raise DecodeError(f"scale 2^{scale_exp} overflows a double")
     return flags, n, d, _p_from_code(p_code), eps, scale_exp, phi_exp
 
 
@@ -285,11 +237,16 @@ def _read_sections(data: bytes):
 
 
 def decode(sketch: SketchBits) -> RelativeLocationTree:
-    """Reconstruct topology, levels, and all annotations (no raw points)."""
+    """Reconstruct topology, levels, and all annotations (no raw points).
+
+    Raises DecodeError unless the file describes one tree whose leaves hold
+    each point once and whose ingress links stay inside their subtree and
+    lead, without cycles, to its root: the structure every query relies on.
+    """
     try:
         return _decode(sketch)
-    except EOFError as exc:
-        raise DecodeError(f"truncated stream: {exc}")
+    except (EOFError, ValueError) as exc:
+        raise DecodeError(f"corrupt stream: {exc}")
 
 
 def _decode(sketch: SketchBits) -> RelativeLocationTree:
@@ -299,134 +256,108 @@ def _decode(sketch: SketchBits) -> RelativeLocationTree:
     secs = _read_sections(data)
     dp = norm_root(d, p)
 
-    # topology
+    # topology: one balanced parenthesis word; a node's parent is the last
+    # earlier node one level up
     r = BitReader(*secs["topology"])
-    parent: list[int] = []
-    children: list[list[int]] = []
-    stack: list[int] = []
-    for _ in range(r.bit_length):
-        if r.read_bit():
-            nid = len(parent)
-            parent.append(stack[-1] if stack else -1)
-            children.append([])
-            if stack:
-                children[stack[-1]].append(nid)
-            stack.append(nid)
-        else:
-            if not stack:
-                raise DecodeError("unbalanced parentheses in topology")
-            stack.pop()
-    if stack or not parent:
-        raise DecodeError("unbalanced parentheses in topology")
-    m = len(parent)
-    parent_a = np.array(parent, dtype=np.int64)
+    bits = r.read_uint_array(r.bit_length, 1)
+    run = np.cumsum(2 * bits - 1)  # depth after each bit
+    if not (len(run) and run[-1] == 0 and run[:-1].min(initial=1) > 0):
+        raise DecodeError("topology is not one balanced tree")
+    opens = np.flatnonzero(bits)
+    m = len(opens)
+    ids = np.arange(m)
+    key = (run[opens] - 1) * m + ids  # depth-major
+    by_key = np.argsort(key)
+    parent = by_key[np.searchsorted(key[by_key], key - m) - 1]
+    parent[0] = -1
+    # each non-root stores d net coordinates and each subtree at least one
+    # landmark of d coordinates, every coordinate in at least one bit
+    if not 1 <= d or m * d > secs["etas"][1] + secs["landmarks"][1]:
+        raise DecodeError(f"{m} nodes of dimension {d} do not fit the file")
 
-    # edges and levels
     r = BitReader(*secs["long_edges"])
-    edge_long = np.zeros(m, dtype=bool)
     edge_len = np.zeros(m, dtype=np.int64)
     for v in range(1, m):
         if r.read_bit():
-            edge_long[v] = True
-            edge_len[v] = r.read_gamma()
-            if edge_len[v] < 2:
-                raise DecodeError(f"long edge with invalid length {edge_len[v]}")
-    level = np.zeros(m, dtype=np.int64)
-    level[0] = phi_exp
-    for v in range(1, m):
-        gap = int(edge_len[v]) - 1 if edge_long[v] else 1
-        level[v] = level[parent_a[v]] - gap
-
-    subtree_root = np.empty(m, dtype=np.int64)
-    for v in range(m):
-        if parent_a[v] < 0 or edge_long[v]:
-            subtree_root[v] = v
-        else:
-            subtree_root[v] = subtree_root[parent_a[v]]
-    subroot_mask = np.zeros(m, dtype=bool)
-    subroot_mask[subtree_root] = True
-    is_leaf_sub = np.array(
-        [not any(not edge_long[c] for c in children[v]) for v in range(m)], dtype=bool)
-    leaf_nodes = np.flatnonzero(is_leaf_sub)
-    n_leaf = len(leaf_nodes)
+            edge_len[v] = k = r.read_gamma()
+            if not 2 <= k <= MAX_EXPONENT + 1:
+                raise DecodeError(f"long edge with invalid length {k}")
+    edge_long = edge_len > 0
+    structure = tree_structure(parent, edge_long, edge_len, phi_exp)
+    if structure["level"].min() < 0:
+        raise DecodeError("level below 0")
+    subtree_root, is_leaf = structure["subtree_root"], structure["is_subtree_leaf"]
+    is_root = subtree_root == ids
+    fine = is_leaf & ~is_root
 
     r = BitReader(*secs["centers"])
     center = r.read_uint_array(m, width_for_count(n))
+    leaf_centers = center[[not ch for ch in structure["children"]]]
+    if (len(leaf_centers) != n or center.max() >= n
+            or not np.array_equal(np.sort(leaf_centers), np.arange(n))):
+        raise DecodeError("leaf centers are not a permutation of the points")
 
     r = BitReader(*secs["ingresses"])
+    leaf_nodes = np.flatnonzero(is_leaf)
+    w_leaf = width_for_count(len(leaf_nodes))
     ingress = np.empty(m, dtype=np.int64)
-    w_leaf = width_for_count(n_leaf)
-    for v in range(m):
+    for v, par in enumerate(parent.tolist()):
         tag = r.read_uint(2)
-        if tag == 0:
-            ingress[v] = v
-        elif tag == 1:
-            ingress[v] = parent_a[v]
-        elif tag == 2:
+        if tag == 2:
             k = r.read_uint(w_leaf)
-            if k >= n_leaf:
-                raise DecodeError(f"ingress leaf index {k} >= {n_leaf}")
+            if k >= len(leaf_nodes):
+                raise DecodeError(f"ingress leaf index {k} >= {len(leaf_nodes)}")
             ingress[v] = leaf_nodes[k]
+        elif tag == 3:
+            raise DecodeError("bad ingress tag 3")
         else:
-            raise DecodeError(f"bad ingress tag {tag}")
+            ingress[v] = par if tag else v
+    if np.any((ingress == ids) != is_root):
+        raise DecodeError("self-ingress not exactly at the subtree roots")
+    if np.any(subtree_root[ingress] != subtree_root):
+        raise DecodeError("ingress target outside its node's subtree")
+    hops = ingress
+    for _ in range(max(m - 1, 1).bit_length()):  # 2^k >= m hops
+        hops = hops[hops]
+    if np.any(hops != subtree_root):
+        raise DecodeError("ingress links form a cycle")
 
     r = BitReader(*secs["gammas"])
     g = np.zeros(m, dtype=np.int64)
-    for v in range(m):
-        if not subroot_mask[v]:
-            g[v] = r.read_gamma()
-            if g[v] < 5:
-                raise DecodeError(f"invalid precision code {g[v]}")
+    codes = [r.read_gamma() for _ in range(m - np.count_nonzero(is_root))]
+    if codes and not (5 <= min(codes) and max(codes) < 1 << 53):
+        raise DecodeError("precision code outside [5, 2^53)")
+    g[~is_root] = codes
 
-    r = BitReader(*secs["etas"])
-    eta: list[np.ndarray | None] = [None] * m
-    for v in range(m):
-        if subroot_mask[v]:
-            continue
-        bound = eta_bound(dp, int(g[v]))
-        eta[v] = r.read_uint_array(d, width_for_bound(bound)) - bound
-
-    r = BitReader(*secs["leaf_etas"])
-    eta_eps: list[np.ndarray | None] = [None] * m
-    for v in leaf_nodes:
-        v = int(v)
-        if subroot_mask[v]:
-            continue
-        bound = eta_eps_bound(dp, int(g[v]), tree_eps)
-        eta_eps[v] = r.read_uint_array(d, width_for_bound(bound)) - bound
+    eta = _read_rows(BitReader(*secs["etas"]), (m, d), eta_bound(dp, g), ~is_root)
+    eta_eps = _read_rows(BitReader(*secs["leaf_etas"]), (m, d), eta_bound(dp, g, tree_eps), fine)
 
     r = BitReader(*secs["landmarks"])
-    n_land = r.read_uint(64)
-    w_land = r.read_uint(16)
-    K = r.read_uint(16)
-    if w_land < 1:
-        raise DecodeError("landmark width 0")
-    w_node = width_for_count(m)
-    landmarks: dict[int, np.ndarray] = {}
-    off = 1 << (w_land - 1)
-    for _ in range(n_land):
-        v = r.read_uint(w_node)
-        landmarks[v] = (r.read_uint_array(d, w_land) - off).astype(np.float64)
+    n_land, w_land, K = r.read_uint(64), r.read_uint(16), r.read_uint(16)
+    if not 1 <= w_land <= 63 or n_land > m:
+        raise DecodeError(f"{n_land} landmarks of width {w_land}")
+    body = r.read_uint_array((n_land, d + 1), np.r_[width_for_count(m), np.full(d, w_land)])
+    landmarks = body[:, 0]
+    if np.any(np.diff(landmarks) <= 0) or landmarks.max(initial=0) >= m:
+        raise DecodeError("landmarks are not sorted node ids")
+    landmark_units = (body[:, 1:] - (1 << (w_land - 1))).astype(np.float64)
 
     aug = None
     if flags & FLAG_EUCLIDEAN:
         r = BitReader(*secs["augmentations"])
         bound = corner_bound(d)
-        wa = width_for_bound(bound)
-        a1 = (r.read_uint_array(n_leaf * d, wa) - bound).reshape(n_leaf, d)
-        a2 = (r.read_uint_array(n_leaf * d, wa) - bound).reshape(n_leaf, d)
-        b_nodes = np.array([v for v in leaf_nodes if subtree_root[v] != 0], dtype=np.int64)
-        nb = len(b_nodes)
-        b1 = (r.read_uint_array(nb * d, wa) - bound).reshape(nb, d)
-        b2 = (r.read_uint_array(nb * d, wa) - bound).reshape(nb, d)
-        aug = Augmentations(a1=a1, a2=a2, b_nodes=b_nodes, b1=b1, b2=b2)
+        n_corner = np.count_nonzero(structure["corner_row"] >= 0)
+        mats = [r.read_uint_array((rows, d), width_for_bound(bound))
+                for rows in (len(leaf_nodes), len(leaf_nodes), n_corner, n_corner)]
+        for mat in mats:
+            mat -= bound
+        aug = Augmentations(*mats)
 
     return RelativeLocationTree(
         n=n, d=d, p=p, eps=tree_eps, scale_exponent=scale_exp, phi=None,
-        phi_exponent=phi_exp, level=level, parent=parent_a, children=children,
-        edge_long=edge_long, edge_len=edge_len, center=center, ingress=ingress,
-        g=g, eta=eta, eta_eps=eta_eps, subtree_root=subtree_root,
-        is_subtree_leaf=is_leaf_sub, landmarks=landmarks, K=K,
+        phi_exponent=phi_exp, parent=parent, edge_long=edge_long, edge_len=edge_len,
+        **structure, center=center, ingress=ingress, g=g, eta=eta, eta_eps=eta_eps,
+        landmarks=landmarks, landmark_units=landmark_units, K=K,
         flags_euclidean=bool(flags & FLAG_EUCLIDEAN), augmentations=aug,
         header_eps=header_eps,
     )

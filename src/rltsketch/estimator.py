@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .codec import SketchBits, decode
-from .metric import INF, lp_norm
+from .metric import lp_norm, pairwise_distances
 from .tree import RelativeLocationTree
 
 
@@ -45,14 +44,10 @@ class QueryContext:
         self.scale = math.ldexp(1.0, int(t.scale_exponent))
         self.unit = t.unit()
         self.leaf_of = t.leaf_of_point()
-        if np.any(self.leaf_of < 0):
-            raise ValueError("tree is missing leaves for some points")
-        self.depth = np.zeros(t.node_count, dtype=np.int64)
-        for v in range(1, t.node_count):
-            self.depth[v] = self.depth[t.parent[v]] + 1
+        row = np.full(t.node_count, -1, dtype=np.int64)
+        row[t.landmarks] = np.arange(len(t.landmarks))
+        self._landmark_row = row.tolist()
         self._s_memo: dict[int, np.ndarray] = {}
-        self._aug_rows: dict[int, int] | None = None
-        self._b_rows: dict[int, int] | None = None
         self.visits_last = 0
 
     # -- shifted surrogates ------------------------------------------------
@@ -60,17 +55,16 @@ class QueryContext:
     def _s_units(self, v: int) -> np.ndarray:
         """Shifted surrogate of v in grid units (integer-valued float64),
         replayed along the ingress chain from the nearest cached value,
-        landmark, or subtree root."""
+        landmark, or subtree root (decode rejects ingress cycles)."""
         t = self.tree
         chain = []
         cur = int(v)
-        guard = t.node_count + 1
         while True:
             if self.memoize and cur in self._s_memo:
                 base = self._s_memo[cur]
                 break
-            if self.use_landmarks and cur in t.landmarks:
-                base = t.landmarks[cur]
+            if self.use_landmarks and self._landmark_row[cur] >= 0:
+                base = t.landmark_units[self._landmark_row[cur]]
                 break
             if int(t.subtree_root[cur]) == cur:
                 base = np.zeros(t.d, dtype=np.float64)
@@ -78,9 +72,6 @@ class QueryContext:
             chain.append(cur)
             self.visits_last += 1
             cur = int(t.ingress[cur])
-            guard -= 1
-            if guard < 0:
-                raise RuntimeError("ingress cycle detected")
         for w in reversed(chain):
             base = base + t.increment_units(w)
             if self.memoize:
@@ -89,8 +80,6 @@ class QueryContext:
 
     def _fine_units(self, v: int) -> np.ndarray:
         t = self.tree
-        if t.eta_eps[v] is None:
-            raise ValueError(f"fine surrogate undefined at node {v}")
         inn = int(t.ingress[v])
         return self._s_units(inn) + (math.pow(2.0, int(t.level[v])) * t.eps) * t.eta_eps[v]
 
@@ -100,8 +89,8 @@ class QueryContext:
         if not 0 <= v < t.node_count:
             raise ValueError(f"node {v} out of range")
         if fine:
-            if not t.is_subtree_leaf[v]:
-                raise ValueError(f"node {v} is not a subtree leaf")
+            if not t.is_subtree_leaf[v] or t.subtree_root[v] == v:
+                raise ValueError(f"fine surrogate undefined at node {v}")
             return self._fine_units(v) * self.unit
         return self._s_units(v) * self.unit
 
@@ -121,7 +110,7 @@ class QueryContext:
         a = int(self.leaf_of[i])
         b = int(self.leaf_of[j])
         ea, eb = a, b
-        da, db = int(self.depth[a]), int(self.depth[b])
+        da, db = int(t.depth[a]), int(t.depth[b])
         while da > db:
             if t.edge_long[a]:
                 ea = int(t.parent[a])
@@ -142,12 +131,9 @@ class QueryContext:
             a = int(t.parent[a])
             b = int(t.parent[b])
             self.visits_last += 2
-        # the last crossing's top always lands in the LCA's subtree (the
-        # remaining edges up to the LCA are short)
-        u = a
-        if t.subtree_root[ea] != t.subtree_root[u] or t.subtree_root[eb] != t.subtree_root[u]:
-            raise RuntimeError("entry leaf outside the LCA subtree (corrupt tree)")
-        return u, ea, eb
+        # the last crossing's top lands in the LCA's subtree (the remaining
+        # edges up to the LCA are short)
+        return a, ea, eb
 
     # -- lp estimation -------------------------------------------------------
 
@@ -163,14 +149,6 @@ class QueryContext:
         return (lp_norm(diff, t.p) * self.unit) * self.scale
 
     # -- Euclidean estimation -------------------------------------------------
-
-    def _rows(self):
-        if self._aug_rows is None:
-            t = self.tree
-            leaves = np.flatnonzero(t.is_subtree_leaf)
-            self._aug_rows = {int(v): k for k, v in enumerate(leaves)}
-            self._b_rows = {int(v): k for k, v in enumerate(t.augmentations.b_nodes)}
-        return self._aug_rows, self._b_rows
 
     def _chain(self, i: int):
         """Bottom-up list of (subtree root, entry leaf) pairs over point i."""
@@ -190,15 +168,14 @@ class QueryContext:
         surrogate corner, and the dithered long-edge corners below it."""
         t = self.tree
         aug = t.augmentations
-        a_rows, b_rows = self._rows()
         amat = aug.a1 if copy == 1 else aug.a2
         bmat = aug.b1 if copy == 1 else aug.b2
         r, w = chain[upto]
-        x = self._s_units(w) + math.pow(2.0, int(t.level[w])) * amat[a_rows[w]]
+        x = self._s_units(w) + math.pow(2.0, int(t.level[w])) * amat[t.leaf_row[w]]
         for s in range(upto):
             w_low = chain[s][1]
             w_up = chain[s + 1][1]
-            x = x + math.pow(2.0, int(t.level[w_up])) * bmat[b_rows[w_low]]
+            x = x + math.pow(2.0, int(t.level[w_up])) * bmat[t.corner_row[w_low]]
         return x
 
     def probabilistic_surrogate(self, i: int, r: int, copy: int = 1) -> np.ndarray:
@@ -288,22 +265,14 @@ class QueryContext:
             if int(t.subtree_root[v]) != v:  # singleton subtrees host no pairs
                 by_subtree.setdefault(int(t.subtree_root[v]), []).append(v)
         # shallow-to-deep: the pair's own (deepest) subtree writes last
-        roots = sorted(by_subtree, key=lambda r: (int(self.depth[r]), r))
+        roots = sorted(by_subtree, key=lambda r: (int(t.depth[r]), r))
         pos = np.empty(t.n, dtype=np.int64)
         for r in roots:
             leaves = by_subtree[r]
             if len(leaves) < 2:
                 continue
             S = np.stack([self._fine_units(v) for v in leaves])
-            if t.p == INF:
-                dmat = cdist(S, S, "chebyshev")
-            elif t.p == 1:
-                dmat = cdist(S, S, "cityblock")
-            elif t.p == 2:
-                dmat = cdist(S, S, "euclidean")
-            else:
-                dmat = cdist(S, S, "minkowski", p=t.p)
-            dmat = (dmat * self.unit) * self.scale
+            dmat = (pairwise_distances(S, t.p) * self.unit) * self.scale
             for a, w in enumerate(leaves):
                 pos[pts[w]] = a
             group = pts[r]
@@ -323,8 +292,7 @@ class QueryContext:
                 f1[i][r] = self._x_units(chains[i], idx, 1)
                 f2[i][r] = self._x_units(chains[i], idx, 2)
         # process subtree roots shallow-to-deep so the lowest overwrites
-        roots = sorted(set(int(t.subtree_root[v]) for v in range(t.node_count)),
-                       key=lambda r: (int(self.depth[r]), r))
+        roots = sorted(t.subtree_roots().tolist(), key=lambda r: (int(t.depth[r]), r))
         for r in roots:
             group = pts[r]
             if len(group) < 2:

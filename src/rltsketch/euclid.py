@@ -21,7 +21,6 @@ from .tree import Augmentations, RelativeLocationTree, build_tree, quantize_eps
 class JlConfig:
     target_dim: int
     seed: object  # int or numpy SeedSequence
-    eps: float
 
 
 def target_dimension(n: int, eps: float) -> int:
@@ -56,24 +55,20 @@ def build_augmentations(
     sigma2: np.ndarray,
 ) -> Augmentations:
     """Randomized grid corners per subtree leaf: the displacement of the leaf's
-    center from its coarse surrogate at cell side 2^level/sqrt(d), and (when
-    the leaf's subtree hangs under a long edge) the displacement from the
-    long edge's top center at the top node's cell side."""
+    center from its coarse surrogate at cell side 2^level/sqrt(d), and (at
+    long-edge corner nodes, whose subtree hangs under a long edge) the
+    displacement from the long edge's top center at the top node's cell side."""
     d = tree.d
     dp = norm_root(d, 2)
     unit = 1.0 / dp
     bound = corner_bound(d)
     leaves = np.flatnonzero(tree.is_subtree_leaf)
-    n_leaf = len(leaves)
-    a1 = np.zeros((n_leaf, d), dtype=np.int64)
-    a2 = np.zeros((n_leaf, d), dtype=np.int64)
-    b_nodes = [int(v) for v in leaves if tree.subtree_root[v] != 0]
-    b_index = {v: k for k, v in enumerate(b_nodes)}
-    b1 = np.zeros((len(b_nodes), d), dtype=np.int64)
-    b2 = np.zeros((len(b_nodes), d), dtype=np.int64)
+    a1 = np.zeros((len(leaves), d), dtype=np.int64)
+    a2 = np.zeros_like(a1)
+    b1 = np.zeros((np.count_nonzero(tree.corner_row >= 0), d), dtype=np.int64)
+    b2 = np.zeros_like(b1)
 
-    for k, v in enumerate(leaves):
-        v = int(v)
+    for v in leaves.tolist():
         lv = int(tree.level[v])
         two_l = math.pow(2.0, lv)
         root = int(tree.subtree_root[v])
@@ -83,13 +78,15 @@ def build_augmentations(
         if nrm > two_l * (1 + 1e-9):
             raise AssertionError(f"surrogate displacement {nrm} > 2^level at node {v}")
         cell = two_l / dp
-        c1 = randomized_grid_round(y, cell, sigma1).corner_coords
-        c2 = randomized_grid_round(y, cell, sigma2).corner_coords
+        c1 = randomized_grid_round(y, cell, sigma1)
+        c2 = randomized_grid_round(y, cell, sigma2)
         if max(np.abs(c1).max(), np.abs(c2).max()) > bound:
             raise AssertionError(f"corner outside the encodable ball at node {v}")
+        k = tree.leaf_row[v]
         a1[k], a2[k] = c1, c2
 
-        if v in b_index:
+        kb = int(tree.corner_row[v])
+        if kb >= 0:
             u = int(tree.parent[root])
             if not tree.edge_long[root]:
                 raise AssertionError("subtree root without a long parent edge")
@@ -100,16 +97,13 @@ def build_augmentations(
             if nrm > two_lu * (1 + 1e-9):
                 raise AssertionError(f"long-edge displacement {nrm} > 2^level at node {v}")
             cell_b = two_lu / dp
-            c1 = randomized_grid_round(yb, cell_b, sigma1).corner_coords
-            c2 = randomized_grid_round(yb, cell_b, sigma2).corner_coords
+            c1 = randomized_grid_round(yb, cell_b, sigma1)
+            c2 = randomized_grid_round(yb, cell_b, sigma2)
             if max(np.abs(c1).max(), np.abs(c2).max()) > bound:
                 raise AssertionError(f"corner outside the encodable ball at node {v}")
-            kb = b_index[v]
             b1[kb], b2[kb] = c1, c2
 
-    return Augmentations(
-        a1=a1, a2=a2, b_nodes=np.array(b_nodes, dtype=np.int64), b1=b1, b2=b2,
-        sigma1=sigma1, sigma2=sigma2)
+    return Augmentations(a1=a1, a2=a2, b1=b1, b2=b2, sigma1=sigma1, sigma2=sigma2)
 
 
 def build_euclidean_sketch(ps: PointSet, eps: float, seed: int) -> SketchBits:
@@ -123,7 +117,7 @@ def build_euclidean_sketch(ps: PointSet, eps: float, seed: int) -> SketchBits:
     dprime = target_dimension(ps.n, eps_d)
     seq = np.random.SeedSequence(seed)
     seed_mat, seed_s1, seed_s2 = seq.spawn(3)
-    proj = jl_transform(ps, JlConfig(target_dim=dprime, seed=seed_mat, eps=eps_d))
+    proj = jl_transform(ps, JlConfig(target_dim=dprime, seed=seed_mat))
     tree = build_tree(proj, EUCLIDEAN_TREE_EPS)
     tree.flags_euclidean = True
     tree.header_eps = eps_d

@@ -24,10 +24,6 @@ class InputError(Exception):
     """Unparseable, inconsistent, or out-of-contract input data."""
 
 
-class ContractViolation(Exception):
-    """A distortion guarantee failed on evaluation."""
-
-
 # -- ingestion ----------------------------------------------------------------
 
 def ingest_array(points: np.ndarray, p) -> PointSet:

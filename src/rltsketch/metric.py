@@ -101,37 +101,6 @@ class PointSet:
             raise ValueError(f"max pairwise distance {off.max()} > phi={self.phi}")
 
 
-@dataclass(eq=False)
-class NetElement:
-    """A point of the grid net N_gamma = 2*B_p^d intersected with the grid of
-    cell side gamma/d^(1/p), stored as integer grid coordinates."""
-
-    grid_coords: np.ndarray  # int64, length d
-    gamma: float
-    p: object
-
-    @property
-    def d(self) -> int:
-        return self.grid_coords.shape[0]
-
-    def cell_side(self) -> float:
-        return self.gamma / norm_root(self.d, self.p)
-
-    def vector(self) -> np.ndarray:
-        return self.grid_coords.astype(np.float64) * self.cell_side()
-
-
-@dataclass(eq=False)
-class GridCorner:
-    """The coordinate-wise minimal ("bottom-left") corner of a grid cell."""
-
-    corner_coords: np.ndarray  # int64, length d
-    cell_side: float
-
-    def vector(self) -> np.ndarray:
-        return self.corner_coords.astype(np.float64) * self.cell_side
-
-
 def scale_points(points: np.ndarray, p, base_exponent: int = 0) -> PointSet:
     """Normalize a raw point array into a PointSet: divide by the power of two
     M' in (M/2, M] (M = min pairwise distance) so the scaled minimum lands in
@@ -162,8 +131,10 @@ def scale_points(points: np.ndarray, p, base_exponent: int = 0) -> PointSet:
     return PointSet(scaled, p, base_exponent + e, phi, dist=dmat)
 
 
-def round_to_net(v: np.ndarray, gamma: float, p) -> NetElement:
-    """Floor-round a vector of the unit lp ball onto the grid net N_gamma.
+def round_to_net(v: np.ndarray, gamma: float, p) -> np.ndarray:
+    """Floor-round a vector of the unit lp ball onto the grid net N_gamma =
+    2*B_p^d intersected with the grid of cell side gamma/d^(1/p); returns the
+    int64 grid coordinates.
 
     Each coordinate is divided by the cell side gamma/d^(1/p) and floored
     (exact multiples map to themselves). The result is within lp distance
@@ -180,11 +151,12 @@ def round_to_net(v: np.ndarray, gamma: float, p) -> NetElement:
     bound = math.ceil(2.0 * norm_root(v.shape[0], p) / gamma)
     if np.any(np.abs(coords) > bound):
         raise ValueError("net coordinate out of range (norm precondition violated)")
-    return NetElement(coords, gamma, p)
+    return coords
 
 
-def randomized_grid_round(y: np.ndarray, cell_side: float, sigma: np.ndarray) -> GridCorner:
-    """Bottom-left corner of the grid cell containing y + cell_side*sigma.
+def randomized_grid_round(y: np.ndarray, cell_side: float, sigma: np.ndarray) -> np.ndarray:
+    """Int64 grid coordinates of the coordinate-wise minimal ("bottom-left")
+    corner of the grid cell containing y + cell_side*sigma.
 
     For fixed y and sigma uniform on [0,1]^d, each corner coordinate is an
     unbiased estimator of y_j, supported on the two corners of y's own cell.
@@ -197,5 +169,4 @@ def randomized_grid_round(y: np.ndarray, cell_side: float, sigma: np.ndarray) ->
         raise ValueError("y and sigma must have the same dimension")
     if np.any(sigma < 0) or np.any(sigma > 1):
         raise ValueError("sigma coordinates must lie in [0, 1]")
-    coords = np.floor((y + cell_side * sigma) / cell_side).astype(np.int64)
-    return GridCorner(coords, cell_side)
+    return np.floor((y + cell_side * sigma) / cell_side).astype(np.int64)

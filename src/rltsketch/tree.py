@@ -9,6 +9,17 @@ Level l of the hierarchy merges, transitively, the clusters closer than 2^l.
 Those clusters are the single-linkage clusters at threshold 2^l, i.e. the
 connected components of the minimum spanning tree's edges lighter than 2^l
 (Gower & Ross 1969), so the whole hierarchy is read off one MST.
+
+Layout: a tree is a set of flat arrays indexed by node id in preorder (root
+0). Its shape is `parent`, `edge_long` and `edge_len` plus the root level;
+`tree_structure` derives everything else from them (children, depth, levels,
+subtree roots, the subtree leaves L(T), and the row of each subtree leaf and
+of each long-edge corner node), for built and decoded trees alike. Each
+annotation is one array: `center`, `ingress`, `g`, and the (m, d) int64
+matrices `eta` (rows meaningful where subtree_root[v] != v) and `eta_eps`
+(rows meaningful at subtree leaves that are not subtree roots), zero
+elsewhere. Landmarks are the sorted node ids `landmarks`, with their shifted
+surrogates in the rows of `landmark_units`.
 """
 from __future__ import annotations
 
@@ -47,7 +58,6 @@ class RawHierarchy:
     members: list[np.ndarray]  # sorted point indices
     delta: list[float]  # exact cluster diameter
     root: int
-    leaf_of_point: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -58,27 +68,72 @@ class RawHierarchy:
 class Augmentations:
     """Euclidean sketch augmentations: two independently shifted grid corners
     per subtree leaf (surrogate displacement), plus corners for the long-edge
-    displacement where the leaf's subtree hangs under a long edge.
+    displacement at every long-edge corner node (a subtree leaf whose subtree
+    hangs under a long edge). Rows follow the tree's leaf_row and corner_row.
 
     The shift vectors sigma1/sigma2 are transient and never serialized.
     """
 
-    a1: np.ndarray  # (|L|, d) int64 corner coords, copy 1, L(T) preorder
+    a1: np.ndarray  # (|L|, d) int64 corner coords, copy 1
     a2: np.ndarray
-    b_nodes: np.ndarray  # node ids (preorder-sorted) having long-edge corners
-    b1: np.ndarray  # (|b_nodes|, d) int64
+    b1: np.ndarray  # (corner nodes, d) int64
     b2: np.ndarray
     sigma1: np.ndarray | None = None
     sigma2: np.ndarray | None = None
 
 
+def _rank(mask: np.ndarray) -> np.ndarray:
+    """Row of each set entry among the set entries, -1 elsewhere."""
+    row = np.full(len(mask), -1, dtype=np.int64)
+    row[mask] = np.arange(np.count_nonzero(mask))
+    return row
+
+
+def tree_structure(parent: np.ndarray, edge_long: np.ndarray, edge_len: np.ndarray,
+                   root_level: int) -> dict:
+    """Every field derived from the shape of a preorder tree (parent[v] < v):
+    children (ascending), depth, level (a long edge spans edge_len - 1
+    levels, a short one 1), subtree_root (the root and long-edge bottoms
+    start subtrees), is_subtree_leaf (no short-edge children: L(T)), and the
+    rows of the subtree leaves and of the long-edge corner nodes (subtree
+    leaves outside the root's subtree), -1 elsewhere.
+    """
+    m = len(parent)
+    par, long_, length = parent.tolist(), edge_long.tolist(), edge_len.tolist()
+    children: list[list[int]] = [[] for _ in range(m)]
+    depth = [0] * m
+    level = [int(root_level)] * m
+    sub = list(range(m))
+    for v in range(1, m):
+        u = par[v]
+        children[u].append(v)
+        depth[v] = depth[u] + 1
+        if long_[v]:
+            level[v] = level[u] - (length[v] - 1)
+        else:
+            level[v] = level[u] - 1
+            sub[v] = sub[u]
+    subtree_root = np.array(sub, dtype=np.int64)
+    is_leaf = np.ones(m, dtype=bool)
+    is_leaf[parent[1:][~edge_long[1:]]] = False
+    return dict(
+        children=children,
+        depth=np.array(depth, dtype=np.int64),
+        level=np.array(level, dtype=np.int64),
+        subtree_root=subtree_root,
+        is_subtree_leaf=is_leaf,
+        leaf_row=_rank(is_leaf),
+        corner_row=_rank(is_leaf & (subtree_root != 0)),
+    )
+
+
 @dataclass(eq=False)
 class RelativeLocationTree:
-    """Compressed, annotated tree. Nodes are indexed in preorder (root = 0);
-    children keep construction order (ascending center index).
+    """Compressed, annotated tree in the flat layout of the module docstring.
+    Children keep construction order (ascending center index).
 
     Decoded trees carry the same annotation fields but no point-side data
-    (members, delta, surrogates are None).
+    (members, delta, s_units are None).
     """
 
     n: int
@@ -89,22 +144,27 @@ class RelativeLocationTree:
     phi: float | None
     phi_exponent: int
 
-    level: np.ndarray  # int64
     parent: np.ndarray  # int64, -1 at root
-    children: list[list[int]]
     edge_long: np.ndarray  # bool: the edge above this node is long
     edge_len: np.ndarray  # int64: annotated original path length k (0 if short)
+
+    # derived by tree_structure
+    children: list[list[int]]
+    depth: np.ndarray  # int64
+    level: np.ndarray  # int64
+    subtree_root: np.ndarray  # int64
+    is_subtree_leaf: np.ndarray  # bool, membership in L(T)
+    leaf_row: np.ndarray  # int64 row among subtree leaves, -1 elsewhere
+    corner_row: np.ndarray  # int64 row among long-edge corner nodes, -1 elsewhere
 
     center: np.ndarray  # int64 point index
     ingress: np.ndarray  # int64 node id (self for subtree roots)
     g: np.ndarray  # int64, 5 + ceil(delta/2^level); 0 for subtree roots
-    eta: list[np.ndarray | None]  # int64[d] per non-subtree-root node
-    eta_eps: list[np.ndarray | None]  # int64[d] per non-root L(T) node
+    eta: np.ndarray  # (m, d) int64 coarse net elements
+    eta_eps: np.ndarray  # (m, d) int64 fine net elements
 
-    subtree_root: np.ndarray  # int64
-    is_subtree_leaf: np.ndarray  # bool, membership in L(T)
-
-    landmarks: dict[int, np.ndarray]  # node -> integer-valued float64 s(v) units
+    landmarks: np.ndarray  # sorted int64 node ids
+    landmark_units: np.ndarray  # (len(landmarks), d) integer-valued float64 s(v) units
     K: int
 
     flags_euclidean: bool = False
@@ -116,29 +176,23 @@ class RelativeLocationTree:
     # builder-side only (None on decoded trees)
     members: list[np.ndarray] | None = None
     delta: np.ndarray | None = None
-    s_units: list[np.ndarray] | None = None  # shifted surrogate, d^(-1/p) units
+    s_units: np.ndarray | None = None  # (m, d) shifted surrogates, d^(-1/p) units
     child_order: list[list[int]] | None = None  # tau-DFS order of children
     tstar_level: np.ndarray | None = None
     tstar_delta: np.ndarray | None = None
 
     @property
     def node_count(self) -> int:
-        return len(self.level)
-
-    def subtree_leaves(self) -> np.ndarray:
-        return np.flatnonzero(self.is_subtree_leaf)
+        return len(self.parent)
 
     def subtree_roots(self) -> np.ndarray:
-        mask = np.zeros(self.node_count, dtype=bool)
-        mask[self.subtree_root] = True
-        return np.flatnonzero(mask)
+        return np.flatnonzero(self.subtree_root == np.arange(self.node_count))
 
     def leaf_of_point(self) -> np.ndarray:
         """Map point index -> leaf node (leaves carry their point as center)."""
+        leaves = np.flatnonzero([not ch for ch in self.children])
         out = np.full(self.n, -1, dtype=np.int64)
-        for v in range(self.node_count):
-            if not self.children[v]:
-                out[self.center[v]] = v
+        out[self.center[leaves]] = leaves
         return out
 
     def unit(self) -> float:
@@ -148,10 +202,6 @@ class RelativeLocationTree:
     def increment_units(self, v: int) -> np.ndarray:
         """Surrogate increment 2^level * eta for node v, in grid units."""
         return math.pow(2.0, int(self.level[v])) * self.eta[v].astype(np.float64)
-
-    def surrogate(self, v: int, x_root: np.ndarray) -> np.ndarray:
-        """Builder-side coarse surrogate value s*(v) = x_c(r) + s(v)."""
-        return x_root + self.s_units[v] * self.unit()
 
 
 def _mst_edges(dm: np.ndarray) -> list[tuple[float, int, int]]:
@@ -202,7 +252,6 @@ def build_hierarchy(ps: PointSet) -> RawHierarchy:
     children: list[list[int]] = [[] for _ in range(n)]
     members: list[np.ndarray] = [np.array([i], dtype=np.int64) for i in range(n)]
     delta: list[float] = [0.0] * n
-    leaf_of_point = np.arange(n, dtype=np.int64)
 
     # union-find over points; a set's root is its min point index, which is
     # also lead[node], the min member of the cluster node holding it
@@ -257,107 +306,67 @@ def build_hierarchy(ps: PointSet) -> RawHierarchy:
         current = nxt
 
     root = current[0]
-    return RawHierarchy(level, parent, children, members, delta, root, leaf_of_point)
+    return RawHierarchy(level, parent, children, members, delta, root)
 
 
-def compress_paths(raw: RawHierarchy, eps: float) -> RelativeLocationTree:
+def compress_paths(raw: RawHierarchy, ps: PointSet, eps: float) -> RelativeLocationTree:
     """Replace qualifying maximal non-branching paths v_0..v_k (interior nodes
     degree 1) with a long edge v_1 -> v_k annotated with the original length k.
 
     Compression requires k >= 2 and delta(v_k) <= 2^level(v_1) * eps, so the
     resulting subtree-leaf diameter bound holds with no slack. delta = 0 always
-    compresses (threshold -inf).
+    compresses (threshold -inf). Returns the unannotated tree over ps.
     """
     # preorder construction of the compressed tree
-    level: list[int] = []
     parent: list[int] = []
-    children: list[list[int]] = []
-    edge_long: list[bool] = []
-    edge_len: list[int] = []
-    members: list[np.ndarray] = []
-    delta: list[float] = []
+    edge_len: list[int] = []  # 0 for short edges
+    raw_id: list[int] = []
 
-    def new_node(raw_id: int, par: int, long: bool, length: int) -> int:
-        nid = len(level)
-        level.append(raw.level[raw_id])
+    def new_node(rid: int, par: int, length: int = 0) -> int:
+        raw_id.append(rid)
         parent.append(par)
-        children.append([])
-        edge_long.append(long)
         edge_len.append(length)
-        members.append(raw.members[raw_id])
-        delta.append(raw.delta[raw_id])
-        if par >= 0:
-            children[par].append(nid)
-        return nid
+        return len(parent) - 1
 
     # iterative DFS: (raw child id, new parent id)
-    root_new = new_node(raw.root, -1, False, 0)
+    root_new = new_node(raw.root, -1)
     stack = [(ch, root_new) for ch in reversed(raw.children[raw.root])]
     while stack:
         raw_top, par = stack.pop()
         # walk the chain of degree-1 nodes below raw_top
         chain = [raw_top]
-        cur = raw_top
-        while len(raw.children[cur]) == 1:
-            cur = raw.children[cur][0]
-            chain.append(cur)
+        while len(raw.children[chain[-1]]) == 1:
+            chain.append(raw.children[chain[-1]][0])
         k = len(chain)  # edge count of the maximal path v_0..v_k
         bottom = chain[-1]
         if k >= 2 and raw.delta[bottom] <= math.pow(2.0, raw.level[chain[0]]) * eps:
-            top_new = new_node(chain[0], par, False, 0)
-            bot_new = new_node(bottom, top_new, True, k)
+            bot_new = new_node(bottom, new_node(chain[0], par), k)
         else:
-            cur_par = par
+            bot_new = par
             for node in chain:
-                cur_par = new_node(node, cur_par, False, 0)
-            bot_new = cur_par
-        for ch in reversed(raw.children[bottom]):
-            stack.append((ch, bot_new))
+                bot_new = new_node(node, bot_new)
+        stack.extend((ch, bot_new) for ch in reversed(raw.children[bottom]))
 
-    m = len(level)
-    level_a = np.array(level, dtype=np.int64)
+    m = len(parent)
     parent_a = np.array(parent, dtype=np.int64)
-    edge_long_a = np.array(edge_long, dtype=bool)
     edge_len_a = np.array(edge_len, dtype=np.int64)
-
-    # subtree decomposition: long-edge bottoms and the root start subtrees
-    subtree_root = np.empty(m, dtype=np.int64)
-    for v in range(m):  # preorder: parent precedes child
-        if parent_a[v] < 0 or edge_long_a[v]:
-            subtree_root[v] = v
-        else:
-            subtree_root[v] = subtree_root[parent_a[v]]
-
-    # L(T): no short-edge children (tree leaves and long-edge tops)
-    is_leaf_sub = np.empty(m, dtype=bool)
-    for v in range(m):
-        is_leaf_sub[v] = not any(not edge_long_a[c] for c in children[v])
-
+    edge_long = edge_len_a > 0
+    root_level = int(raw.level[raw.root])
     return RelativeLocationTree(
-        n=raw.leaf_of_point.shape[0],
-        d=0,
-        p=None,
-        eps=eps,
-        scale_exponent=0,
-        phi=None,
-        phi_exponent=int(raw.level[raw.root]),
-        level=level_a,
-        parent=parent_a,
-        children=children,
-        edge_long=edge_long_a,
-        edge_len=edge_len_a,
+        n=ps.n, d=ps.d, p=ps.p, eps=eps, scale_exponent=ps.scale_exponent, phi=ps.phi,
+        phi_exponent=root_level, parent=parent_a, edge_long=edge_long, edge_len=edge_len_a,
+        **tree_structure(parent_a, edge_long, edge_len_a, root_level),
         center=np.full(m, -1, dtype=np.int64),
         ingress=np.full(m, -1, dtype=np.int64),
         g=np.zeros(m, dtype=np.int64),
-        eta=[None] * m,
-        eta_eps=[None] * m,
-        subtree_root=subtree_root,
-        is_subtree_leaf=is_leaf_sub,
-        landmarks={},
+        eta=np.zeros((m, ps.d), dtype=np.int64),
+        eta_eps=np.zeros((m, ps.d), dtype=np.int64),
+        landmarks=np.zeros(0, dtype=np.int64),
+        landmark_units=np.zeros((0, ps.d)),
         K=0,
-        members=members,
-        delta=np.array(delta, dtype=np.float64),
-        s_units=[None] * m,
+        members=[raw.members[r] for r in raw_id],
+        delta=np.array(raw.delta, dtype=np.float64)[raw_id],
+        s_units=np.zeros((m, ps.d)),
         child_order=[[] for _ in range(m)],
         tstar_level=np.array(raw.level, dtype=np.int64),
         tstar_delta=np.array(raw.delta, dtype=np.float64),
@@ -365,15 +374,9 @@ def compress_paths(raw: RawHierarchy, eps: float) -> RelativeLocationTree:
 
 
 def assign_centers(t: RelativeLocationTree):
-    """Leaf of x_i gets center i; internal nodes the min of children's centers."""
-    for v in range(t.node_count - 1, -1, -1):  # preorder reversed: children first
-        if not t.children[v]:
-            t.center[v] = int(t.members[v][0])
-        else:
-            t.center[v] = min(int(t.center[c]) for c in t.children[v])
-    # consequence of construction order: center = min member index
-    for v in range(t.node_count):
-        assert t.center[v] == t.members[v][0]
+    """Leaf of x_i gets center i; internal nodes the min of children's centers,
+    which is their min member, as children partition the parent's members."""
+    t.center[:] = [int(mem[0]) for mem in t.members]  # members are sorted
 
 
 def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
@@ -385,9 +388,8 @@ def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
     dm = ps.distance_matrix()
     leaf_of = t.leaf_of_point()
 
-    for v in range(t.node_count):
-        if t.parent[v] < 0 or t.edge_long[v]:
-            t.ingress[v] = v  # subtree root
+    roots = t.subtree_roots()
+    t.ingress[roots] = roots
 
     for v in range(t.node_count):
         us = [c for c in t.children[v] if not t.edge_long[c]]
@@ -488,10 +490,7 @@ def compute_surrogates(t: RelativeLocationTree, ps: PointSet, eps: float):
     for r in t.subtree_roots():
         order = ingress_order(t, int(r))
         x_root = x[t.center[r]]
-        for v in order:
-            if v == r:
-                t.s_units[v] = np.zeros(t.d, dtype=np.float64)
-                continue
+        for v in order[1:]:  # the root's surrogate is x_root: s_units stays 0
             lv = int(t.level[v])
             two_l = math.pow(2.0, lv)
             g = 5 + int(math.ceil(t.delta[v] / two_l))
@@ -504,16 +503,13 @@ def compute_surrogates(t: RelativeLocationTree, ps: PointSet, eps: float):
             if nrm > 1.0 + 1e-9:
                 raise AssertionError(
                     f"displacement norm {nrm} > 1 at node {v} (ingress/level bug)")
-            eta = round_to_net(eta_star, gamma, t.p).grid_coords
-            t.eta[v] = eta
-            t.s_units[v] = t.s_units[inn] + two_l * eta.astype(np.float64)
+            t.eta[v] = round_to_net(eta_star, gamma, t.p)
+            t.s_units[v] = t.s_units[inn] + two_l * t.eta[v].astype(np.float64)
             if t.is_subtree_leaf[v]:
-                t.eta_eps[v] = round_to_net(eta_star, gamma * eps, t.p).grid_coords
+                t.eta_eps[v] = round_to_net(eta_star, gamma * eps, t.p)
 
-    bound = math.pow(2.0, 53)
-    for v in range(t.node_count):
-        if np.abs(t.s_units[v]).max(initial=0.0) >= bound:
-            raise OverflowError("surrogate units exceed exact float64 integer range")
+    if np.abs(t.s_units).max(initial=0.0) >= math.pow(2.0, 53):
+        raise OverflowError("surrogate units exceed exact float64 integer range")
 
 
 def fine_surrogate_units(t: RelativeLocationTree, v: int) -> np.ndarray:
@@ -530,7 +526,7 @@ def select_landmarks(t: RelativeLocationTree, K: int):
     surrogate or its subtree root within K ingress hops.
     """
     t.K = K
-    t.landmarks = {}
+    chosen = []
     for r in t.subtree_roots():
         order = ingress_order(t, int(r))
         depth = {int(r): 0}
@@ -551,7 +547,7 @@ def select_landmarks(t: RelativeLocationTree, K: int):
                 if cur == r:
                     break
                 cur = int(t.ingress[cur])
-            t.landmarks[cur] = t.s_units[cur].copy()
+            chosen.append(cur)
             # drop cur and its ingress descendants
             stack = [cur]
             while stack:
@@ -561,6 +557,8 @@ def select_landmarks(t: RelativeLocationTree, K: int):
                 removed.add(w)
                 stack.extend(in_children[w])
         assert len(removed) == len(order)
+    t.landmarks = np.array(sorted(chosen), dtype=np.int64)
+    t.landmark_units = t.s_units[t.landmarks]
 
 
 def landmark_step_budget(phi: float, d: int, p) -> int:
@@ -571,12 +569,7 @@ def landmark_step_budget(phi: float, d: int, p) -> int:
 def build_tree(ps: PointSet, eps: float) -> RelativeLocationTree:
     """Full construction over a scaled point set; eps is quantized to dyadic."""
     eps_d = quantize_eps(eps)
-    raw = build_hierarchy(ps)
-    t = compress_paths(raw, eps_d)
-    t.n, t.d, t.p = ps.n, ps.d, ps.p
-    t.eps = eps_d
-    t.scale_exponent = ps.scale_exponent
-    t.phi = ps.phi
+    t = compress_paths(build_hierarchy(ps), ps, eps_d)
     assign_centers(t)
     assign_ingresses(t, ps)
     compute_surrogates(t, ps, eps_d)

@@ -80,10 +80,10 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
         s_star = x_root + t.s_units[v] * t.unit()
         err = lp_distance(x[t.center[v]], s_star, t.p)
         assert err <= math.pow(2.0, int(t.level[v])), "coarse surrogate error"
-        if t.eta[v] is not None:
+        if root != v:
             vec = t.eta[v] * ((1.0 / t.g[v]) * t.unit())  # coords * cell side
             assert lp_norm(vec, t.p) <= 2.0 + 1e-12, "net membership"
-        if t.is_subtree_leaf[v] and t.eta_eps[v] is not None:
+        if t.is_subtree_leaf[v] and root != v:
             s_fine = x_root + fine_surrogate_units(t, v) * t.unit()
             err = lp_distance(x[t.center[v]], s_fine, t.p)
             assert err <= math.pow(2.0, int(t.level[v])) * eps, "fine surrogate error"
@@ -122,9 +122,10 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
 
     # landmark walk budget: every node reaches a stored surrogate or its
     # subtree root within K ingress hops
+    landmarks = set(t.landmarks.tolist())
     for v in range(t.node_count):
         cur, hops = v, 0
-        while cur not in t.landmarks and int(t.subtree_root[cur]) != cur:
+        while cur not in landmarks and int(t.subtree_root[cur]) != cur:
             cur = int(t.ingress[cur])
             hops += 1
             assert hops <= t.K, "landmark hop budget"
@@ -132,7 +133,7 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
     # landmark coordinates are integers (in d^(-1/p) units) bounded by the
     # shifted-surrogate magnitude 2^(root level) + diameter
     bound = (math.pow(2.0, t.phi_exponent) + ps.phi) / t.unit()
-    for vals in t.landmarks.values():
+    for vals in t.landmark_units:
         assert np.array_equal(vals, np.round(vals)), "landmark integrality"
         assert np.abs(vals).max(initial=0.0) <= bound * (1 + 1e-9), "landmark magnitude"
 

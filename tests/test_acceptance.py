@@ -157,8 +157,7 @@ def test_criterion_5_rounding_unbiased():
         cell = 0.5
         d = len(y)
         tiled = np.tile(y, draws)
-        corners = randomized_grid_round(
-            tiled, cell, rng.random(draws * d)).corner_coords
+        corners = randomized_grid_round(tiled, cell, rng.random(draws * d))
         samples = corners.reshape(draws, d) * cell
         mean = samples.mean(axis=0)
         se = samples.std(axis=0) / math.sqrt(draws)

@@ -30,7 +30,7 @@ def test_target_dimension():
 def test_jl_requires_p2():
     ps = scale_points(np.array([[0.0], [1.0]]), 1)
     with pytest.raises(ValueError):
-        jl_transform(ps, JlConfig(4, 0, 0.5))
+        jl_transform(ps, JlConfig(4, 0))
 
 
 def test_projection_is_linear_on_duplicates():
@@ -42,14 +42,14 @@ def test_projection_is_linear_on_duplicates():
     assert np.array_equal(proj[0], proj[1])
     with pytest.raises(ValueError):
         jl_transform(scale_points(np.array([[0.0], [1.0]]), 2),
-                     JlConfig(0, 1, 0.5))  # target dimension must be >= 1
+                     JlConfig(0, 1))  # target dimension must be >= 1
 
 
 def test_jl_deterministic_given_seed():
     rng = np.random.default_rng(1)
     ps = random_pointset(rng, 10, 8)
-    a = jl_transform(ps, JlConfig(16, 42, 0.5))
-    b = jl_transform(ps, JlConfig(16, 42, 0.5))
+    a = jl_transform(ps, JlConfig(16, 42))
+    b = jl_transform(ps, JlConfig(16, 42))
     assert np.array_equal(a.points, b.points)
     assert a.scale_exponent == b.scale_exponent
 
@@ -67,7 +67,7 @@ def test_jl_distortion_at_prescribed_dimension():
     good = 0
     seeds = 100
     for seed in range(seeds):
-        proj = jl_transform(ps, JlConfig(dprime, seed, eps))
+        proj = jl_transform(ps, JlConfig(dprime, seed))
         dm = proj.distance_matrix() * math.ldexp(1.0, proj.scale_exponent - ps.scale_exponent)
         ratio = dm[off] / exact[off]
         if ratio.max() <= 1 + eps and ratio.min() >= 1 - eps:
@@ -94,7 +94,7 @@ def test_jl_norm_scaling_unbiased():
 def _fixed_tree(seed=0, n=14, d=6, dprime=40):
     rng = np.random.default_rng(seed)
     ps = random_pointset(rng, n, d)
-    proj = jl_transform(ps, JlConfig(dprime, 7, 0.5))
+    proj = jl_transform(ps, JlConfig(dprime, 7))
     tree = build_tree(proj, EUCLIDEAN_TREE_EPS)
     tree.flags_euclidean = True
     return tree, proj
@@ -149,7 +149,7 @@ def test_long_edge_corner_support_length():
     samples = []
     for _ in range(400):
         aug = build_augmentations(tree, proj.points, rng.random(d), rng.random(d))
-        if len(aug.b_nodes):
+        if len(aug.b1):
             samples.append(aug.b1.astype(np.float64))
     if not samples:
         pytest.skip("instance produced no long-edge corners")

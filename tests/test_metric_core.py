@@ -39,14 +39,14 @@ def test_pairwise_matches_scalar():
 
 def test_round_to_net_examples():
     el = round_to_net(np.array([0.6]), 0.25, 2)
-    assert el.grid_coords.tolist() == [2]
-    assert el.vector()[0] == pytest.approx(0.5)
+    assert el.tolist() == [2]
+    assert el[0] * 0.25 == pytest.approx(0.5)  # coords * cell side gamma/d^(1/p)
 
     el = round_to_net(np.array([0.5]), 0.25, 2)
-    assert el.grid_coords.tolist() == [2]  # exact multiples map to themselves
+    assert el.tolist() == [2]  # exact multiples map to themselves
 
     el = round_to_net(np.array([0.37, -0.21]), 0.5, 2)
-    assert el.grid_coords.tolist() == [1, -1]
+    assert el.tolist() == [1, -1]
 
 
 def test_round_to_net_rejects_large_norm():
@@ -74,18 +74,18 @@ def unit_ball_vector(draw):
 def test_net_rounding_distance_and_membership(vp, gamma):
     v, p = vp
     el = round_to_net(v, gamma, p)
-    dec = el.vector()
+    dec = el * (gamma / norm_root(len(v), p))  # coords * cell side
     assert lp_distance(dec, v, p) <= gamma * (1 + 1e-9)
     assert lp_distance(dec, np.zeros_like(dec), p) <= 2.0 + 1e-9
     bound = math.ceil(2.0 * norm_root(len(v), p) / gamma)
-    assert np.abs(el.grid_coords).max() <= bound
+    assert np.abs(el).max() <= bound
 
 
 def test_randomized_round_examples():
     c = randomized_grid_round(np.array([0.3]), 1.0, np.array([0.5]))
-    assert c.corner_coords.tolist() == [0]
+    assert c.tolist() == [0]
     c = randomized_grid_round(np.array([0.3]), 1.0, np.array([0.8]))
-    assert c.corner_coords.tolist() == [1]
+    assert c.tolist() == [1]
     with pytest.raises(ValueError):
         randomized_grid_round(np.array([0.3]), 1.0, np.array([1.5]))
     with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ def _corner_samples(y, cell, count, seed):
     rng = np.random.default_rng(seed)
     d = len(y)
     tiled = np.tile(y, count)
-    corners = randomized_grid_round(tiled, cell, rng.random(count * d)).corner_coords
+    corners = randomized_grid_round(tiled, cell, rng.random(count * d))
     return corners.reshape(count, d) * cell
 
 

@@ -177,13 +177,13 @@ def test_gamma_examples():
     # delta = 0 leaves get precision 1/5
     t = build_tree(pointset_1d([0, 4]), 0.5)
     for v in range(t.node_count):
-        if t.eta[v] is not None and t.delta[v] == 0.0:
+        if t.subtree_root[v] != v and t.delta[v] == 0.0:
             assert t.g[v] == 5
     # a unit chain {0..5} merges at level 1 with diameter 5: ceil(5/2) = 3 -> 1/8
     t = build_tree(pointset_1d([0, 1, 2, 3, 4, 5, 40]), 0.5)
     tight = [v for v in range(t.node_count)
              if t.level[v] == 1 and len(t.members[v]) == 6]
-    assert tight and all(t.g[v] == 8 for v in tight if t.eta[v] is not None)
+    assert tight and all(t.g[v] == 8 for v in tight if t.subtree_root[v] != v)
 
 
 def test_surrogate_roots_exact():
@@ -221,21 +221,21 @@ def test_small_subtrees_get_one_landmark_at_their_root():
 
 def _chain_tree(length):
     """Minimal synthetic tree whose ingress structure is one chain."""
-    from rltsketch.tree import RelativeLocationTree
+    from rltsketch.tree import RelativeLocationTree, tree_structure
 
     m = length
+    parent = np.arange(-1, m - 1)
+    edge_long, edge_len = np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64)
     return RelativeLocationTree(
         n=m, d=1, p=2, eps=0.5, scale_exponent=0, phi=1.0, phi_exponent=m - 1,
-        level=np.arange(m - 1, -1, -1), parent=np.arange(-1, m - 1),
-        children=[[v + 1] for v in range(m - 1)] + [[]],
-        edge_long=np.zeros(m, dtype=bool), edge_len=np.zeros(m, dtype=np.int64),
+        parent=parent, edge_long=edge_long, edge_len=edge_len,
+        **tree_structure(parent, edge_long, edge_len, m - 1),
         center=np.zeros(m, dtype=np.int64),
         ingress=np.maximum(np.arange(-1, m - 1), 0),
-        g=np.zeros(m, dtype=np.int64), eta=[None] * m, eta_eps=[None] * m,
-        subtree_root=np.zeros(m, dtype=np.int64),
-        is_subtree_leaf=np.zeros(m, dtype=bool),
-        landmarks={}, K=0,
-        s_units=[np.zeros(1) for _ in range(m)],
+        g=np.zeros(m, dtype=np.int64), eta=np.zeros((m, 1), dtype=np.int64),
+        eta_eps=np.zeros((m, 1), dtype=np.int64),
+        landmarks=np.zeros(0, dtype=np.int64), landmark_units=np.zeros((0, 1)), K=0,
+        s_units=np.zeros((m, 1)),
         child_order=[[v + 1] for v in range(m - 1)] + [[]],
     )
 
