@@ -131,6 +131,38 @@ def test_compression_boundary_preserves_leaf_diameter_bound():
     check_tree_invariants(t, ps)
 
 
+def test_tree_structure_matches_per_node_definitions():
+    # every derived field against its definition, node by node, on built
+    # trees with long edges (so several subtrees and corner rows)
+    rng = np.random.default_rng(13)
+    centers = rng.uniform(0, 1e6, size=(5, 2))
+    pts = np.concatenate([c + rng.uniform(0, 20, size=(7, 2)) for c in centers])
+    for p, eps in ((2, 0.2), (1, 0.5), (INF, 0.1)):
+        t = build_tree(scale_points(pts, p), eps)
+        m = t.node_count
+        assert t.edge_long.any()
+        leaves, corners = [], []
+        for v in range(m):
+            assert t.children[v] == [c for c in range(m) if t.parent[c] == v]
+            path = [v]
+            while t.parent[path[-1]] >= 0:
+                path.append(int(t.parent[path[-1]]))
+            assert t.depth[v] == len(path) - 1
+            gaps = [int(t.edge_len[u]) - 1 if t.edge_long[u] else 1 for u in path[:-1]]
+            assert t.level[v] == t.phi_exponent - sum(gaps)
+            top = next((u for u in path if t.parent[u] < 0 or t.edge_long[u]))
+            assert t.subtree_root[v] == top
+            is_leaf = all(t.edge_long[c] for c in t.children[v])
+            assert t.is_subtree_leaf[v] == is_leaf
+            leaves += [v] if is_leaf else []
+            corners += [v] if is_leaf and top != 0 else []
+        assert corners
+        for rows, nodes in ((t.leaf_row, leaves), (t.corner_row, corners)):
+            expect = np.full(m, -1)
+            expect[nodes] = np.arange(len(nodes))
+            assert np.array_equal(rows, expect)
+
+
 def test_centers():
     t = build_tree(pointset_1d([3, 1, 10, 0]), 0.5)
     assert int(t.center[0]) == 0  # root holds the global minimum index
