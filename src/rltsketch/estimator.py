@@ -18,6 +18,10 @@ from .codec import SketchBits, decode
 from .metric import lp_norm, pairwise_distances
 from .tree import RelativeLocationTree
 
+# entries per block in which all_pairs copies a subtree's estimates into the
+# n x n result: bounds the temporary beside it
+ALL_PAIRS_CHUNK = 1 << 20
+
 
 class QueryContext:
     """Read-only query state over a decoded sketch.
@@ -272,12 +276,17 @@ class QueryContext:
             if len(leaves) < 2:
                 continue
             S = np.stack([self._fine_units(v) for v in leaves])
-            dmat = (pairwise_distances(S, t.p) * self.unit) * self.scale
+            dmat = pairwise_distances(S, t.p)
+            dmat *= self.unit
+            dmat *= self.scale
             for a, w in enumerate(leaves):
                 pos[pts[w]] = a
             group = pts[r]
             labs = pos[group]
-            est[np.ix_(group, group)] = dmat[np.ix_(labs, labs)]
+            step = max(1, ALL_PAIRS_CHUNK // len(group))
+            for lo in range(0, len(group), step):
+                rows = slice(lo, lo + step)
+                est[np.ix_(group[rows], group)] = dmat[np.ix_(labs[rows], labs)]
         np.fill_diagonal(est, 0.0)
 
     def _all_pairs_euclidean(self, est_sq_out: np.ndarray, pts: list):

@@ -8,7 +8,11 @@ landmark shortcuts. The finished tree is immutable and safe to share.
 Level l of the hierarchy merges, transitively, the clusters closer than 2^l.
 Those clusters are the single-linkage clusters at threshold 2^l, i.e. the
 connected components of the minimum spanning tree's edges lighter than 2^l
-(Gower & Ross 1969), so the whole hierarchy is read off one MST.
+(Gower & Ross 1969), so the whole hierarchy is read off one MST. When
+clusters merge, one read of each cross-child block of the distance matrix
+gives both the merged diameter and the children's neighbor graph (children
+within 2^l), on which the ingresses' spanning trees are built; no per-node
+copy of the members' distances is made.
 
 Layout: a tree is a set of flat arrays indexed by node id in preorder (root
 0). Its shape is `parent`, `edge_long` and `edge_len` plus the root level;
@@ -58,6 +62,9 @@ class RawHierarchy:
     members: list[np.ndarray]  # sorted point indices
     delta: list[float]  # exact cluster diameter
     root: int
+    # (k, k) bool per node with k >= 2 children: children i, j have points
+    # within 2^level of each other; None for other nodes
+    child_graph: list[np.ndarray | None]
 
     @property
     def node_count(self) -> int:
@@ -177,6 +184,7 @@ class RelativeLocationTree:
     members: list[np.ndarray] | None = None
     delta: np.ndarray | None = None
     s_units: np.ndarray | None = None  # (m, d) shifted surrogates, d^(-1/p) units
+    child_graph: list[np.ndarray | None] | None = None  # of the short children
     child_order: list[list[int]] | None = None  # tau-DFS order of children
     tstar_level: np.ndarray | None = None
     tstar_delta: np.ndarray | None = None
@@ -239,7 +247,10 @@ def build_hierarchy(ps: PointSet) -> RawHierarchy:
     so ties between edge weights do not matter. A merged cluster's diameter
     is the max of its children's diameters and of the distances across
     children, so each point pair is read once, at the level where its two
-    points first share a cluster.
+    points first share a cluster. The same read of the block between one
+    child and the later children fills that child's row of the neighbor
+    graph (child pairs with some points within 2^level, `<=`), kept per node
+    in child_graph for assign_ingresses.
     """
     n = ps.n
     dm = ps.distance_matrix()
@@ -252,6 +263,7 @@ def build_hierarchy(ps: PointSet) -> RawHierarchy:
     children: list[list[int]] = [[] for _ in range(n)]
     members: list[np.ndarray] = [np.array([i], dtype=np.int64) for i in range(n)]
     delta: list[float] = [0.0] * n
+    child_graph: list[np.ndarray | None] = [None] * n
 
     # union-find over points; a set's root is its min point index, which is
     # also lead[node], the min member of the cluster node holding it
@@ -292,21 +304,30 @@ def build_hierarchy(ps: PointSet) -> RawHierarchy:
             if len(grp) == 1:
                 members.append(members[grp[0]])
                 delta.append(delta[grp[0]])
+                child_graph.append(None)
             else:
                 parts = [members[ch] for ch in grp]
                 mem = np.concatenate(parts)
+                ends = np.cumsum([len(part) for part in parts])
+                k = len(grp)
+                adj = np.zeros((k, k), dtype=bool)
                 diam = max(delta[ch] for ch in grp)
-                start = 0
-                for part in parts[:-1]:
-                    start += len(part)
-                    diam = max(diam, float(dm[part[:, None], mem[start:]].max()))
+                # block: child i against all later children, one read for
+                # the diameter and for row i of the neighbor graph
+                for i, part in enumerate(parts[:-1]):
+                    start = ends[i]
+                    block = dm[part[:, None], mem[start:]]
+                    diam = max(diam, float(block.max()))
+                    near = (block <= thr).any(axis=0)
+                    adj[i, i + 1:] = np.logical_or.reduceat(near, ends[i:-1] - start)
                 members.append(np.sort(mem))
                 delta.append(diam)
+                child_graph.append(adj | adj.T)
             nxt.append(node)
         current = nxt
 
     root = current[0]
-    return RawHierarchy(level, parent, children, members, delta, root)
+    return RawHierarchy(level, parent, children, members, delta, root, child_graph)
 
 
 def compress_paths(raw: RawHierarchy, ps: PointSet, eps: float) -> RelativeLocationTree:
@@ -365,6 +386,7 @@ def compress_paths(raw: RawHierarchy, ps: PointSet, eps: float) -> RelativeLocat
         landmark_units=np.zeros((0, ps.d)),
         K=0,
         members=[raw.members[r] for r in raw_id],
+        child_graph=[raw.child_graph[r] for r in raw_id],
         delta=np.array(raw.delta, dtype=np.float64)[raw_id],
         s_units=np.zeros((m, ps.d)),
         child_order=[[] for _ in range(m)],
@@ -384,6 +406,11 @@ def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
     parent's center points to the parent; every other child points to the
     entry leaf (in this subtree) of the nearest point in its spanning-tree
     parent's cluster.
+
+    The spanning tree is a BFS of the children's neighbor graph (clusters
+    within 2^level), which build_hierarchy filled in its one read of the
+    cross-child blocks; only the block of each child against its
+    spanning-tree parent is read again here.
     """
     dm = ps.distance_matrix()
     leaf_of = t.leaf_of_point()
@@ -402,18 +429,8 @@ def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
             t.ingress[us[0]] = v
             t.child_order[v] = [us[0]]
             continue
-
-        # neighbor graph on the children: clusters within 2^level(v)
-        thr = math.pow(2.0, int(t.level[v]))
+        adj = t.child_graph[v]
         blocks = [t.members[u] for u in us]
-        sizes = [len(b) for b in blocks]
-        order_pts = np.concatenate(blocks)
-        starts = np.cumsum([0] + sizes)
-        sub = dm[np.ix_(order_pts, order_pts)]
-        cm = np.minimum.reduceat(sub, starts[:-1], axis=0)
-        cm = np.minimum.reduceat(cm, starts[:-1], axis=1)
-        adj = cm <= thr
-        np.fill_diagonal(adj, False)
 
         # BFS spanning tree rooted at the center-holding child, neighbors in
         # ascending child index for determinism
@@ -437,9 +454,8 @@ def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
         t.ingress[us[0]] = v
         for i in range(1, k):
             j = int(tau_parent[i])
-            block = sub[starts[j]:starts[j + 1], starts[i]:starts[i + 1]]
-            row_min = block.min(axis=1)
-            x = int(blocks[j][int(np.argmin(row_min))])  # ties: smallest point index
+            near = dm[np.ix_(blocks[i], blocks[j])].min(axis=0)
+            x = int(blocks[j][int(np.argmin(near))])  # ties: smallest point index
             # entry leaf of this subtree over x: first ancestor of leaf(x)
             # inside the subtree of v
             target = t.subtree_root[v]

@@ -105,6 +105,22 @@ def test_embed_random_metric_isometric():
     assert ps.p == INF and ps.d == 50
 
 
+# The build reads each point pair in one direction only (diameters, the
+# children's neighbor graph), so the ingested matrix must be exactly symmetric.
+@pytest.mark.parametrize("p", [1, 2, 3, INF])
+def test_ingested_distance_matrix_is_symmetric(p):
+    pts = np.random.default_rng(12).normal(0.0, 1e3, size=(80, 7))
+    dm = ingest_array(pts, p).distance_matrix()
+    assert np.array_equal(dm, dm.T)
+
+
+def test_embedded_metric_distance_matrix_is_symmetric():
+    # any symmetric matrix with off-diagonal entries in [1, 2) is a metric
+    upper = np.triu(np.random.default_rng(13).uniform(1.0, 2.0, size=(60, 60)), 1)
+    dm = embed_general_metric(GeneralMetric(60, upper + upper.T)).distance_matrix()
+    assert np.array_equal(dm, dm.T)
+
+
 def test_gen_lowerbound_euclidean_identities():
     n, eps = 32, 0.25  # k = 16
     pts = gen_lowerbound_euclidean(n, eps, seed=5)

@@ -11,7 +11,7 @@ from rltsketch.tree import (
 )
 
 from invariants import check_pair_floor, check_tree_invariants
-from reference_hierarchy import reference_hierarchy
+from reference_hierarchy import reference_hierarchy, reference_ingresses
 
 
 def pointset_1d(coords, p=2):
@@ -85,6 +85,19 @@ def test_hierarchy_matches_per_level_reference(name, ps):
         assert np.array_equal(got, want) and got.dtype == want.dtype
     assert raw.delta == delta  # exact float equality
     assert raw.root == root
+
+
+@pytest.mark.parametrize("name,ps", list(_reference_inputs()))
+def test_ingresses_match_dense_reference(name, ps):
+    t = build_tree(ps, 0.1)
+    graphs, ingress, child_order = reference_ingresses(t, ps.distance_matrix())
+    for v in range(t.node_count):
+        if v in graphs:
+            assert np.array_equal(t.child_graph[v], graphs[v])
+        else:
+            assert t.child_graph[v] is None
+    assert np.array_equal(t.ingress, ingress)
+    assert t.child_order == child_order
 
 
 def test_compression_on_three_points():
