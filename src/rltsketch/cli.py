@@ -80,9 +80,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     sketch = _read_sketch(args.sketch)
-    args.p = _sketch_p(sketch)
-    ps, exact = _load_input(args)
     dec = decode(sketch)
+    args.p = dec.p
+    ps, exact = _load_input(args)
     if not dec.flags_euclidean and dec.d != ps.d:
         raise InputError(f"sketch dimension {dec.d} does not match input {ps.d}")
     if dec.n != ps.n:
@@ -103,13 +103,6 @@ def cmd_evaluate(args) -> int:
               f"< {target} at band {report.band}", file=sys.stderr)
         return 1
     return 0
-
-
-def _sketch_p(sketch: SketchBits):
-    from .codec import _parse_header
-
-    _, _, _, p, _, _, _ = _parse_header(sketch.data)
-    return p
 
 
 def cmd_info(args) -> int:

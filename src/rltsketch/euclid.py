@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import EUCLIDEAN_TREE_EPS, SketchBits, corner_bound, encode
-from .metric import PointSet, norm_root, randomized_grid_round, scale_points
+from .metric import PointSet, lp_norms, norm_root, randomized_grid_round, scale_points
 from .tree import Augmentations, RelativeLocationTree, build_tree, quantize_eps
 
 
@@ -58,50 +58,34 @@ def build_augmentations(
     center from its coarse surrogate at cell side 2^level/sqrt(d), and (at
     long-edge corner nodes, whose subtree hangs under a long edge) the
     displacement from the long edge's top center at the top node's cell side."""
-    d = tree.d
-    dp = norm_root(d, 2)
+    dp = norm_root(tree.d, 2)
+    bound = corner_bound(tree.d)
+
+    def corners(what, nodes, y, two_l):
+        nrm = lp_norms(y, 2)
+        over = nrm > two_l * (1 + 1e-9)
+        if over.any():
+            raise AssertionError(
+                f"{what} displacement {nrm[over][0]} > 2^level at node {nodes[over][0]}")
+        c1 = randomized_grid_round(y, two_l / dp, sigma1)
+        c2 = randomized_grid_round(y, two_l / dp, sigma2)
+        if max(np.abs(c1).max(initial=0), np.abs(c2).max(initial=0)) > bound:
+            raise AssertionError("corner outside the encodable ball")
+        return c1, c2
+
+    leaves = np.flatnonzero(tree.is_subtree_leaf)  # in leaf_row order
     unit = 1.0 / dp
-    bound = corner_bound(d)
-    leaves = np.flatnonzero(tree.is_subtree_leaf)
-    a1 = np.zeros((len(leaves), d), dtype=np.int64)
-    a2 = np.zeros_like(a1)
-    b1 = np.zeros((np.count_nonzero(tree.corner_row >= 0), d), dtype=np.int64)
-    b2 = np.zeros_like(b1)
+    s_star = points[tree.center[tree.subtree_root[leaves]]] + tree.s_units[leaves] * unit
+    a1, a2 = corners("surrogate", leaves, points[tree.center[leaves]] - s_star,
+                     np.ldexp(1.0, tree.level[leaves]))
 
-    for v in leaves.tolist():
-        lv = int(tree.level[v])
-        two_l = math.pow(2.0, lv)
-        root = int(tree.subtree_root[v])
-        s_star = points[tree.center[root]] + tree.s_units[v] * unit
-        y = points[tree.center[v]] - s_star
-        nrm = math.sqrt(float(np.dot(y, y)))
-        if nrm > two_l * (1 + 1e-9):
-            raise AssertionError(f"surrogate displacement {nrm} > 2^level at node {v}")
-        cell = two_l / dp
-        c1 = randomized_grid_round(y, cell, sigma1)
-        c2 = randomized_grid_round(y, cell, sigma2)
-        if max(np.abs(c1).max(), np.abs(c2).max()) > bound:
-            raise AssertionError(f"corner outside the encodable ball at node {v}")
-        k = tree.leaf_row[v]
-        a1[k], a2[k] = c1, c2
-
-        kb = int(tree.corner_row[v])
-        if kb >= 0:
-            u = int(tree.parent[root])
-            if not tree.edge_long[root]:
-                raise AssertionError("subtree root without a long parent edge")
-            lu = int(tree.level[u])
-            two_lu = math.pow(2.0, lu)
-            yb = points[tree.center[v]] - points[tree.center[u]]
-            nrm = math.sqrt(float(np.dot(yb, yb)))
-            if nrm > two_lu * (1 + 1e-9):
-                raise AssertionError(f"long-edge displacement {nrm} > 2^level at node {v}")
-            cell_b = two_lu / dp
-            c1 = randomized_grid_round(yb, cell_b, sigma1)
-            c2 = randomized_grid_round(yb, cell_b, sigma2)
-            if max(np.abs(c1).max(), np.abs(c2).max()) > bound:
-                raise AssertionError(f"corner outside the encodable ball at node {v}")
-            b1[kb], b2[kb] = c1, c2
+    nodes = np.flatnonzero(tree.corner_row >= 0)  # in corner_row order
+    top = tree.subtree_root[nodes]
+    if not tree.edge_long[top].all():
+        raise AssertionError("subtree root without a long parent edge")
+    u = tree.parent[top]
+    b1, b2 = corners("long-edge", nodes, points[tree.center[nodes]] - points[tree.center[u]],
+                     np.ldexp(1.0, tree.level[u]))
 
     return Augmentations(a1=a1, a2=a2, b1=b1, b2=b2, sigma1=sigma1, sigma2=sigma2)
 

@@ -219,7 +219,8 @@ class DistortionReport:
 
     For lp sketches the band applies to |est - exact| / exact; for Euclidean
     sketches it applies to |est^2 - exact^2| / exact^2 (the concentration
-    guarantee is on squared distances).
+    guarantee is on squared distances). query_seconds times the query
+    context's set-up plus all_pairs over the already decoded tree.
     """
 
     n: int
@@ -301,7 +302,7 @@ def evaluate(
         band = 48.0 * eps if flavor == "euclidean" else 4.0 * eps
 
     t0 = time.perf_counter()
-    ctx = QueryContext(sketch)
+    ctx = QueryContext(tree)
     est = ctx.all_pairs()
     query_seconds = time.perf_counter() - t0
 

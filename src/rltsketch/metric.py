@@ -131,42 +131,62 @@ def scale_points(points: np.ndarray, p, base_exponent: int = 0) -> PointSet:
     return PointSet(scaled, p, base_exponent + e, phi, dist=dmat)
 
 
-def round_to_net(v: np.ndarray, gamma: float, p) -> np.ndarray:
+def lp_norms(v: np.ndarray, p) -> np.ndarray:
+    """lp norm along the last axis: one norm per row of a matrix. It may sum
+    in another order than lp_norm, so it serves the rounding checks, not the
+    estimates."""
+    a = np.abs(np.asarray(v, dtype=np.float64))
+    if p == INF:
+        return a.max(axis=-1)
+    if p == 1:
+        return a.sum(axis=-1)
+    if p == 2:
+        return np.sqrt((a * a).sum(axis=-1))
+    return (a ** p).sum(axis=-1) ** (1.0 / p)
+
+
+def round_to_net(v: np.ndarray, gamma, p) -> np.ndarray:
     """Floor-round a vector of the unit lp ball onto the grid net N_gamma =
     2*B_p^d intersected with the grid of cell side gamma/d^(1/p); returns the
-    int64 grid coordinates.
+    int64 grid coordinates. A matrix is rounded row by row, with one gamma
+    per row (or one for all).
 
     Each coordinate is divided by the cell side gamma/d^(1/p) and floored
     (exact multiples map to themselves). The result is within lp distance
     gamma of v and lies in the radius-2 ball.
     """
     v = np.asarray(v, dtype=np.float64)
-    if not 0.0 < gamma <= 1.0:
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if not np.all((0.0 < gamma) & (gamma <= 1.0)):
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    nrm = lp_norm(v, p)
-    if nrm > 1.0 + 1e-9:
-        raise ValueError(f"norm precondition violated: ||v||_p = {nrm} > 1")
-    cell = gamma / norm_root(v.shape[0], p)
-    coords = np.floor(v / cell).astype(np.int64)
-    bound = math.ceil(2.0 * norm_root(v.shape[0], p) / gamma)
+    nrm = lp_norms(v, p)
+    if np.any(nrm > 1.0 + 1e-9):
+        raise ValueError(f"norm precondition violated: ||v||_p = {nrm.max()} > 1")
+    dp = norm_root(v.shape[-1], p)
+    coords = np.floor(v / (gamma / dp)[..., None]).astype(np.int64)
+    bound = np.ceil(2.0 * dp / gamma)[..., None]
     if np.any(np.abs(coords) > bound):
         raise ValueError("net coordinate out of range (norm precondition violated)")
     return coords
 
 
-def randomized_grid_round(y: np.ndarray, cell_side: float, sigma: np.ndarray) -> np.ndarray:
+def randomized_grid_round(y: np.ndarray, cell_side, sigma: np.ndarray) -> np.ndarray:
     """Int64 grid coordinates of the coordinate-wise minimal ("bottom-left")
-    corner of the grid cell containing y + cell_side*sigma.
+    corner of the grid cell containing y + cell_side*sigma. A matrix is
+    rounded row by row, with one cell side per row (or one for all) and the
+    same sigma.
 
     For fixed y and sigma uniform on [0,1]^d, each corner coordinate is an
     unbiased estimator of y_j, supported on the two corners of y's own cell.
     """
     y = np.asarray(y, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    if cell_side <= 0:
+    cell = np.asarray(cell_side, dtype=np.float64)
+    if np.any(cell <= 0):
         raise ValueError("cell_side must be positive")
-    if y.shape != sigma.shape:
+    if sigma.shape != y.shape[-1:]:
         raise ValueError("y and sigma must have the same dimension")
     if np.any(sigma < 0) or np.any(sigma > 1):
         raise ValueError("sigma coordinates must lie in [0, 1]")
-    return np.floor((y + cell_side * sigma) / cell_side).astype(np.int64)
+    cell = cell[..., None]
+    return np.floor((y + cell * sigma) / cell).astype(np.int64)

@@ -24,6 +24,12 @@ matrices `eta` (rows meaningful where subtree_root[v] != v) and `eta_eps`
 (rows meaningful at subtree leaves that are not subtree roots), zero
 elsewhere. Landmarks are the sorted node ids `landmarks`, with their shifted
 surrogates in the rows of `landmark_units`.
+
+Order: the builder's one order is the ingress layers (`ingress_layers`).
+Layer 0 holds the subtree roots and layer k the nodes whose ingress is in
+layer k - 1. Surrogates and landmarks depend on the ingress forest only, not
+on a visiting order of children, so their stages take one array step per
+layer.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import PointSet, lp_norm, norm_root, round_to_net
+from .metric import PointSet, lp_norms, norm_root, round_to_net
 
 # Quantized eps denominators: eps is a dyadic rational num/2^32 so encoder and
 # decoder reproduce fine-net cell widths exactly.
@@ -185,7 +191,6 @@ class RelativeLocationTree:
     delta: np.ndarray | None = None
     s_units: np.ndarray | None = None  # (m, d) shifted surrogates, d^(-1/p) units
     child_graph: list[np.ndarray | None] | None = None  # of the short children
-    child_order: list[list[int]] | None = None  # tau-DFS order of children
     tstar_level: np.ndarray | None = None
     tstar_delta: np.ndarray | None = None
 
@@ -389,7 +394,6 @@ def compress_paths(raw: RawHierarchy, ps: PointSet, eps: float) -> RelativeLocat
         child_graph=[raw.child_graph[r] for r in raw_id],
         delta=np.array(raw.delta, dtype=np.float64)[raw_id],
         s_units=np.zeros((m, ps.d)),
-        child_order=[[] for _ in range(m)],
         tstar_level=np.array(raw.level, dtype=np.int64),
         tstar_delta=np.array(raw.delta, dtype=np.float64),
     )
@@ -427,7 +431,6 @@ def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
         k = len(us)
         if k == 1:
             t.ingress[us[0]] = v
-            t.child_order[v] = [us[0]]
             continue
         adj = t.child_graph[v]
         blocks = [t.members[u] for u in us]
@@ -438,16 +441,11 @@ def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
         seen = np.zeros(k, dtype=bool)
         seen[0] = True
         queue = [0]
-        head = 0
-        tau_children: list[list[int]] = [[] for _ in range(k)]
-        while head < len(queue):
-            a = queue[head]
-            head += 1
+        for a in queue:
             nb = np.flatnonzero(adj[a] & ~seen)
             seen[nb] = True
             tau_parent[nb] = a
-            tau_children[a] = nb.tolist()
-            queue.extend(tau_children[a])
+            queue.extend(nb.tolist())
         if not seen.all():
             raise AssertionError("child neighbor graph is disconnected (construction bug)")
 
@@ -466,63 +464,48 @@ def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
                 raise AssertionError("ingress target is not a subtree leaf")
             t.ingress[us[i]] = u_x
 
-        # children traversed in DFS order of the spanning tree
-        order: list[int] = []
-        stack = [0]
-        while stack:
-            a = stack.pop()
-            order.append(us[a])
-            for b in reversed(tau_children[a]):
-                stack.append(b)
-        t.child_order[v] = order
 
-
-def ingress_order(t: RelativeLocationTree, root: int) -> list[int]:
-    """DFS of one subtree with children visited in spanning-tree DFS order;
-    places every non-root strictly after its ingress."""
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for c in reversed(t.child_order[v]):
-            stack.append(c)
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        if v != root and pos[int(t.ingress[v])] >= pos[v]:
-            raise AssertionError("node precedes its ingress (cycle in ingress order)")
-    return order
+def ingress_layers(t: RelativeLocationTree) -> list[np.ndarray]:
+    """The ingress forest by depth: layer 0 holds the subtree roots, layer k
+    the nodes whose ingress is in layer k - 1 (ascending node ids). Every
+    stage that needs a node's ingress handled first walks these layers."""
+    depth = np.full(t.node_count, -1, dtype=np.int64)
+    layer = t.subtree_roots()
+    layers = []
+    while len(layer):
+        depth[layer] = len(layers)
+        layers.append(layer)
+        layer = np.flatnonzero((depth < 0) & (depth[t.ingress] >= 0))
+    if np.any(depth < 0):
+        raise AssertionError("ingress cycle: some node never reaches a subtree root")
+    return layers
 
 
 def compute_surrogates(t: RelativeLocationTree, ps: PointSet, eps: float):
-    """Per subtree in ingress order: quantize each center's displacement from
-    its ingress surrogate onto the grid net (coarse everywhere, fine at
-    subtree leaves) and accumulate shifted surrogates in exact grid units.
+    """Layer by layer over the ingress forest: quantize each center's
+    displacement from its ingress surrogate onto the grid net (coarse
+    everywhere, fine at subtree leaves) and accumulate shifted surrogates in
+    exact grid units. The roots' surrogates are their centers (s_units 0).
     """
     x = ps.points
-    dp = norm_root(t.d, t.p)
-    unit = 1.0 / dp
-
-    for r in t.subtree_roots():
-        order = ingress_order(t, int(r))
-        x_root = x[t.center[r]]
-        for v in order[1:]:  # the root's surrogate is x_root: s_units stays 0
-            lv = int(t.level[v])
-            two_l = math.pow(2.0, lv)
-            g = 5 + int(math.ceil(t.delta[v] / two_l))
-            t.g[v] = g
-            gamma = 1.0 / g
-            inn = int(t.ingress[v])
-            s_in = x_root + t.s_units[inn] * unit
-            eta_star = (x[t.center[v]] - s_in) * (gamma / two_l)
-            nrm = lp_norm(eta_star, t.p)
-            if nrm > 1.0 + 1e-9:
-                raise AssertionError(
-                    f"displacement norm {nrm} > 1 at node {v} (ingress/level bug)")
-            t.eta[v] = round_to_net(eta_star, gamma, t.p)
-            t.s_units[v] = t.s_units[inn] + two_l * t.eta[v].astype(np.float64)
-            if t.is_subtree_leaf[v]:
-                t.eta_eps[v] = round_to_net(eta_star, gamma * eps, t.p)
+    unit = 1.0 / norm_root(t.d, t.p)
+    for vs in ingress_layers(t)[1:]:
+        two_l = np.ldexp(1.0, t.level[vs])
+        g = 5 + np.ceil(t.delta[vs] / two_l).astype(np.int64)
+        t.g[vs] = g
+        gamma = 1.0 / g
+        inn = t.ingress[vs]
+        s_in = x[t.center[t.subtree_root[vs]]] + t.s_units[inn] * unit
+        eta_star = (x[t.center[vs]] - s_in) * (gamma / two_l)[:, None]
+        nrm = lp_norms(eta_star, t.p)
+        if np.any(nrm > 1.0 + 1e-9):
+            bad = int(np.argmax(nrm))
+            raise AssertionError(
+                f"displacement norm {nrm[bad]} > 1 at node {vs[bad]} (ingress/level bug)")
+        t.eta[vs] = round_to_net(eta_star, gamma, t.p)
+        t.s_units[vs] = t.s_units[inn] + two_l[:, None] * t.eta[vs].astype(np.float64)
+        fine = t.is_subtree_leaf[vs]
+        t.eta_eps[vs[fine]] = round_to_net(eta_star[fine], gamma[fine] * eps, t.p)
 
     if np.abs(t.s_units).max(initial=0.0) >= math.pow(2.0, 53):
         raise OverflowError("surrogate units exceed exact float64 integer range")
@@ -536,44 +519,25 @@ def fine_surrogate_units(t: RelativeLocationTree, v: int) -> np.ndarray:
 
 
 def select_landmarks(t: RelativeLocationTree, K: int):
-    """Per subtree: repeatedly take a lowest node of the ingress tree, climb K
-    ingress steps (or to the root), store that node's shifted surrogate, and
-    drop it with its ingress descendants. Every node then reaches a stored
-    surrogate or its subtree root within K ingress hops.
+    """Bottom-up over the ingress layers: reach[v] counts the ingress hops
+    down to the farthest node below v that no stored node covers yet. Store
+    v when that reaches K, or when v is a subtree root; otherwise pass
+    reach + 1 up to v's ingress. Every node then reaches a stored surrogate
+    or its subtree root within K ingress hops. This stores the nodes that
+    the greedy "climb K hops from a deepest uncovered node, store, drop its
+    ingress descendants" stores.
     """
     t.K = K
-    chosen = []
-    for r in t.subtree_roots():
-        order = ingress_order(t, int(r))
-        depth = {int(r): 0}
-        in_children: dict[int, list[int]] = {v: [] for v in order}
-        for v in order:
-            if v == r:
-                continue
-            inn = int(t.ingress[v])
-            depth[v] = depth[inn] + 1
-            in_children[inn].append(v)
-        removed = set()
-        by_depth = sorted(order, key=lambda v: (-depth[v], v))
-        for v in by_depth:
-            if v in removed:
-                continue
-            cur = v
-            for _ in range(K):
-                if cur == r:
-                    break
-                cur = int(t.ingress[cur])
-            chosen.append(cur)
-            # drop cur and its ingress descendants
-            stack = [cur]
-            while stack:
-                w = stack.pop()
-                if w in removed:
-                    continue
-                removed.add(w)
-                stack.extend(in_children[w])
-        assert len(removed) == len(order)
-    t.landmarks = np.array(sorted(chosen), dtype=np.int64)
+    layers = ingress_layers(t)
+    reach = np.zeros(t.node_count, dtype=np.int64)
+    store = np.zeros(t.node_count, dtype=bool)
+    store[layers[0]] = True
+    for vs in reversed(layers[1:]):
+        full = reach[vs] >= K
+        store[vs[full]] = True
+        rest = vs[~full]
+        np.maximum.at(reach, t.ingress[rest], reach[rest] + 1)
+    t.landmarks = np.flatnonzero(store)
     t.landmark_units = t.s_units[t.landmarks]
 
 

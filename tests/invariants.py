@@ -12,7 +12,7 @@ import numpy as np
 
 from rltsketch.estimator import QueryContext
 from rltsketch.metric import PointSet, lp_distance, lp_norm, norm_root
-from rltsketch.tree import RelativeLocationTree, fine_surrogate_units, ingress_order
+from rltsketch.tree import RelativeLocationTree, fine_surrogate_units, ingress_layers
 
 
 def level_partitions(t: RelativeLocationTree):
@@ -107,16 +107,17 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
     # literal-formula oracle: accumulating s*(v) = s*(in(v)) + (2^l/gamma)*eta
     # in plain float arithmetic agrees with the grid-unit accumulation
     dp = norm_root(t.d, t.p)
-    for r in t.subtree_roots():
-        s_alt: dict[int, np.ndarray] = {}
-        for v in ingress_order(t, int(r)):
+    s_alt: dict[int, np.ndarray] = {}
+    for layer in ingress_layers(t):
+        for v in layer.tolist():
+            r = int(t.subtree_root[v])
             if v == r:
                 s_alt[v] = x[t.center[v]].astype(np.float64)
             else:
                 gamma = 1.0 / float(t.g[v])
                 step = (math.pow(2.0, int(t.level[v])) / gamma) * (t.eta[v] * (gamma / dp))
                 s_alt[v] = s_alt[int(t.ingress[v])] + step
-            direct = x[t.center[int(r)]] + t.s_units[v] * t.unit()
+            direct = x[t.center[r]] + t.s_units[v] * t.unit()
             np.testing.assert_allclose(s_alt[v], direct, rtol=1e-9, atol=1e-9,
                                        err_msg="literal surrogate recursion")
 

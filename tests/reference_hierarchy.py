@@ -1,4 +1,5 @@
-"""Reference level hierarchy and ingresses: the direct dense constructions.
+"""Reference level hierarchy, ingresses and landmarks: the direct
+constructions.
 
 At every level `reference_hierarchy` builds the matrix of minimum distances
 between the current clusters and merges the clusters closer than 2^level
@@ -6,8 +7,10 @@ transitively. This costs O(levels * n^2) time and several n^2 copies, so the
 library builds the same hierarchy from one minimum spanning tree instead.
 `reference_ingresses` copies the rows and columns of each branching node's
 points to get its children's neighbor graph, where the library fills that
-graph while it reads the cross-child blocks for the diameters. The tests use
-this module to check that both give identical results.
+graph while it reads the cross-child blocks for the diameters.
+`reference_landmarks` runs the greedy landmark rule node by node, where the
+library makes one bottom-up pass over the ingress layers. The tests use this
+module to check that both give identical results.
 """
 import math
 
@@ -77,13 +80,12 @@ def reference_hierarchy(dm: np.ndarray):
 
 
 def reference_ingresses(t, dm: np.ndarray):
-    """(graphs, ingress, child_order) of a built tree, from its shape and
-    members alone: graphs maps every node with two or more short children
-    to their neighbor graph (min distance between child clusters <= 2^level),
-    and ingress and child_order follow `rltsketch.tree.assign_ingresses`."""
+    """(graphs, ingress) of a built tree, from its shape and members alone:
+    graphs maps every node with two or more short children to their neighbor
+    graph (min distance between child clusters <= 2^level), and ingress
+    follows `rltsketch.tree.assign_ingresses`."""
     graphs = {}
     ingress = np.full(t.node_count, -1, dtype=np.int64)
-    child_order: list[list[int]] = [[] for _ in range(t.node_count)]
     roots = t.subtree_roots()
     ingress[roots] = roots
     leaf_of = t.leaf_of_point()
@@ -93,7 +95,6 @@ def reference_ingresses(t, dm: np.ndarray):
         if not us:
             continue
         ingress[us[0]] = v
-        child_order[v] = [us[0]]
         k = len(us)
         if k == 1:
             continue
@@ -107,13 +108,11 @@ def reference_ingresses(t, dm: np.ndarray):
 
         # BFS from the center-holding child, neighbors in ascending index
         tau_parent = [-1] * k
-        tau_children: list[list[int]] = [[] for _ in range(k)]
         queue = [0]
         for a in queue:
             for b in range(1, k):
                 if adj[a, b] and tau_parent[b] < 0:
                     tau_parent[b] = a
-                    tau_children[a].append(b)
                     queue.append(b)
         assert len(queue) == k
 
@@ -125,12 +124,42 @@ def reference_ingresses(t, dm: np.ndarray):
             while t.subtree_root[u_x] != t.subtree_root[v]:
                 u_x = int(t.parent[t.subtree_root[u_x]])
             ingress[us[i]] = u_x
+    return graphs, ingress
 
-        order: list[int] = []
-        stack = [0]
+
+def reference_landmarks(t, K: int) -> np.ndarray:
+    """Sorted landmark ids by the greedy rule: repeatedly take a deepest node
+    of the ingress forest not yet dropped (ties: smallest id), climb K
+    ingress steps or to its subtree root, store that node, and drop it with
+    its ingress descendants. The subtrees' ingress trees are disjoint, so
+    one pass over all nodes handles each subtree as if alone."""
+    m = t.node_count
+    ingress = t.ingress.tolist()
+    depth = []
+    in_children: list[list[int]] = [[] for _ in range(m)]
+    for v in range(m):
+        cur, hops = v, 0
+        while ingress[cur] != cur:
+            cur, hops = ingress[cur], hops + 1
+        depth.append(hops)
+        if ingress[v] != v:
+            in_children[ingress[v]].append(v)
+    removed = set()
+    chosen = []
+    for v in sorted(range(m), key=lambda v: (-depth[v], v)):
+        if v in removed:
+            continue
+        cur = v
+        for _ in range(K):
+            if ingress[cur] == cur:
+                break
+            cur = ingress[cur]
+        chosen.append(cur)
+        stack = [cur]
         while stack:
-            a = stack.pop()
-            order.append(us[a])
-            stack.extend(reversed(tau_children[a]))
-        child_order[v] = order
-    return graphs, ingress, child_order
+            w = stack.pop()
+            if w not in removed:
+                removed.add(w)
+                stack.extend(in_children[w])
+    assert len(removed) == m
+    return np.array(sorted(chosen), dtype=np.int64)

@@ -34,6 +34,13 @@ def _int_grid():
     return scale_points(g.reshape(-1, 2).astype(float), 1)
 
 
+def _deep_grid():
+    # 30 x 30 unit grid: ingress chains 30 deep, so landmarks below the
+    # subtree roots (K = 8)
+    g = np.stack(np.meshgrid(np.arange(30.0), np.arange(30.0)), axis=-1)
+    return scale_points(g.reshape(-1, 2), 1)
+
+
 CASES = {
     "lp-p1": (lambda: build_lp_sketch(_uniform(101, 60, 3, 1), 0.1),
               "068cee7efe5dfe36cdbb879139099a65668d2b84f0ce71160b0df6553f38437d"),
@@ -45,6 +52,8 @@ CASES = {
                       "b94520949be2b85c738b6425633196b8ec6468343b47d13d2dea1b7052d4eb0d"),
     "lp-int-grid": (lambda: build_lp_sketch(_int_grid(), 0.125),
                     "c34cf73c8c6c214b5d4c761ce9792a6fdfa1cef9916b714696726d2b5aef4ff0"),
+    "lp-deep-ingress": (lambda: build_lp_sketch(_deep_grid(), 0.125),
+                        "58c27f9d42027524ef58d1f860f7fc9de278808e42f843409430e3ce4aa4c7ee"),
     "euclidean": (lambda: build_euclidean_sketch(
         scale_points(np.random.default_rng(105).normal(size=(40, 10)), 2), 0.3, seed=7),
                   "4cabc0f4c927df73ebee77ac8c128a8503053d0359ff10d660e41174f697e142"),

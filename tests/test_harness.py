@@ -192,6 +192,23 @@ def test_evaluate_report_lp():
     assert rep.size["total_stored_bits"] == 8 * rep.size["file_bytes"]
 
 
+def test_evaluate_decodes_once(monkeypatch):
+    import rltsketch.estimator
+    import rltsketch.harness
+
+    calls = []
+
+    def counting(sketch):
+        calls.append(1)
+        return decode(sketch)
+
+    monkeypatch.setattr(rltsketch.harness, "decode", counting)
+    monkeypatch.setattr(rltsketch.estimator, "decode", counting)
+    pts = np.random.default_rng(4).normal(size=(12, 3))
+    evaluate(build_lp_sketch(ingest_array(pts, 2), 0.2), pairwise_distances(pts, 2))
+    assert len(calls) == 1
+
+
 def test_evaluate_rejects_mismatched_input():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(10, 3))

@@ -178,3 +178,54 @@ def test_scale_points_min_distance_exact():
         assert 1.0 <= off.min() < 2.0
         assert off.max() == ps.phi
         ps.validate()
+
+
+@st.composite
+def unit_ball_rows(draw):
+    p = draw(st.sampled_from([1, 2, 3, INF]))
+    d = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=6))
+    raw = np.array(draw(st.lists(
+        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+        min_size=k * d, max_size=k * d))).reshape(k, d)
+    for row in raw:
+        nrm = lp_distance(row, np.zeros(d), p)
+        if nrm > 1.0:
+            row /= nrm * (1 + 1e-12)
+    return raw, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_ball_rows(), st.data())
+def test_row_wise_rounding_equals_per_row_calls(mp, data):
+    m, p = mp
+    k, d = m.shape
+    scales = st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=k, max_size=k)
+    gammas = np.array(data.draw(scales))
+    want = np.stack([round_to_net(m[i], gammas[i], p) for i in range(k)])
+    got = round_to_net(m, gammas, p)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    y = m * 2.0**data.draw(st.integers(min_value=-4, max_value=8))
+    cells = np.array(data.draw(scales))
+    sigma = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                        min_size=d, max_size=d)))
+    want = np.stack([randomized_grid_round(y[i], cells[i], sigma) for i in range(k)])
+    got = randomized_grid_round(y, cells, sigma)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_row_wise_rounding_keeps_the_checks():
+    m = np.array([[0.5, 0.0], [1.0, 1.0], [0.0, 0.25]])
+    with pytest.raises(ValueError):
+        round_to_net(m[1], 0.5, 2)
+    with pytest.raises(ValueError):
+        round_to_net(m, np.full(3, 0.5), 2)  # one row of norm above 1
+    with pytest.raises(ValueError):
+        round_to_net(m[[0, 2]], np.array([0.5, 0.0]), 2)
+    with pytest.raises(ValueError):
+        randomized_grid_round(m, np.array([1.0, 0.0, 1.0]), np.full(2, 0.5))
+    with pytest.raises(ValueError):
+        randomized_grid_round(m, np.ones(3), np.array([0.5, 1.5]))
+    with pytest.raises(ValueError):
+        randomized_grid_round(m, np.ones(3), np.full(3, 0.5))

@@ -5,13 +5,14 @@ from rltsketch.metric import INF, PointSet, scale_points
 from rltsketch.tree import (
     build_hierarchy,
     build_tree,
-    ingress_order,
+    ingress_layers,
     landmark_step_budget,
     quantize_eps,
+    select_landmarks,
 )
 
 from invariants import check_pair_floor, check_tree_invariants
-from reference_hierarchy import reference_hierarchy, reference_ingresses
+from reference_hierarchy import reference_hierarchy, reference_ingresses, reference_landmarks
 
 
 def pointset_1d(coords, p=2):
@@ -90,14 +91,24 @@ def test_hierarchy_matches_per_level_reference(name, ps):
 @pytest.mark.parametrize("name,ps", list(_reference_inputs()))
 def test_ingresses_match_dense_reference(name, ps):
     t = build_tree(ps, 0.1)
-    graphs, ingress, child_order = reference_ingresses(t, ps.distance_matrix())
+    graphs, ingress = reference_ingresses(t, ps.distance_matrix())
     for v in range(t.node_count):
         if v in graphs:
             assert np.array_equal(t.child_graph[v], graphs[v])
         else:
             assert t.child_graph[v] is None
     assert np.array_equal(t.ingress, ingress)
-    assert t.child_order == child_order
+
+
+@pytest.mark.parametrize("name,ps", list(_reference_inputs()))
+def test_landmarks_match_greedy_reference(name, ps):
+    t = build_tree(ps, 0.1)
+    assert np.array_equal(t.landmarks, reference_landmarks(t, t.K))
+    # small budgets store landmarks below the subtree roots on these inputs
+    for K in (1, 2, 3):
+        select_landmarks(t, K)
+        assert np.array_equal(t.landmarks, reference_landmarks(t, K))
+        assert np.array_equal(t.landmark_units, t.s_units[t.landmarks])
 
 
 def test_compression_on_three_points():
@@ -213,9 +224,11 @@ def test_ingress_level_bound_and_order():
         t = build_tree(ps, 0.3)
         for v in range(t.node_count):
             assert t.level[t.ingress[v]] <= t.level[v] + 1
-        for r in t.subtree_roots():
-            order = ingress_order(t, int(r))  # raises if any node precedes its ingress
-            assert order[0] == r
+        layers = ingress_layers(t)
+        assert np.array_equal(layers[0], t.subtree_roots())
+        for k in range(1, len(layers)):
+            assert np.isin(t.ingress[layers[k]], layers[k - 1]).all()
+        assert np.array_equal(np.sort(np.concatenate(layers)), np.arange(t.node_count))
 
 
 def test_gamma_examples():
@@ -281,15 +294,20 @@ def _chain_tree(length):
         eta_eps=np.zeros((m, 1), dtype=np.int64),
         landmarks=np.zeros(0, dtype=np.int64), landmark_units=np.zeros((0, 1)), K=0,
         s_units=np.zeros((m, 1)),
-        child_order=[[v + 1] for v in range(m - 1)] + [[]],
     )
+
+
+def test_ingress_layers_reject_a_cycle():
+    t = _chain_tree(5)
+    assert [layer.tolist() for layer in ingress_layers(t)] == [[0], [1], [2], [3], [4]]
+    t.ingress[2] = 4  # 2 -> 4 -> 3 -> 2 never reaches the root
+    with pytest.raises(AssertionError, match="ingress cycle"):
+        ingress_layers(t)
 
 
 def test_landmark_chain_of_exactly_k_plus_one():
     # climbing K steps from the lowest node of a (K+1)-node ingress chain
     # reaches the root, which becomes the single landmark
-    from rltsketch.tree import select_landmarks
-
     K = 6
     t = _chain_tree(K + 1)
     select_landmarks(t, K)
