@@ -1,15 +1,21 @@
-"""Golden SHA-256 digests of fixed small sketches.
+"""Golden SHA-256 digests of fixed small sketches and of their estimates.
 
 Each case is generated from a fixed seed, built, and hashed. A change that
 alters any byte of any of these files changes the format or the construction
 and has to say so; a pure refactor or speed-up must leave every digest as is.
+
+The estimates read from each sketch (`all_pairs`, and for the Euclidean case
+the unclamped squared estimates as well) are hashed separately: they depend
+on the tree only, not on its file layout, so they must hold across a format
+change that leaves the tree as it is.
 """
 import hashlib
 
 import numpy as np
 import pytest
 
-from rltsketch.codec import build_lp_sketch
+from rltsketch.codec import build_lp_sketch, decode
+from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.metric import INF, scale_points
 
@@ -64,3 +70,29 @@ CASES = {
 def test_golden_sketch_digest(name):
     build, digest = CASES[name]
     assert hashlib.sha256(build().data).hexdigest() == digest
+
+
+ESTIMATE_DIGESTS = {
+    "lp-p1": "5abd619542b51ed197cc2f56e086b38e59c1d5e2927588f3948d78e616e69129",
+    "lp-p2": "414f5b7b87725eab7484adb02d8f4adf7728b7a246f9273963e2daa3f7193d8e",
+    "lp-pinf": "9a7d5d2960a2cd29be34ef1ac11139a0f93b6b754d765b7bdeaba472022ebf28",
+    "lp-multiscale": "ad29aa781b76e795484b6fe9493b124bb00afa4d52910d7dad24a27f9c739b6b",
+    "lp-int-grid": "5a16d78466912e96b4c806785718870bdfbb469ded7d3d1da1be91e7430a7e20",
+    "lp-deep-ingress": "f65f007b62ddfb09a2290334d7cfbfa8e962afd3965aff75ca04d7a77c7a5ee4",
+    "euclidean": "83989887af539238181c59ec0554932069fe1b4c3fb94ac392c8859989059f56",
+}
+SQUARED_DIGESTS = {
+    "euclidean": "345fee9995c10084a6e6a18d1bf6cd4452ff1d3e101841c98242a25e33f0fa7a",
+}
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_estimate_digest(name):
+    ctx = QueryContext(decode(CASES[name][0]()))
+    assert _sha(ctx.all_pairs()) == ESTIMATE_DIGESTS[name]
+    if name in SQUARED_DIGESTS:
+        assert _sha(ctx.all_pairs_squared()) == SQUARED_DIGESTS[name]
