@@ -1,10 +1,11 @@
 """Distance estimation from a decoded sketch.
 
-A QueryContext walks the decoded tree only: shifted surrogates are replayed
-from ingress links (with landmark shortcuts bounding the walk), the lp
-estimate is the norm between fine shifted surrogates at the query pair's
-lowest-common-ancestor subtree, and the Euclidean estimate is the cross inner
-product of two independently dithered probabilistic surrogates.
+A QueryContext walks the decoded tree only. Single queries replay shifted
+surrogates along ingress links (landmarks bound the walk): lp estimates are
+norms between fine shifted surrogates at the pair's lowest common subtree,
+Euclidean ones inner products of two independently dithered surrogates.
+all_pairs replays the ingress layers once, steps all points' subtree chains
+as arrays, and computes each block in point order: the root's is the result.
 
 Estimates are returned in the original (pre-scaling) units.
 """
@@ -16,11 +17,7 @@ import numpy as np
 
 from .codec import SketchBits, decode
 from .metric import lp_norm, pairwise_distances
-from .tree import RelativeLocationTree
-
-# entries per block in which all_pairs copies a subtree's estimates into the
-# n x n result: bounds the temporary beside it
-ALL_PAIRS_CHUNK = 1 << 20
+from .tree import RelativeLocationTree, ingress_layers
 
 
 class QueryContext:
@@ -228,88 +225,90 @@ class QueryContext:
 
     # -- bulk all-pairs -------------------------------------------------------
 
-    def _points_under(self) -> list[np.ndarray]:
-        """Point indices below each node (leaf centers of its T-subtree)."""
+    def _bulk_inputs(self):
+        """Every node's _s_units from one replay of the ingress layers (exact:
+        integers below 2^53); every point's chain of (subtree root, entry leaf)
+        pairs, bottom-up, one array step per nesting level; and the positions of
+        each subtree with two or more leaves, in runs by (root depth, root, point)."""
         t = self.tree
-        pts: list = [None] * t.node_count
-        for v in range(t.node_count - 1, -1, -1):
-            if not t.children[v]:
-                pts[v] = np.array([t.center[v]], dtype=np.int64)
-            else:
-                pts[v] = np.concatenate([pts[c] for c in t.children[v]])
-        return pts
+        s = np.zeros((t.node_count, t.d))
+        for vs in ingress_layers(t)[1:]:
+            s[vs] = s[t.ingress[vs]] + np.ldexp(1.0, t.level[vs])[:, None] * t.eta[vs]
+        pt, e, chain = np.arange(t.n), self.leaf_of, []
+        while len(pt):
+            chain.append((pt, e))
+            r = t.subtree_root[e]
+            up = t.parent[r] >= 0  # the next subtree is entered at the long edge's top
+            pt, e = pt[up], t.parent[r[up]]
+        ends = np.cumsum([len(p) for p, _ in chain]).tolist()
+        pt, e = (np.concatenate(a) for a in zip(*chain))
+        keep = np.bincount(t.subtree_root[t.is_subtree_leaf], minlength=t.node_count) >= 2
+        r = t.subtree_root[e]
+        idx = np.flatnonzero(keep[r])
+        idx = idx[np.lexsort((pt[idx], r[idx], t.depth[r[idx]]))]
+        cuts = [0, *(np.flatnonzero(np.diff(r[idx])) + 1).tolist(), len(idx)]
+        return s, pt, e, list(map(slice, [0] + ends, ends)), idx, list(map(slice, cuts, cuts[1:]))
 
-    def all_pairs(self) -> np.ndarray:
-        """n x n matrix of estimates (original units, zero diagonal).
-
-        Vectorized evaluation path; may differ from single queries in the
-        last ulp (summation order), never beyond.
-        """
+    def _assemble(self, pts, runs, block_of) -> np.ndarray:
+        """n x n matrix of block_of(run) over pts[run], deeper runs written over
+        shallower ones, zero diagonal. The root's block is the result itself."""
         t = self.tree
-        if t.flags_euclidean:
-            return np.sqrt(np.maximum(0.0, self.all_pairs_squared()))
-        est = np.zeros((t.n, t.n), dtype=np.float64)
-        self._all_pairs_lp(est, self._points_under())
+        whole = runs and runs[0].stop - runs[0].start == t.n
+        est = block_of(runs.pop(0)) if whole else np.zeros((t.n, t.n))
+        for run in runs:
+            est[np.ix_(pts[run], pts[run])] = block_of(run)
+        np.fill_diagonal(est, 0.0)
         return est
 
+    def all_pairs(self) -> np.ndarray:
+        """n x n matrix of estimates (original units, zero diagonal). An lp
+        block holds the distances between fine surrogates; entries may differ
+        from single queries in the last ulp (lp_norm and cdist sum in
+        different orders), never beyond."""
+        t = self.tree
+        if t.flags_euclidean:
+            est = self.all_pairs_squared()
+            return np.sqrt(np.maximum(0.0, est, out=est), out=est)
+        s, pt, e, _, idx, runs = self._bulk_inputs()
+        v = e[idx]  # entry leaves; rows are their fine surrogates, as _fine_units
+        rows = s[t.ingress[v]] + (np.ldexp(1.0, t.level[v]) * t.eps)[:, None] * t.eta_eps[v]
+
+        def block_of(run):
+            block = pairwise_distances(rows[run], t.p)
+            block *= self.unit
+            return np.multiply(block, self.scale, out=block)
+
+        return self._assemble(pt[idx], runs, block_of)
+
     def all_pairs_squared(self) -> np.ndarray:
-        """Unclamped squared-distance estimates for a Euclidean sketch."""
+        """Unclamped squared-distance estimates for a Euclidean sketch. At
+        chain step k a point's surrogate (per copy) is s(e_k) + 2^level(e_k)
+        a(e_k) plus the corners 2^level(e_j+1) b(e_j) of the steps j < k:
+        integers in grid units, so the order of the sums changes no bit."""
         t = self.tree
         if not t.flags_euclidean:
             raise ValueError("squared estimates require a Euclidean sketch")
-        est_sq = np.zeros((t.n, t.n), dtype=np.float64)
-        self._all_pairs_euclidean(est_sq, self._points_under())
-        return est_sq
-
-    def _all_pairs_lp(self, est: np.ndarray, pts: list):
-        t = self.tree
-        by_subtree: dict[int, list[int]] = {}
-        for v in np.flatnonzero(t.is_subtree_leaf):
-            v = int(v)
-            if int(t.subtree_root[v]) != v:  # singleton subtrees host no pairs
-                by_subtree.setdefault(int(t.subtree_root[v]), []).append(v)
-        # shallow-to-deep: the pair's own (deepest) subtree writes last
-        roots = sorted(by_subtree, key=lambda r: (int(t.depth[r]), r))
-        pos = np.empty(t.n, dtype=np.int64)
-        for r in roots:
-            leaves = by_subtree[r]
-            if len(leaves) < 2:
-                continue
-            S = np.stack([self._fine_units(v) for v in leaves])
-            dmat = pairwise_distances(S, t.p)
-            dmat *= self.unit
-            dmat *= self.scale
-            for a, w in enumerate(leaves):
-                pos[pts[w]] = a
-            group = pts[r]
-            labs = pos[group]
-            step = max(1, ALL_PAIRS_CHUNK // len(group))
-            for lo in range(0, len(group), step):
-                rows = slice(lo, lo + step)
-                est[np.ix_(group[rows], group)] = dmat[np.ix_(labs[rows], labs)]
-        np.fill_diagonal(est, 0.0)
-
-    def _all_pairs_euclidean(self, est_sq_out: np.ndarray, pts: list):
-        t = self.tree
+        aug = t.augmentations
+        s, pt, e, steps, idx, runs = self._bulk_inputs()
+        v = e[idx]
+        x = np.empty((2, len(v), t.d))  # copies 1 and 2, in run order
+        for c, amat in enumerate((aug.a1, aug.a2)):
+            np.multiply(np.ldexp(1.0, t.level[v])[:, None], amat[t.leaf_row[v]], out=x[c])
+            x[c] += s[v]
+        slot = np.full(len(e), -1)
+        slot[idx] = np.arange(len(idx))
+        below = np.zeros((2, t.n, t.d))  # corners below each point's current step
+        for prev, sl in zip(steps, steps[1:]):
+            p, q = pt[sl], slot[sl]
+            w = t.corner_row[e[prev][np.searchsorted(pt[prev], p)]]  # entries one step down
+            below[:, p] += np.ldexp(1.0, t.level[e[sl]])[:, None] * np.stack([aug.b1[w], aug.b2[w]])
+            x[:, q[q >= 0]] += below[:, p[q >= 0]]
         sq_scale = self.scale * self.scale
-        # chains once per point
-        chains = [self._chain(i) for i in range(t.n)]
-        f1: list[dict[int, np.ndarray]] = [dict() for _ in range(t.n)]
-        f2: list[dict[int, np.ndarray]] = [dict() for _ in range(t.n)]
-        for i in range(t.n):
-            for idx, (r, _) in enumerate(chains[i]):
-                f1[i][r] = self._x_units(chains[i], idx, 1)
-                f2[i][r] = self._x_units(chains[i], idx, 2)
-        # process subtree roots shallow-to-deep so the lowest overwrites
-        roots = sorted(t.subtree_roots().tolist(), key=lambda r: (int(t.depth[r]), r))
-        for r in roots:
-            group = pts[r]
-            if len(group) < 2:
-                continue
-            F1 = np.stack([f1[int(i)][r] for i in group])
-            F2 = np.stack([f2[int(i)][r] for i in group])
+
+        def block_of(run):
+            F1, F2 = x[0, run], x[1, run]
             gram = F1 @ F2.T
             diag = np.einsum("ij,ij->i", F1, F2)
-            block = ((diag[:, None] + diag[None, :] - gram - gram.T) / t.d) * sq_scale
-            np.fill_diagonal(block, 0.0)
-            est_sq_out[np.ix_(group, group)] = block
+            return ((diag[:, None] + diag[None, :] - gram - gram.T) / t.d) * sq_scale
+
+        return self._assemble(pt[idx], runs, block_of)

@@ -203,7 +203,7 @@ class RelativeLocationTree:
 
     def leaf_of_point(self) -> np.ndarray:
         """Map point index -> leaf node (leaves carry their point as center)."""
-        leaves = np.flatnonzero([not ch for ch in self.children])
+        leaves = np.flatnonzero(np.bincount(self.parent[1:], minlength=self.node_count) == 0)
         out = np.full(self.n, -1, dtype=np.int64)
         out[self.center[leaves]] = leaves
         return out

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from reference_estimator import reference_all_pairs
+from test_tree import _reference_inputs
 
 from rltsketch.codec import build_lp_sketch, encode
 from rltsketch.estimator import QueryContext
@@ -70,6 +73,54 @@ def test_bulk_matches_single_queries():
             i, j = rng.choice(30, size=2, replace=False)
             single = ctx.estimate(int(i), int(j))
             assert bulk[i, j] == pytest.approx(single, rel=1e-12)
+
+
+@pytest.mark.parametrize("name,ps", list(_reference_inputs()))
+def test_all_pairs_matches_reference_lp(name, ps):
+    ctx = QueryContext(build_lp_sketch(ps, 0.1))
+    assert np.array_equal(ctx.all_pairs(), reference_all_pairs(ctx))
+
+
+def _euclidean_inputs():
+    rng = np.random.default_rng(21)
+    yield "two-points", rng.normal(size=(2, 6))
+    # spreads over several scales: many subtrees, chains of two
+    for n in (25, 60):
+        pts = rng.normal(size=(n, 6))
+        yield f"spread-{n}", pts * np.ldexp(1.0, rng.integers(-2, 6, size=(n, 1)))
+    # clusters inside clusters at three scales 2^6 apart: chains of four
+    yield "nested", sum(rng.normal(size=(k, 6)).repeat(36 // k, axis=0) * 2.0 ** (6 * i)
+                        for i, k in enumerate((36, 9, 3)))
+
+
+@pytest.mark.parametrize("name,pts", list(_euclidean_inputs()))
+def test_all_pairs_matches_reference_euclidean(name, pts):
+    ctx = QueryContext(build_euclidean_sketch(scale_points(pts, 2), 0.3, seed=7))
+    aug = ctx.tree.augmentations
+    rng = np.random.default_rng(len(pts))
+    for random_corners in (False, True):
+        if random_corners:
+            # the builder's long-edge corners are zero on these inputs;
+            # random ones make every step of the chains count
+            aug.b1[:] = rng.integers(-3, 4, size=aug.b1.shape)
+            aug.b2[:] = rng.integers(-3, 4, size=aug.b2.shape)
+        assert np.array_equal(ctx.all_pairs_squared(), reference_all_pairs(ctx, squared=True))
+        assert np.array_equal(ctx.all_pairs(), reference_all_pairs(ctx))
+
+
+def test_all_pairs_memory_peak():
+    # the result is the root subtree's block itself: no zeroed n x n matrix
+    # and no gathered copy beside it
+    n = 1500
+    ps = random_pointset(np.random.default_rng(1), n, 20, 2, spread=80.0)
+    ctx = QueryContext(build_lp_sketch(ps, 0.1))
+    tracemalloc.start()
+    try:
+        ctx.all_pairs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n
 
 
 def test_lp_guarantee_on_random_instances():

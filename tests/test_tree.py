@@ -181,6 +181,11 @@ def test_tree_structure_matches_per_node_definitions():
             leaves += [v] if is_leaf else []
             corners += [v] if is_leaf and top != 0 else []
         assert corners
+        # the leaves found from the parent array are the childless nodes,
+        # each holding its point as center
+        leaf_of = t.leaf_of_point()
+        assert sorted(leaf_of.tolist()) == [v for v in range(m) if not t.children[v]]
+        assert np.array_equal(t.center[leaf_of], np.arange(t.n))
         for rows, nodes in ((t.leaf_row, leaves), (t.corner_row, corners)):
             expect = np.full(m, -1)
             expect[nodes] = np.arange(len(nodes))
