@@ -354,7 +354,7 @@ def _decode(sketch: SketchBits) -> RelativeLocationTree:
         aug = Augmentations(*mats)
 
     return RelativeLocationTree(
-        n=n, d=d, p=p, eps=tree_eps, scale_exponent=scale_exp, phi=None,
+        n=n, d=d, p=p, eps=tree_eps, scale_exponent=scale_exp,
         phi_exponent=phi_exp, parent=parent, edge_long=edge_long, edge_len=edge_len,
         **structure, center=center, ingress=ingress, g=g, eta=eta, eta_eps=eta_eps,
         landmarks=landmarks, landmark_units=landmark_units, K=K,

@@ -74,7 +74,7 @@ class QueryContext:
             self.visits_last += 1
             cur = int(t.ingress[cur])
         for w in reversed(chain):
-            base = base + t.increment_units(w)
+            base = base + math.pow(2.0, int(t.level[w])) * t.eta[w].astype(np.float64)
             if self.memoize:
                 self._s_memo[w] = base
         return base

@@ -1,18 +1,22 @@
 """Relative location tree construction.
 
-Pipeline: build the level hierarchy by transitive merging, compress
-non-branching paths into annotated long edges, then annotate the compressed
+Pipeline: read the hierarchy's merges off the minimum spanning tree, emit
+the compressed tree with each idle cluster's non-branching path as one
+annotated long edge or a run of unary nodes, then annotate the compressed
 tree with centers, ingresses, quantized displacements (coarse and fine), and
 landmark shortcuts. The finished tree is immutable and safe to share.
 
 Level l of the hierarchy merges, transitively, the clusters closer than 2^l.
 Those clusters are the single-linkage clusters at threshold 2^l, i.e. the
 connected components of the minimum spanning tree's edges lighter than 2^l
-(Gower & Ross 1969), so the whole hierarchy is read off one MST. When
-clusters merge, one read of each cross-child block of the distance matrix
-gives both the merged diameter and the children's neighbor graph (children
-within 2^l), on which the ingresses' spanning trees are built; no per-node
-copy of the members' distances is made.
+(Gower & Ross 1969), so each MST edge merges at the least level l with
+weight < 2^l, and the merges of one level form one node each. A cluster
+that merges with nothing at a level gets no node there: its chain is made
+when the tree is emitted. When clusters merge, one read of each cross-child
+block of the distance matrix gives both the merged diameter and the
+children's neighbor graph (children within 2^l), on which the ingresses'
+spanning trees are built; no per-node copy of the members' distances is
+made.
 
 Layout: a tree is a set of flat arrays indexed by node id in preorder (root
 0). Its shape is `parent`, `edge_long` and `edge_len` plus the root level;
@@ -35,6 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,25 +62,6 @@ def quantize_eps(eps: float) -> float:
     if num < 1:
         raise ValueError(f"eps too small to quantize: {eps}")
     return num / float(1 << EPS_EXPONENT)
-
-
-@dataclass(eq=False)
-class RawHierarchy:
-    """The uncompressed level hierarchy (one node per cluster per level)."""
-
-    level: list[int]
-    parent: list[int]
-    children: list[list[int]]
-    members: list[np.ndarray]  # sorted point indices
-    delta: list[float]  # exact cluster diameter
-    root: int
-    # (k, k) bool per node with k >= 2 children: children i, j have points
-    # within 2^level of each other; None for other nodes
-    child_graph: list[np.ndarray | None]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.level)
 
 
 @dataclass(eq=False)
@@ -154,7 +141,6 @@ class RelativeLocationTree:
     p: object
     eps: float  # dyadic
     scale_exponent: int
-    phi: float | None
     phi_exponent: int
 
     parent: np.ndarray  # int64, -1 at root
@@ -191,8 +177,6 @@ class RelativeLocationTree:
     delta: np.ndarray | None = None
     s_units: np.ndarray | None = None  # (m, d) shifted surrogates, d^(-1/p) units
     child_graph: list[np.ndarray | None] | None = None  # of the short children
-    tstar_level: np.ndarray | None = None
-    tstar_delta: np.ndarray | None = None
 
     @property
     def node_count(self) -> int:
@@ -212,14 +196,10 @@ class RelativeLocationTree:
         """Grid unit d^(-1/p): every shifted surrogate is an integer multiple."""
         return 1.0 / norm_root(self.d, self.p)
 
-    def increment_units(self, v: int) -> np.ndarray:
-        """Surrogate increment 2^level * eta for node v, in grid units."""
-        return math.pow(2.0, int(self.level[v])) * self.eta[v].astype(np.float64)
-
 
 def _mst_edges(dm: np.ndarray) -> list[tuple[float, int, int]]:
     """Prim's algorithm over the rows of a dense distance matrix: the n - 1
-    edges (weight, u, v) of a minimum spanning tree, heaviest first.
+    edges (weight, u, v) of a minimum spanning tree, lightest first.
 
     Weights are entries of dm, so they compare exactly against power-of-two
     thresholds.
@@ -239,41 +219,56 @@ def _mst_edges(dm: np.ndarray) -> list[tuple[float, int, int]]:
         src[closer] = v
         v = int(np.argmin(best))
         edges.append((float(best[v]), int(src[v]), v))
-    return sorted(edges, reverse=True)
+    return sorted(edges)
 
 
-def build_hierarchy(ps: PointSet) -> RawHierarchy:
+class Merges(NamedTuple):
+    """The hierarchy without its idle chains: the n leaves (ids 0..n-1) and
+    one node per merge, ordered by level and then by min member, root last."""
+
+    level: list[int]
+    children: list[list[int]]  # ascending min member
+    members: list[np.ndarray]  # sorted point indices
+    delta: list[float]  # exact cluster diameter
+    # (k, k) bool per merge node: children i, j have points within
+    # 2^level of each other; None at the leaves
+    child_graph: list[np.ndarray | None]
+
+
+def build_hierarchy(ps: PointSet) -> Merges:
     """Bottom-up hierarchy: level 0 singletons; level l transitively merges
     clusters at distance < 2^l; stops when one cluster remains.
 
     The level-l clusters are the connected components of the minimum spanning
-    tree's edges of weight < 2^l (single linkage), so one MST replaces a
-    cluster-distance matrix per level. Every MST gives the same components,
-    so ties between edge weights do not matter. A merged cluster's diameter
-    is the max of its children's diameters and of the distances across
-    children, so each point pair is read once, at the level where its two
-    points first share a cluster. The same read of the block between one
-    child and the later children fills that child's row of the neighbor
-    graph (child pairs with some points within 2^level, `<=`), kept per node
-    in child_graph for assign_ingresses.
+    tree's edges of weight < 2^l (single linkage), so an MST edge of weight w
+    merges at the least level l with w < 2^l, the exponent of frexp(w). Every
+    MST gives the same components, so ties between edge weights do not
+    matter. The edges of one level form that level's merge nodes; a cluster
+    that merges with nothing gets no node until its next merge, and
+    compress_paths makes its chain. A merged cluster's diameter is the max
+    of its children's diameters and of the distances across children, so
+    each point pair is read once, at the level where its two points first
+    share a cluster. The same read of the block between one child and the
+    later children fills that child's row of the neighbor graph (child pairs
+    with some points within 2^level, `<=`), kept in child_graph for
+    assign_ingresses.
     """
     n = ps.n
     dm = ps.distance_matrix()
-    edges = _mst_edges(dm)  # popped lightest first
-    if edges and edges[-1][0] <= 0.0:
+    edges = _mst_edges(dm)
+    if edges and edges[0][0] <= 0.0:
         raise ValueError("duplicate points (pairwise distance 0) are not supported")
 
     level = [0] * n
-    parent = [-1] * n
     children: list[list[int]] = [[] for _ in range(n)]
     members: list[np.ndarray] = [np.array([i], dtype=np.int64) for i in range(n)]
     delta: list[float] = [0.0] * n
     child_graph: list[np.ndarray | None] = [None] * n
 
     # union-find over points; a set's root is its min point index, which is
-    # also lead[node], the min member of the cluster node holding it
+    # also the min member of node_of[root], the set's current cluster node
     uf = list(range(n))
-    lead = list(range(n))
+    node_of = list(range(n))
 
     def find(x: int) -> int:
         while uf[x] != x:
@@ -281,105 +276,83 @@ def build_hierarchy(ps: PointSet) -> RawHierarchy:
             x = uf[x]
         return x
 
-    current = list(range(n))  # node ids of the current level's clusters
-    lvl = 0
-    while len(current) > 1:
-        lvl += 1
+    for lvl, run in groupby(edges, key=lambda e: max(1, math.frexp(e[0])[1])):
         thr = math.pow(2.0, lvl)
-        while edges and edges[-1][0] < thr:
-            _, a, b = edges.pop()
+        run = list(run)
+        roots = sorted({find(x) for _, a, b in run for x in (a, b)})
+        for _, a, b in run:
             a, b = find(a), find(b)
             uf[max(a, b)] = min(a, b)
-
-        # current is sorted by min member, so first-seen order of the roots
-        # is the canonical order (ascending min member) of groups and children
+        # roots ascend, so first-seen order of the new roots is the
+        # canonical order (ascending min member) of groups and children
         groups: dict[int, list[int]] = {}
-        for node in current:
-            groups.setdefault(find(lead[node]), []).append(node)
+        for r in roots:
+            groups.setdefault(find(r), []).append(node_of[r])
 
-        nxt = []
-        for grp in groups.values():
-            node = len(level)
+        for r, grp in groups.items():
+            node_of[r] = len(level)
+            parts = [members[ch] for ch in grp]
+            mem = np.concatenate(parts)
+            ends = np.cumsum([len(part) for part in parts])
+            k = len(grp)
+            adj = np.zeros((k, k), dtype=bool)
+            diam = max(delta[ch] for ch in grp)
+            # block: child i against all later children, one read for
+            # the diameter and for row i of the neighbor graph
+            for i, part in enumerate(parts[:-1]):
+                start = ends[i]
+                block = dm[part[:, None], mem[start:]]
+                diam = max(diam, float(block.max()))
+                near = (block <= thr).any(axis=0)
+                adj[i, i + 1:] = np.logical_or.reduceat(near, ends[i:-1] - start)
             level.append(lvl)
-            parent.append(-1)
             children.append(grp)
-            lead.append(lead[grp[0]])
-            for ch in grp:
-                parent[ch] = node
-            if len(grp) == 1:
-                members.append(members[grp[0]])
-                delta.append(delta[grp[0]])
-                child_graph.append(None)
-            else:
-                parts = [members[ch] for ch in grp]
-                mem = np.concatenate(parts)
-                ends = np.cumsum([len(part) for part in parts])
-                k = len(grp)
-                adj = np.zeros((k, k), dtype=bool)
-                diam = max(delta[ch] for ch in grp)
-                # block: child i against all later children, one read for
-                # the diameter and for row i of the neighbor graph
-                for i, part in enumerate(parts[:-1]):
-                    start = ends[i]
-                    block = dm[part[:, None], mem[start:]]
-                    diam = max(diam, float(block.max()))
-                    near = (block <= thr).any(axis=0)
-                    adj[i, i + 1:] = np.logical_or.reduceat(near, ends[i:-1] - start)
-                members.append(np.sort(mem))
-                delta.append(diam)
-                child_graph.append(adj | adj.T)
-            nxt.append(node)
-        current = nxt
+            members.append(np.sort(mem))
+            delta.append(diam)
+            child_graph.append(adj | adj.T)
 
-    root = current[0]
-    return RawHierarchy(level, parent, children, members, delta, root, child_graph)
+    return Merges(level, children, members, delta, child_graph)
 
 
-def compress_paths(raw: RawHierarchy, ps: PointSet, eps: float) -> RelativeLocationTree:
-    """Replace qualifying maximal non-branching paths v_0..v_k (interior nodes
-    degree 1) with a long edge v_1 -> v_k annotated with the original length k.
-
-    Compression requires k >= 2 and delta(v_k) <= 2^level(v_1) * eps, so the
-    resulting subtree-leaf diameter bound holds with no slack. delta = 0 always
-    compresses (threshold -inf). Returns the unannotated tree over ps.
+def compress_paths(h: Merges, ps: PointSet, eps: float) -> RelativeLocationTree:
+    """The compressed tree in preorder. Below a merge node at level l, a
+    child c idles at levels level(c)..l - 1, a non-branching path of
+    k = l - level(c) edges. Where k >= 2 and delta(c) <= 2^(l-1) * eps the
+    path becomes a long edge from a node at level l - 1 down to c, annotated
+    with its length k, so the subtree-leaf diameter bound holds with no
+    slack (delta = 0 always qualifies); otherwise it stays k - 1 unary
+    nodes above c. Chain nodes carry c's members and delta. Returns the
+    unannotated tree over ps.
     """
-    # preorder construction of the compressed tree
-    parent: list[int] = []
-    edge_len: list[int] = []  # 0 for short edges
-    raw_id: list[int] = []
-
-    def new_node(rid: int, par: int, length: int = 0) -> int:
-        raw_id.append(rid)
-        parent.append(par)
-        edge_len.append(length)
-        return len(parent) - 1
-
-    # iterative DFS: (raw child id, new parent id)
-    root_new = new_node(raw.root, -1)
-    stack = [(ch, root_new) for ch in reversed(raw.children[raw.root])]
+    root = len(h.level) - 1
+    parent, edge_len = [-1], [0]  # edge_len 0 for short edges
+    src = [root]  # the merge node each tree node takes members and delta of
+    graph = [h.child_graph[root]]
+    stack = [(c, 0) for c in reversed(h.children[root])]
     while stack:
-        raw_top, par = stack.pop()
-        # walk the chain of degree-1 nodes below raw_top
-        chain = [raw_top]
-        while len(raw.children[chain[-1]]) == 1:
-            chain.append(raw.children[chain[-1]][0])
-        k = len(chain)  # edge count of the maximal path v_0..v_k
-        bottom = chain[-1]
-        if k >= 2 and raw.delta[bottom] <= math.pow(2.0, raw.level[chain[0]]) * eps:
-            bot_new = new_node(bottom, new_node(chain[0], par), k)
+        c, par = stack.pop()
+        lvl = h.level[src[par]]
+        k = lvl - h.level[c]
+        if k >= 2 and h.delta[c] <= math.pow(2.0, lvl - 1) * eps:
+            lens = [0, k]  # a node at level lvl - 1, then c under a long edge
         else:
-            bot_new = par
-            for node in chain:
-                bot_new = new_node(node, bot_new)
-        stack.extend((ch, bot_new) for ch in reversed(raw.children[bottom]))
+            lens = [0] * k  # k - 1 unary nodes, then c
+        for length in lens:
+            parent.append(par)
+            edge_len.append(length)
+            src.append(c)
+            graph.append(None)
+            par = len(parent) - 1
+        graph[-1] = h.child_graph[c]
+        stack.extend((ch, par) for ch in reversed(h.children[c]))
 
     m = len(parent)
     parent_a = np.array(parent, dtype=np.int64)
     edge_len_a = np.array(edge_len, dtype=np.int64)
     edge_long = edge_len_a > 0
-    root_level = int(raw.level[raw.root])
+    root_level = h.level[root]
     return RelativeLocationTree(
-        n=ps.n, d=ps.d, p=ps.p, eps=eps, scale_exponent=ps.scale_exponent, phi=ps.phi,
+        n=ps.n, d=ps.d, p=ps.p, eps=eps, scale_exponent=ps.scale_exponent,
         phi_exponent=root_level, parent=parent_a, edge_long=edge_long, edge_len=edge_len_a,
         **tree_structure(parent_a, edge_long, edge_len_a, root_level),
         center=np.full(m, -1, dtype=np.int64),
@@ -390,12 +363,10 @@ def compress_paths(raw: RawHierarchy, ps: PointSet, eps: float) -> RelativeLocat
         landmarks=np.zeros(0, dtype=np.int64),
         landmark_units=np.zeros((0, ps.d)),
         K=0,
-        members=[raw.members[r] for r in raw_id],
-        child_graph=[raw.child_graph[r] for r in raw_id],
-        delta=np.array(raw.delta, dtype=np.float64)[raw_id],
+        members=[h.members[v] for v in src],
+        child_graph=graph,
+        delta=np.array(h.delta, dtype=np.float64)[src],
         s_units=np.zeros((m, ps.d)),
-        tstar_level=np.array(raw.level, dtype=np.int64),
-        tstar_delta=np.array(raw.delta, dtype=np.float64),
     )
 
 
@@ -509,13 +480,6 @@ def compute_surrogates(t: RelativeLocationTree, ps: PointSet, eps: float):
 
     if np.abs(t.s_units).max(initial=0.0) >= math.pow(2.0, 53):
         raise OverflowError("surrogate units exceed exact float64 integer range")
-
-
-def fine_surrogate_units(t: RelativeLocationTree, v: int) -> np.ndarray:
-    """Shifted fine surrogate in grid units: one fine increment on the coarse
-    prefix (the fine net is not accumulated inductively)."""
-    inn = int(t.ingress[v])
-    return t.s_units[inn] + (math.pow(2.0, int(t.level[v])) * t.eps) * t.eta_eps[v]
 
 
 def select_landmarks(t: RelativeLocationTree, K: int):

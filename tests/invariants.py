@@ -12,7 +12,14 @@ import numpy as np
 
 from rltsketch.estimator import QueryContext
 from rltsketch.metric import PointSet, lp_distance, lp_norm, norm_root
-from rltsketch.tree import RelativeLocationTree, fine_surrogate_units, ingress_layers
+from rltsketch.tree import RelativeLocationTree, ingress_layers
+
+
+def fine_surrogate_units(t: RelativeLocationTree, v: int) -> np.ndarray:
+    """Shifted fine surrogate in grid units: one fine increment on the coarse
+    prefix (the fine net is not accumulated inductively)."""
+    inn = int(t.ingress[v])
+    return t.s_units[inn] + (math.pow(2.0, int(t.level[v])) * t.eps) * t.eta_eps[v]
 
 
 def level_partitions(t: RelativeLocationTree):
@@ -55,8 +62,12 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
             if cross.any():
                 assert dm[cross].min() >= math.pow(2.0, lvl), f"separation at level {lvl}"
 
-    # diameter budget over the uncompressed hierarchy
-    budget = float(np.sum(np.ldexp(t.tstar_delta, -t.tstar_level)))
+    # diameter budget over the uncompressed hierarchy: node v stands for the
+    # levels level(v)..level(parent(v)) - 1, each with diameter delta(v), and
+    # the root for its own level; sum_{l=lo}^{hi} 2^-l = 2^(1-lo) - 2^-hi
+    hi = t.level.copy()
+    hi[1:] = t.level[t.parent[1:]] - 1
+    budget = float(np.sum(t.delta * (np.ldexp(2.0, -t.level) - np.ldexp(1.0, -hi))))
     assert budget <= 4.0 * n, "hierarchy diameter budget"
 
     # compressed tree size

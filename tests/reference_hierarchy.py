@@ -1,16 +1,20 @@
-"""Reference level hierarchy, ingresses and landmarks: the direct
-constructions.
+"""Reference level hierarchy, path compression, ingresses and landmarks:
+the direct constructions.
 
 At every level `reference_hierarchy` builds the matrix of minimum distances
 between the current clusters and merges the clusters closer than 2^level
-transitively. This costs O(levels * n^2) time and several n^2 copies, so the
-library builds the same hierarchy from one minimum spanning tree instead.
-`reference_ingresses` copies the rows and columns of each branching node's
-points to get its children's neighbor graph, where the library fills that
-graph while it reads the cross-child blocks for the diameters.
-`reference_landmarks` runs the greedy landmark rule node by node, where the
-library makes one bottom-up pass over the ingress layers. The tests use this
-module to check that both give identical results.
+transitively, with one node per cluster per level. This costs
+O(levels * n^2) time and several n^2 copies, so the library reads only the
+merges off one minimum spanning tree instead. `reference_compress` then
+walks each non-branching path of that per-level hierarchy and folds it into
+a long edge where it qualifies, where the library makes each chain when it
+emits the merge node below it. `reference_ingresses` copies the rows and
+columns of each branching node's points to get its children's neighbor
+graph, where the library fills that graph while it reads the cross-child
+blocks for the diameters. `reference_landmarks` runs the greedy landmark
+rule node by node, where the library makes one bottom-up pass over the
+ingress layers. The tests use this module to check that both give identical
+results.
 """
 import math
 
@@ -31,14 +35,17 @@ def cluster_min_matrix(dm: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def reference_hierarchy(dm: np.ndarray):
-    """(level, parent, children, members, delta, root) lists, in the node
-    order of `rltsketch.tree.build_hierarchy`."""
+    """(level, parent, children, members, delta, root, child_graph) of the
+    per-level hierarchy: nodes by level, then by ascending min member.
+    child_graph holds, at each node with two or more children, which
+    children have points within 2^level of each other; None elsewhere."""
     n = dm.shape[0]
     level = [0] * n
     parent = [-1] * n
     children: list[list[int]] = [[] for _ in range(n)]
     members = [np.array([i], dtype=np.int64) for i in range(n)]
     delta = [0.0] * n
+    child_graph: list = [None] * n
 
     current = list(range(n))
     lvl = 0
@@ -49,8 +56,10 @@ def reference_hierarchy(dm: np.ndarray):
         for ci, node in enumerate(current):
             labels[members[node]] = ci
         cm = cluster_min_matrix(dm, labels)
-        adj = (cm < math.pow(2.0, lvl)) & ~np.eye(k, dtype=bool)
+        thr = math.pow(2.0, lvl)
+        adj = (cm < thr) & ~np.eye(k, dtype=bool)
         ncomp, comp = connected_components(csr_matrix(adj), directed=False)
+        index = {node: ci for ci, node in enumerate(current)}
 
         # canonical component order: ascending min member index
         groups: list[list[int]] = [[] for _ in range(ncomp)]
@@ -70,13 +79,61 @@ def reference_hierarchy(dm: np.ndarray):
             if len(grp) == 1:
                 members.append(members[grp[0]])
                 delta.append(delta[grp[0]])
+                child_graph.append(None)
             else:
                 mem = np.sort(np.concatenate([members[ch] for ch in grp]))
                 members.append(mem)
                 delta.append(float(dm[np.ix_(mem, mem)].max()))
+                ci = [index[ch] for ch in grp]
+                child_graph.append((cm[np.ix_(ci, ci)] <= thr) & ~np.eye(len(grp), dtype=bool))
             nxt.append(node)
         current = nxt
-    return level, parent, children, members, delta, current[0]
+    return level, parent, children, members, delta, current[0], child_graph
+
+
+def reference_compress(level, parent, children, members, delta, root, child_graph,
+                       eps: float) -> dict:
+    """Fold each maximal non-branching path v_0..v_k (interior nodes of one
+    child) of a per-level hierarchy into a long edge v_0 -> v_k annotated
+    with the length k, where k >= 2 and delta(v_k) <= 2^level(v_0) * eps;
+    otherwise keep the path. Returns the compressed tree's parent, edge_len
+    (0 for short edges), level, members, delta and child_graph in preorder,
+    children in ascending min member."""
+    out_parent: list[int] = []
+    edge_len: list[int] = []
+    raw_id: list[int] = []
+
+    def new_node(rid: int, par: int, length: int = 0) -> int:
+        raw_id.append(rid)
+        out_parent.append(par)
+        edge_len.append(length)
+        return len(out_parent) - 1
+
+    root_new = new_node(root, -1)
+    stack = [(ch, root_new) for ch in reversed(children[root])]
+    while stack:
+        raw_top, par = stack.pop()
+        chain = [raw_top]
+        while len(children[chain[-1]]) == 1:
+            chain.append(children[chain[-1]][0])
+        k = len(chain)
+        bottom = chain[-1]
+        if k >= 2 and delta[bottom] <= math.pow(2.0, level[chain[0]]) * eps:
+            bot_new = new_node(bottom, new_node(chain[0], par), k)
+        else:
+            bot_new = par
+            for node in chain:
+                bot_new = new_node(node, bot_new)
+        stack.extend((ch, bot_new) for ch in reversed(children[bottom]))
+
+    return dict(
+        parent=np.array(out_parent, dtype=np.int64),
+        edge_len=np.array(edge_len, dtype=np.int64),
+        level=np.array([level[r] for r in raw_id], dtype=np.int64),
+        members=[members[r] for r in raw_id],
+        delta=np.array(delta, dtype=np.float64)[raw_id],
+        child_graph=[child_graph[r] for r in raw_id],
+    )
 
 
 def reference_ingresses(t, dm: np.ndarray):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from invariants import fine_surrogate_units
 from reference_estimator import reference_all_pairs
 from test_tree import _reference_inputs
 
@@ -141,7 +142,6 @@ def test_estimate_equals_builder_fine_surrogate_difference():
     # the from-sketch estimate is exactly the norm between the builder-side
     # fine surrogates at the pair's entry leaves (shifts cancel)
     from rltsketch.metric import lp_norm
-    from rltsketch.tree import build_tree, fine_surrogate_units
 
     rng = np.random.default_rng(19)
     for p in (1, 2):

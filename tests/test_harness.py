@@ -317,8 +317,17 @@ def test_cli_recover_pipeline(tmp_path, capsys):
     assert np.array_equal(got, want)
 
 
-def test_cli_input_errors(tmp_path):
+def test_cli_input_errors(tmp_path, capsys):
     assert cli.main(["estimate", "--sketch", str(tmp_path / "nope"), "--i", "0", "--j", "1"]) == 2
+    # a point index outside the sketch is bad input (2), not a contract
+    # violation (1)
+    inp, sk = tmp_path / "pts.txt", tmp_path / "s.rlts"
+    save_points_text(str(inp), np.arange(20.0).reshape(-1, 1))
+    assert cli.main(["sketch", "--input", str(inp), "--eps", "0.1", "--out", str(sk)]) == 0
+    for i, j in (("0", "99"), ("-1", "3")):
+        capsys.readouterr()
+        assert cli.main(["estimate", "--sketch", str(sk), "--i", i, "--j", j]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n1 2\n")  # duplicates
     assert cli.main(["sketch", "--input", str(bad), "--eps", "0.1",

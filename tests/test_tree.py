@@ -5,6 +5,7 @@ from rltsketch.metric import INF, PointSet, scale_points
 from rltsketch.tree import (
     build_hierarchy,
     build_tree,
+    compress_paths,
     ingress_layers,
     landmark_step_budget,
     quantize_eps,
@@ -12,7 +13,12 @@ from rltsketch.tree import (
 )
 
 from invariants import check_pair_floor, check_tree_invariants
-from reference_hierarchy import reference_hierarchy, reference_ingresses, reference_landmarks
+from reference_hierarchy import (
+    reference_compress,
+    reference_hierarchy,
+    reference_ingresses,
+    reference_landmarks,
+)
 
 
 def pointset_1d(coords, p=2):
@@ -24,31 +30,24 @@ def random_pointset(rng, n, d, p, spread=100.0):
 
 
 def test_hierarchy_merge_schedule():
-    # {0,1,10}: level 1 merges {0},{1}; {10} joins only at level 4
-    raw = build_hierarchy(pointset_1d([0, 1, 10]))
-    by_level = {}
-    for v in range(raw.node_count):
-        by_level.setdefault(raw.level[v], []).append(sorted(raw.members[v].tolist()))
-    assert sorted(by_level[1]) == [[0, 1], [2]]
-    assert sorted(by_level[3]) == [[0, 1], [2]]
-    assert by_level[4] == [[0, 1, 2]]
-    assert raw.level[raw.root] == 4
+    # {0,1,10}: level 1 merges {0},{1}; {10} joins only at level 4, so the
+    # merge nodes after the three leaves are {0,1} and the root
+    h = build_hierarchy(pointset_1d([0, 1, 10]))
+    merges = [(h.level[v], h.members[v].tolist()) for v in range(len(h.level))]
+    assert merges == [(0, [0]), (0, [1]), (0, [2]), (1, [0, 1]), (4, [0, 1, 2])]
+    assert h.children[3:] == [[0, 1], [3, 2]]
 
 
 def test_hierarchy_strict_inequality_at_power_of_two():
     # cluster distance exactly 2^2 = 4 is not merged at level 2
-    raw = build_hierarchy(pointset_1d([0, 1, 5]))
-    counts = {}
-    for v in range(raw.node_count):
-        counts[raw.level[v]] = counts.get(raw.level[v], 0) + 1
-    assert counts[2] == 2
-    assert raw.level[raw.root] == 3
+    h = build_hierarchy(pointset_1d([0, 1, 5]))
+    assert h.level[3:] == [1, 3]
 
 
 def test_hierarchy_singleton():
     ps = PointSet(np.zeros((1, 3)), 2, 0, 1.0, dist=np.zeros((1, 1)))
-    raw = build_hierarchy(ps)
-    assert raw.node_count == 1 and raw.root == 0 and raw.level[0] == 0
+    h = build_hierarchy(ps)
+    assert h.level == [0] and h.children == [[]]
 
 
 def test_hierarchy_rejects_duplicates():
@@ -76,16 +75,27 @@ def _reference_inputs():
 
 @pytest.mark.parametrize("name,ps", list(_reference_inputs()))
 def test_hierarchy_matches_per_level_reference(name, ps):
-    level, parent, children, members, delta, root = reference_hierarchy(ps.distance_matrix())
-    raw = build_hierarchy(ps)
-    assert raw.level == level
-    assert raw.parent == parent
-    assert raw.children == children
-    assert len(raw.members) == len(members)
-    for got, want in zip(raw.members, members):
-        assert np.array_equal(got, want) and got.dtype == want.dtype
-    assert raw.delta == delta  # exact float equality
-    assert raw.root == root
+    raw = reference_hierarchy(ps.distance_matrix())
+    h = build_hierarchy(ps)
+    for eps in (quantize_eps(0.1), 0.5):
+        want = reference_compress(*raw, eps)
+        t = compress_paths(h, ps, eps)
+        for field in ("parent", "edge_len", "level"):
+            assert np.array_equal(getattr(t, field), want[field])
+        assert np.array_equal(t.delta, want["delta"])  # exact float equality
+        assert len(t.members) == len(want["members"])
+        for got, exp in zip(t.members, want["members"]):
+            assert np.array_equal(got, exp) and got.dtype == exp.dtype
+        for got, exp in zip(t.child_graph, want["child_graph"]):
+            assert (got is None and exp is None) or np.array_equal(got, exp)
+
+
+@pytest.mark.parametrize("name,ps", [c for c in _reference_inputs() if "clustered" in c[0]])
+def test_hierarchy_has_a_node_per_merge_only(name, ps):
+    # clusters idle across many levels here; they get no node of their own
+    h = build_hierarchy(ps)
+    assert len(h.level) <= 2 * ps.n - 1
+    assert all(len(ch) >= 2 for ch in h.children[ps.n:])
 
 
 @pytest.mark.parametrize("name,ps", list(_reference_inputs()))
@@ -290,7 +300,7 @@ def _chain_tree(length):
     parent = np.arange(-1, m - 1)
     edge_long, edge_len = np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64)
     return RelativeLocationTree(
-        n=m, d=1, p=2, eps=0.5, scale_exponent=0, phi=1.0, phi_exponent=m - 1,
+        n=m, d=1, p=2, eps=0.5, scale_exponent=0, phi_exponent=m - 1,
         parent=parent, edge_long=edge_long, edge_len=edge_len,
         **tree_structure(parent, edge_long, edge_len, m - 1),
         center=np.zeros(m, dtype=np.int64),
