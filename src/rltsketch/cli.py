@@ -17,7 +17,7 @@ from .codec import DecodeError, SketchBits, build_lp_sketch, decode, size_report
 from .estimator import QueryContext
 from .euclid import build_euclidean_sketch
 from .harness import InputError
-from .metric import INF, pairwise_distances
+from .metric import INF
 
 
 def _parse_p(text: str):
@@ -38,17 +38,12 @@ def _read_sketch(path: str) -> SketchBits:
 
 
 def _load_input(args):
-    """Returns (PointSet, exact original-unit distance matrix)."""
+    """Parses the input file once. Returns (PointSet, the file's own distance
+    matrix for a metric file, else None)."""
     if args.format == "metric":
         metric = harness.load_metric_text(args.input)
-        ps = harness.embed_general_metric(metric)
-        return ps, metric.matrix.copy()
-    ps = harness.ingest_points(args.input, args.format, args.p)
-    if args.format == "text":
-        raw = harness.load_points_text(args.input)
-    else:
-        raw = harness.load_points_binary(args.input)
-    return ps, pairwise_distances(raw, args.p)
+        return harness.embed_general_metric(metric), metric.matrix
+    return harness.ingest_points(args.input, args.format, args.p), None
 
 
 def cmd_sketch(args) -> int:
@@ -87,6 +82,10 @@ def cmd_evaluate(args) -> int:
         raise InputError(f"sketch dimension {dec.d} does not match input {ps.d}")
     if dec.n != ps.n:
         raise InputError(f"sketch holds {dec.n} points, input has {ps.n}")
+    if exact is None:
+        # ps.dist is cdist of the raw points divided by 2^scale_exponent, so
+        # this is their exact distance matrix bit for bit
+        exact = np.ldexp(ps.distance_matrix(), ps.scale_exponent)
     report = harness.evaluate(sketch, exact, band=args.band)
     summary = report.summary()
     for key, val in summary.items():

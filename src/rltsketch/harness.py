@@ -17,7 +17,7 @@ import numpy as np
 
 from .codec import SketchBits, decode, size_report
 from .estimator import QueryContext
-from .metric import INF, PointSet, pairwise_distances, scale_points
+from .metric import INF, PointSet, scale_points
 
 
 class InputError(Exception):
@@ -138,10 +138,11 @@ class GeneralMetric:
 def embed_general_metric(metric: GeneralMetric) -> PointSet:
     """Isometric embedding into l_inf^n: x_i = (d(i,1), ..., d(i,n))."""
     metric.validate()
-    pts = np.ascontiguousarray(metric.matrix, dtype=np.float64)
-    ps = scale_points(pts, INF)
-    # the max coordinate difference of rows i, j is attained at column j
-    check = pairwise_distances(pts, INF)
+    ps = scale_points(metric.matrix, INF)
+    # the max coordinate difference of rows i, j is attained at column j.
+    # ps.dist is cdist of the unscaled rows divided by 2^scale_exponent, so
+    # this is their chebyshev matrix bit for bit, without a second n^3 pass
+    check = np.ldexp(ps.distance_matrix(), ps.scale_exponent)
     if not np.allclose(check, metric.matrix, rtol=1e-12, atol=0.0):
         raise InputError("embedding is not isometric (invalid metric)")
     return ps

@@ -15,6 +15,10 @@ from scipy.spatial.distance import cdist
 
 INF = math.inf
 
+# Rows per cdist call in pairwise_distances; its buffer holds ROW_BLOCK x n
+# distances (4 MB at n = 4000).
+ROW_BLOCK = 128
+
 
 def norm_root(d: int, p) -> float:
     """d**(1/p) as float64, with the convention d**(1/p) = 1 for p = inf.
@@ -47,15 +51,35 @@ def lp_distance(x, y, p) -> float:
 
 
 def pairwise_distances(points: np.ndarray, p) -> np.ndarray:
-    """Exact all-pairs lp distance matrix (n x n, float64)."""
-    points = np.asarray(points, dtype=np.float64)
+    """Exact all-pairs lp distance matrix (n x n, float64), computed once per
+    unordered pair.
+
+    Rows are taken ROW_BLOCK at a time: the block of rows [a, b) against
+    columns [a, n) is one cdist call, and its part right of column b is
+    mirrored into rows [b, n). cdist computes each entry from its pair alone,
+    with an arithmetic symmetric in the pair, so the result is bitwise
+    cdist(points, points) and exactly symmetric (the build reads each pair in
+    one direction only).
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if p == INF:
-        return cdist(points, points, "chebyshev")
-    if p == 1:
-        return cdist(points, points, "cityblock")
-    if p == 2:
-        return cdist(points, points, "euclidean")
-    return cdist(points, points, "minkowski", p=p)
+        kind, kw = "chebyshev", {}
+    elif p == 1:
+        kind, kw = "cityblock", {}
+    elif p == 2:
+        kind, kw = "euclidean", {}
+    else:
+        kind, kw = "minkowski", {"p": p}
+    n = points.shape[0]
+    out = np.empty((n, n))
+    buf = np.empty(min(ROW_BLOCK, n) * n)  # cdist's out= must be contiguous
+    for a in range(0, n, ROW_BLOCK):
+        b = min(a + ROW_BLOCK, n)
+        block = buf[: (b - a) * (n - a)].reshape(b - a, n - a)
+        cdist(points[a:b], points[a:], kind, out=block, **kw)
+        out[a:b, a:] = block
+        out[b:, a:b] = block[:, b - a:].T
+    return out
 
 
 @dataclass(eq=False)

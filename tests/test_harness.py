@@ -105,6 +105,28 @@ def test_embed_random_metric_isometric():
     assert ps.p == INF and ps.d == 50
 
 
+def test_embed_rejects_a_large_non_metric():
+    # above 500 points the O(n^3) triangle check is skipped, so the isometry
+    # check alone must catch d(0, 1) = 3 > d(0, 2) + d(2, 1) = 2
+    n = 501
+    mat = np.ones((n, n)) - np.eye(n)
+    mat[0, 1] = mat[1, 0] = 3.0
+    with pytest.raises(InputError, match="isometric"):
+        embed_general_metric(GeneralMetric(n, mat))
+
+
+# `rltsketch evaluate` takes its exact matrix from the ingested one, scaled
+# back by 2^scale_exponent, instead of a second cdist of the raw points.
+@pytest.mark.parametrize("p", [1, 2, 3, 2.5, INF])
+def test_ingested_matrix_scaled_back_is_the_raw_matrix(p):
+    rng = np.random.default_rng(14)
+    for scale in (1e-7, 1e-3, 1.0, 1e4, 1e9):
+        raw = rng.normal(size=(70, 5)) * scale
+        ps = ingest_array(raw, p)
+        back = np.ldexp(ps.distance_matrix(), ps.scale_exponent)
+        assert np.array_equal(back, pairwise_distances(raw, p))
+
+
 # The build reads each point pair in one direction only (diameters, the
 # children's neighbor graph), so the ingested matrix must be exactly symmetric.
 @pytest.mark.parametrize("p", [1, 2, 3, INF])

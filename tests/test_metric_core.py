@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from rltsketch.metric import (
     INF,
+    ROW_BLOCK,
     lp_distance,
     norm_root,
     pairwise_distances,
@@ -35,6 +37,30 @@ def test_pairwise_matches_scalar():
         dm = pairwise_distances(pts, p)
         for i, j in ((0, 5), (2, 11), (7, 3)):
             assert dm[i, j] == pytest.approx(lp_distance(pts[i], pts[j], p), rel=1e-12)
+
+
+CDIST_METRIC = {1: ("cityblock", {}), 2: ("euclidean", {}), 3: ("minkowski", {"p": 3}),
+                INF: ("chebyshev", {})}
+
+
+# pairwise_distances computes each unordered pair once, by row blocks, and
+# mirrors it; the result must still be the full cdist bit for bit.
+@pytest.mark.parametrize("d", [1, 300])
+@pytest.mark.parametrize("n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+@pytest.mark.parametrize("p", [1, 2, 3, INF])
+def test_pairwise_distances_is_bitwise_cdist(p, n, d):
+    rng = np.random.default_rng(n * 1000 + d)
+    row_scales = 10.0 ** rng.permutation(np.linspace(-6.0, 6.0, n))[:, None]
+    inputs = [
+        rng.normal(size=(n, d)) * row_scales,  # rows at scales 1e-6 to 1e6
+        rng.integers(-50, 50, size=(n, d)),
+        rng.uniform(-1.0, 1.0, size=(n, 2 * d))[:, ::2],  # not contiguous
+    ]
+    kind, kw = CDIST_METRIC[p]
+    for x in inputs:
+        dm = pairwise_distances(x, p)
+        assert np.array_equal(dm, cdist(x, x, kind, **kw))
+        assert np.array_equal(dm, dm.T)
 
 
 def test_round_to_net_examples():
