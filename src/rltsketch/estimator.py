@@ -1,11 +1,14 @@
 """Distance estimation from a decoded sketch.
 
-A QueryContext walks the decoded tree only. Single queries replay shifted
-surrogates along ingress links (landmarks bound the walk): lp estimates are
-norms between fine shifted surrogates at the pair's lowest common subtree,
-Euclidean ones inner products of two independently dithered surrogates.
-all_pairs replays the ingress layers once, steps all points' subtree chains
-as arrays, and computes each block in point order: the root's is the result.
+A QueryContext walks the decoded tree only. Every point has a chain of
+(subtree root, entry leaf) pairs, from its leaf's subtree up to the root's.
+A single query walks both points' chains and aligns them from the top to
+find the pair's lowest common subtree, then replays shifted surrogates along
+ingress links (landmarks bound the walk): lp estimates are norms between the
+fine shifted surrogates of the two entry leaves, Euclidean ones inner
+products of two independently dithered surrogates. all_pairs replays the
+ingress layers once, steps all points' chains as arrays, and computes each
+block in point order: the root's is the result.
 
 Estimates are returned in the original (pre-scaling) units.
 """
@@ -27,9 +30,9 @@ class QueryContext:
     (or subtree root). memoize: cache shifted surrogates across queries; an
     optimization with no observable effect on values, and idempotent (every
     replay of a node folds the same increments in the same order), so
-    concurrent queries are safe. visits_last counts tree and ingress edges
-    traversed by the most recent single query (meaningful with memoize=False;
-    racy under concurrency).
+    concurrent queries are safe. visits_last counts the chain steps and
+    ingress hops of the most recent single query, the same on both flavors
+    (meaningful with memoize=False; racy under concurrency).
     """
 
     def __init__(self, sketch, use_landmarks: bool = True, memoize: bool = True):
@@ -45,6 +48,11 @@ class QueryContext:
         self.scale = math.ldexp(1.0, int(t.scale_exponent))
         self.unit = t.unit()
         self.leaf_of = t.leaf_of_point()
+        # the next subtree's entry leaf (a long edge's top); -1 in the root's subtree
+        self.entry_above = t.parent[t.subtree_root]
+        self._leaf, self._root, self._above, self._ingress, self._level = (
+            a.tolist() for a in (self.leaf_of, t.subtree_root, self.entry_above, t.ingress, t.level)
+        )
         row = np.full(t.node_count, -1, dtype=np.int64)
         row[t.landmarks] = np.arange(len(t.landmarks))
         self._landmark_row = row.tolist()
@@ -67,22 +75,22 @@ class QueryContext:
             if self.use_landmarks and self._landmark_row[cur] >= 0:
                 base = t.landmark_units[self._landmark_row[cur]]
                 break
-            if int(t.subtree_root[cur]) == cur:
+            if self._root[cur] == cur:
                 base = np.zeros(t.d, dtype=np.float64)
                 break
             chain.append(cur)
             self.visits_last += 1
-            cur = int(t.ingress[cur])
+            cur = self._ingress[cur]
         for w in reversed(chain):
-            base = base + math.pow(2.0, int(t.level[w])) * t.eta[w].astype(np.float64)
+            base = base + math.pow(2.0, self._level[w]) * t.eta[w].astype(np.float64)
             if self.memoize:
                 self._s_memo[w] = base
         return base
 
     def _fine_units(self, v: int) -> np.ndarray:
         t = self.tree
-        inn = int(t.ingress[v])
-        return self._s_units(inn) + (math.pow(2.0, int(t.level[v])) * t.eps) * t.eta_eps[v]
+        fine = (math.pow(2.0, self._level[v]) * t.eps) * t.eta_eps[v]
+        return self._s_units(self._ingress[v]) + fine
 
     def shifted_surrogate(self, v: int, fine: bool = False) -> np.ndarray:
         """s(v) (or the fine s_eps(v), defined for non-root subtree leaves)."""
@@ -103,65 +111,41 @@ class QueryContext:
         if i == j:
             raise ValueError("estimates require two distinct indices")
 
-    def _lca_entries(self, i: int, j: int):
-        """Lowest common ancestor of the two leaves plus the entry leaves of
-        its subtree over each point (the last long-edge top crossed, or the
-        leaf itself)."""
-        t = self.tree
-        a = int(self.leaf_of[i])
-        b = int(self.leaf_of[j])
-        ea, eb = a, b
-        da, db = int(t.depth[a]), int(t.depth[b])
-        while da > db:
-            if t.edge_long[a]:
-                ea = int(t.parent[a])
-            a = int(t.parent[a])
-            da -= 1
+    def _chain(self, i: int):
+        """Bottom-up list of (subtree root, entry leaf) pairs over point i."""
+        out, w = [], self._leaf[i]
+        while w >= 0:
+            out.append((self._root[w], w))
             self.visits_last += 1
-        while db > da:
-            if t.edge_long[b]:
-                eb = int(t.parent[b])
-            b = int(t.parent[b])
-            db -= 1
-            self.visits_last += 1
-        while a != b:
-            if t.edge_long[a]:
-                ea = int(t.parent[a])
-            if t.edge_long[b]:
-                eb = int(t.parent[b])
-            a = int(t.parent[a])
-            b = int(t.parent[b])
-            self.visits_last += 2
-        # the last crossing's top lands in the LCA's subtree (the remaining
-        # edges up to the LCA are short)
-        return a, ea, eb
+            w = self._above[w]
+        return out
+
+    def _common(self, i: int, j: int):
+        """Both points' chains and the position in each of the pair's lowest
+        common subtree. Both chains end in the root's subtree, so they agree
+        from the top down to it and differ below."""
+        self._check_pair(i, j)
+        self.visits_last = 0
+        ci, cj = self._chain(i), self._chain(j)
+        k = 1
+        while k < min(len(ci), len(cj)) and ci[-k - 1][0] == cj[-k - 1][0]:
+            k += 1
+        return ci, len(ci) - k, cj, len(cj) - k
 
     # -- lp estimation -------------------------------------------------------
 
     def estimate_lp(self, i: int, j: int) -> float:
-        """Deterministic lp estimate, within (1 +/- 4*eps) of the true distance."""
+        """Deterministic lp estimate, within (1 +/- 4*eps) of the true distance:
+        the norm between the fine surrogates of the pair's entry leaves into
+        their lowest common subtree."""
         t = self.tree
         if t.flags_euclidean:
             raise ValueError("lp estimation requires an lp-flavor sketch")
-        self._check_pair(i, j)
-        self.visits_last = 0
-        _, vi, vj = self._lca_entries(i, j)
-        diff = self._fine_units(vi) - self._fine_units(vj)
+        ci, a, cj, b = self._common(i, j)
+        diff = self._fine_units(ci[a][1]) - self._fine_units(cj[b][1])
         return (lp_norm(diff, t.p) * self.unit) * self.scale
 
     # -- Euclidean estimation -------------------------------------------------
-
-    def _chain(self, i: int):
-        """Bottom-up list of (subtree root, entry leaf) pairs over point i."""
-        t = self.tree
-        out = []
-        w = int(self.leaf_of[i])
-        while True:
-            r = int(t.subtree_root[w])
-            out.append((r, w))
-            if t.parent[r] < 0:
-                return out
-            w = int(t.parent[r])  # long-edge top: the next subtree's entry leaf
 
     def _x_units(self, chain, upto: int, copy: int) -> np.ndarray:
         """Probabilistic surrogate in grid units for the subtree at chain
@@ -172,11 +156,11 @@ class QueryContext:
         amat = aug.a1 if copy == 1 else aug.a2
         bmat = aug.b1 if copy == 1 else aug.b2
         r, w = chain[upto]
-        x = self._s_units(w) + math.pow(2.0, int(t.level[w])) * amat[t.leaf_row[w]]
+        x = self._s_units(w) + math.pow(2.0, self._level[w]) * amat[t.leaf_row[w]]
         for s in range(upto):
             w_low = chain[s][1]
             w_up = chain[s + 1][1]
-            x = x + math.pow(2.0, int(t.level[w_up])) * bmat[t.corner_row[w_low]]
+            x = x + math.pow(2.0, self._level[w_up]) * bmat[t.corner_row[w_low]]
         return x
 
     def probabilistic_surrogate(self, i: int, r: int, copy: int = 1) -> np.ndarray:
@@ -198,19 +182,9 @@ class QueryContext:
         t = self.tree
         if not t.flags_euclidean or t.augmentations is None:
             raise ValueError("euclidean estimation requires a Euclidean sketch")
-        self._check_pair(i, j)
-        self.visits_last = 0
-        chain_i = self._chain(i)
-        chain_j = self._chain(j)
-        roots_j = {r: idx for idx, (r, _) in enumerate(chain_j)}
-        for idx_i, (r, _) in enumerate(chain_i):
-            if r in roots_j:
-                idx_j = roots_j[r]
-                break
-        else:
-            raise RuntimeError("no common subtree root (corrupt tree)")
-        z1 = self._x_units(chain_i, idx_i, 1) - self._x_units(chain_j, idx_j, 1)
-        z2 = self._x_units(chain_i, idx_i, 2) - self._x_units(chain_j, idx_j, 2)
+        ci, a, cj, b = self._common(i, j)
+        z1 = self._x_units(ci, a, 1) - self._x_units(cj, b, 1)
+        z2 = self._x_units(ci, a, 2) - self._x_units(cj, b, 2)
         return (float(np.dot(z1, z2)) / t.d) * self.scale * self.scale
 
     def estimate_euclidean(self, i: int, j: int) -> float:
@@ -237,9 +211,9 @@ class QueryContext:
         pt, e, chain = np.arange(t.n), self.leaf_of, []
         while len(pt):
             chain.append((pt, e))
-            r = t.subtree_root[e]
-            up = t.parent[r] >= 0  # the next subtree is entered at the long edge's top
-            pt, e = pt[up], t.parent[r[up]]
+            e = self.entry_above[e]
+            up = e >= 0
+            pt, e = pt[up], e[up]
         ends = np.cumsum([len(p) for p, _ in chain]).tolist()
         pt, e = (np.concatenate(a) for a in zip(*chain))
         keep = np.bincount(t.subtree_root[t.is_subtree_leaf], minlength=t.node_count) >= 2

@@ -159,6 +159,7 @@ def check_pair_floor(t: RelativeLocationTree, ps: PointSet, rng, samples: int = 
     dm = ps.distance_matrix()
     for _ in range(samples):
         i, j = rng.choice(t.n, size=2, replace=False)
-        _, vi, vj = ctx._lca_entries(int(i), int(j))
+        ci, a, cj, b = ctx._common(int(i), int(j))
+        vi, vj = ci[a][1], cj[b][1]
         lij = max(int(t.level[vi]), int(t.level[vj]))
         assert math.pow(2.0, lij) <= dm[i, j] * (1 + 1e-12), "pair level floor"

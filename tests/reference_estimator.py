@@ -9,6 +9,10 @@ probabilistic surrogates one point and one subtree at a time from the
 single-query functions. The library computes each block directly in point
 order from one replay of the ingress layers instead; the tests use this
 module to check that both give identical matrices.
+
+`reference_lca_entries` finds a pair's lowest common ancestor by climbing
+the tree one parent at a time; the library reads the pair's lowest common
+subtree off the two points' subtree chains instead.
 """
 import numpy as np
 
@@ -24,6 +28,37 @@ def points_under(t) -> list[np.ndarray]:
         else:
             pts[v] = np.concatenate([pts[c] for c in t.children[v]])
     return pts
+
+
+def reference_lca_entries(t, i: int, j: int):
+    """Lowest common ancestor of the leaves of points i and j plus the entry
+    leaves of its subtree over each point (the last long-edge top crossed, or
+    the leaf itself)."""
+    leaf_of = t.leaf_of_point()
+    a = int(leaf_of[i])
+    b = int(leaf_of[j])
+    ea, eb = a, b
+    da, db = int(t.depth[a]), int(t.depth[b])
+    while da > db:
+        if t.edge_long[a]:
+            ea = int(t.parent[a])
+        a = int(t.parent[a])
+        da -= 1
+    while db > da:
+        if t.edge_long[b]:
+            eb = int(t.parent[b])
+        b = int(t.parent[b])
+        db -= 1
+    while a != b:
+        if t.edge_long[a]:
+            ea = int(t.parent[a])
+        if t.edge_long[b]:
+            eb = int(t.parent[b])
+        a = int(t.parent[a])
+        b = int(t.parent[b])
+    # the last crossing's top lands in the LCA's subtree (the remaining
+    # edges up to the LCA are short)
+    return a, ea, eb
 
 
 def reference_all_pairs(ctx, squared: bool = False) -> np.ndarray:

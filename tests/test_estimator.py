@@ -1,10 +1,11 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from invariants import fine_surrogate_units
-from reference_estimator import reference_all_pairs
+from reference_estimator import reference_all_pairs, reference_lca_entries
 from test_tree import _reference_inputs
 
 from rltsketch.codec import build_lp_sketch, encode
@@ -52,16 +53,17 @@ def test_landmark_and_memo_paths_agree_exactly():
     rng = np.random.default_rng(3)
     centers = rng.uniform(0, 1e5, size=(4, 2))
     pts = np.concatenate([c + rng.uniform(0, 30, size=(10, 2)) for c in centers])
-    sk = build_lp_sketch(scale_points(pts, 2), 0.1)
-    variants = [
-        QueryContext(sk, use_landmarks=True, memoize=True),
-        QueryContext(sk, use_landmarks=True, memoize=False),
-        QueryContext(sk, use_landmarks=False, memoize=True),
-        QueryContext(sk, use_landmarks=False, memoize=False),
-    ]
-    for i, j in ((0, 39), (5, 22), (11, 12), (30, 31)):
-        vals = [c.estimate(i, j) for c in variants]
-        assert all(v == vals[0] for v in vals)
+    ps = scale_points(pts, 2)
+    for sk in (build_lp_sketch(ps, 0.1), build_euclidean_sketch(ps, 0.3, seed=7)):
+        variants = [
+            QueryContext(sk, use_landmarks=True, memoize=True),
+            QueryContext(sk, use_landmarks=True, memoize=False),
+            QueryContext(sk, use_landmarks=False, memoize=True),
+            QueryContext(sk, use_landmarks=False, memoize=False),
+        ]
+        for i, j in ((0, 39), (5, 22), (11, 12), (30, 31)):
+            vals = [c.estimate(i, j) for c in variants]
+            assert all(v == vals[0] for v in vals)
 
 
 def test_bulk_matches_single_queries():
@@ -109,6 +111,34 @@ def test_all_pairs_matches_reference_euclidean(name, pts):
         assert np.array_equal(ctx.all_pairs(), reference_all_pairs(ctx))
 
 
+def _deep_chain_pointset():
+    # the instance of acceptance criterion 8: a geometric spine up to ~2^40
+    # and a unit-spaced tail
+    coords = [0.0]
+    for k in range(41):
+        coords.append(coords[-1] + 2.0 ** k)
+    while len(coords) < 500:
+        coords.append(-float(len(coords)))
+    return scale_points(np.array(coords).reshape(-1, 1), 2)
+
+
+def test_common_subtree_matches_lca_reference():
+    # the lowest common subtree read off the two chains holds the LCA, and
+    # its entry leaves are those of the node-by-node climb
+    cases = [(name, build_tree(ps, 0.1)) for name, ps in _reference_inputs()]
+    cases.append(("deep-chain", build_tree(_deep_chain_pointset(), 0.25)))
+    nested = dict(_euclidean_inputs())["nested"]
+    cases.append(("nested-euclidean",
+                  QueryContext(build_euclidean_sketch(scale_points(nested, 2), 0.3, seed=7)).tree))
+    for name, t in cases:
+        ctx = QueryContext(t)
+        for i, j in itertools.combinations(range(t.n), 2):
+            lca, ea, eb = reference_lca_entries(t, i, j)
+            ci, a, cj, b = ctx._common(i, j)
+            assert ci[a][0] == cj[b][0] == t.subtree_root[lca], (name, i, j)
+            assert (ci[a][1], cj[b][1]) == (ea, eb), (name, i, j)
+
+
 def test_all_pairs_memory_peak():
     # the result is the root subtree's block itself: no zeroed n x n matrix
     # and no gathered copy beside it
@@ -150,7 +180,8 @@ def test_estimate_equals_builder_fine_surrogate_difference():
         ctx = QueryContext(encode(t))
         for _ in range(30):
             i, j = (int(x) for x in rng.choice(24, size=2, replace=False))
-            _, vi, vj = ctx._lca_entries(i, j)
+            ci, a, cj, b = ctx._common(i, j)
+            vi, vj = ci[a][1], cj[b][1]
             diff = fine_surrogate_units(t, vi) - fine_surrogate_units(t, vj)
             want = (lp_norm(diff, p) * t.unit()) * math.ldexp(1.0, t.scale_exponent)
             assert ctx.estimate(i, j) == want

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,50 @@ def test_evaluate_decodes_once(monkeypatch):
     pts = np.random.default_rng(4).normal(size=(12, 3))
     evaluate(build_lp_sketch(ingest_array(pts, 2), 0.2), pairwise_distances(pts, 2))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flavor", ["lp", "euclidean"])
+def test_evaluate_summary_matches_off_diagonal_formulas(flavor):
+    rng = np.random.default_rng(13)
+    pts = rng.normal(size=(40, 6)) * 7
+    ps = ingest_array(pts, 2)
+    sk = build_lp_sketch(ps, 0.2) if flavor == "lp" else build_euclidean_sketch(ps, 0.2, seed=5)
+    exact = pairwise_distances(pts, 2)
+    off = ~np.eye(40, dtype=bool)
+    for band in (None, 0.02, -1.0):
+        rep = evaluate(sk, exact, band=band)
+        est = rep.estimates
+        rel = np.abs(est[off] - exact[off]) / exact[off]
+        band_err = rel
+        if flavor == "euclidean":
+            band_err = np.abs(est[off] ** 2 - exact[off] ** 2) / exact[off] ** 2
+        assert np.array_equal(rep.rel_err[off], rel) and not rep.rel_err.diagonal().any()
+        assert np.array_equal(rep.band_err[off], band_err) and not rep.band_err.diagonal().any()
+        assert rep.max_rel_err == float(rel.max())
+        assert rep.mean_rel_err == float(rel.mean())
+        assert rep.p99_rel_err == float(np.quantile(rel, 0.99))
+        assert type(rep.fraction_in_band) is float
+        assert rep.fraction_in_band == float((band_err <= rep.band).mean())
+        if band == 0.02:
+            assert 0.0 < rep.fraction_in_band < 1.0
+        if band == -1.0:
+            assert rep.fraction_in_band == 0.0
+
+
+def test_evaluate_memory_peak():
+    # the error matrices are built in place and the off-diagonal errors are
+    # copied once: est, rel and that copy, plus all_pairs' own peak before
+    n = 1500
+    pts = np.random.default_rng(1).uniform(0.0, 80.0, size=(n, 10))
+    sk = build_lp_sketch(ingest_array(pts, 2), 0.1)
+    exact = pairwise_distances(pts, 2)
+    tracemalloc.start()
+    try:
+        evaluate(sk, exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * n * n
 
 
 def test_evaluate_rejects_mismatched_input():
