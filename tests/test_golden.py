@@ -7,7 +7,8 @@ and has to say so; a pure refactor or speed-up must leave every digest as is.
 The estimates read from each sketch (`all_pairs`, and for the Euclidean case
 the unclamped squared estimates as well) are hashed separately: they depend
 on the tree only, not on its file layout, so they must hold across a format
-change that leaves the tree as it is.
+change that leaves the tree as it is. The `all_pairs` estimates of the tree
+tests' reference inputs are pinned the same way.
 """
 import hashlib
 
@@ -18,6 +19,7 @@ from rltsketch.codec import build_lp_sketch, decode
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.metric import INF, scale_points
+from test_tree import _reference_inputs
 
 
 def _uniform(seed, n, d, p):
@@ -90,9 +92,40 @@ def _sha(a: np.ndarray) -> str:
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
+# all_pairs at eps 0.1 of the tree tests' reference inputs: clustered, grid
+# and line cases whose subtrees hold several points
+REFERENCE_ESTIMATE_DIGESTS = {
+    "uniform-p1-n2": "44c3f0ae3e6ffe0d6e25acd00408923096981613daf33e7c6f021b34fcd3449b",
+    "uniform-p1-n17": "3850990715a291e8e0d80c0ef235cfbc7138d0ad0099cee79d974f2bbcb1d13c",
+    "uniform-p1-n60": "f2425970bdf32f98b770066c9de29e6e07b0c64f2ec01fc5b5484d7c9f710cad",
+    "clustered-p1": "55878fcd4d566fbdf97fe849b41b5cf22f584e7737da30feaa93e02946bcb097",
+    "grid-p1": "b24594df177e69715aaf9d9c22cee3ebe3084cb7d9694fd37c20649aad79a55b",
+    "line-p1": "f42dadf1f1eed0e5c873c78e4a0d6327f1d3119c68f469c7ef8da2214bfef7ea",
+    "uniform-p2-n2": "8fbadb19bee0c7716ba295eb6b365951342d341e982f791b9ed81d8c1c4e7630",
+    "uniform-p2-n17": "ab0e39ab4b7f1b110d157f38ae961c3eb77993a43cbef78945ec4f1f6c840802",
+    "uniform-p2-n60": "a09f631042d06dd500797fc9b86699c52de1c2bdfc9a3329dd031bcbd240d0f9",
+    "clustered-p2": "c7d6a269ae9c7b7371154c114cbe365dd94c523f9928f54894be9513e1ae8b40",
+    "grid-p2": "76557f7e4eba5b61337e0024ab6d03d5d27b9e3f8ba73e83b225fa16c4a9303b",
+    "line-p2": "f42dadf1f1eed0e5c873c78e4a0d6327f1d3119c68f469c7ef8da2214bfef7ea",
+    "uniform-pinf-n2": "44c3f0ae3e6ffe0d6e25acd00408923096981613daf33e7c6f021b34fcd3449b",
+    "uniform-pinf-n17": "77f27cd6b5d0dff0266884e31b3808e7c9a95fd4c3a67b1d3fa2d063b90c828f",
+    "uniform-pinf-n60": "98626fccd1d1831628b23081a85a44ce53b081fd3ce764a11348638f25b96d54",
+    "clustered-pinf": "efd78a38f76ee44094bce37e054c6e5de352ce28531f88b6e2238095391c900f",
+    "grid-pinf": "c23ec9b628799387605755f62d785bd3d9945748409356b65f532b09a143a433",
+    "line-pinf": "f42dadf1f1eed0e5c873c78e4a0d6327f1d3119c68f469c7ef8da2214bfef7ea",
+}
+REFERENCE_INPUTS = dict(_reference_inputs())
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_estimate_digest(name):
     ctx = QueryContext(decode(CASES[name][0]()))
     assert _sha(ctx.all_pairs()) == ESTIMATE_DIGESTS[name]
     if name in SQUARED_DIGESTS:
         assert _sha(ctx.all_pairs_squared()) == SQUARED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_INPUTS))
+def test_reference_input_estimate_digest(name):
+    ctx = QueryContext(build_lp_sketch(REFERENCE_INPUTS[name], 0.1))
+    assert _sha(ctx.all_pairs()) == REFERENCE_ESTIMATE_DIGESTS[name]
