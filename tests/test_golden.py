@@ -15,11 +15,16 @@ import hashlib
 import numpy as np
 import pytest
 
+from rltsketch import bits, metric
 from rltsketch.codec import build_lp_sketch, decode
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.metric import INF, scale_points
 from test_tree import _reference_inputs
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(a.tobytes() if isinstance(a, np.ndarray) else a).hexdigest()
 
 
 def _uniform(seed, n, d, p):
@@ -50,28 +55,29 @@ def _deep_grid():
 
 
 CASES = {
-    "lp-p1": (lambda: build_lp_sketch(_uniform(101, 60, 3, 1), 0.1),
-              "068cee7efe5dfe36cdbb879139099a65668d2b84f0ce71160b0df6553f38437d"),
-    "lp-p2": (lambda: build_lp_sketch(_uniform(102, 80, 5, 2), 0.05),
-              "cadd4d6f845e54cad799c2d7245659a96170cea0f56c168b47cec02f361ea886"),
-    "lp-pinf": (lambda: build_lp_sketch(_uniform(103, 70, 4, INF), 0.2),
-                "7e2455c35135c62b6f342ccd9889978c286eefa73c71dd45d04b4853899a7075"),
-    "lp-multiscale": (lambda: build_lp_sketch(_multiscale(104), 0.05),
-                      "b94520949be2b85c738b6425633196b8ec6468343b47d13d2dea1b7052d4eb0d"),
-    "lp-int-grid": (lambda: build_lp_sketch(_int_grid(), 0.125),
-                    "c34cf73c8c6c214b5d4c761ce9792a6fdfa1cef9916b714696726d2b5aef4ff0"),
-    "lp-deep-ingress": (lambda: build_lp_sketch(_deep_grid(), 0.125),
-                        "58c27f9d42027524ef58d1f860f7fc9de278808e42f843409430e3ce4aa4c7ee"),
-    "euclidean": (lambda: build_euclidean_sketch(
+    "lp-p1": lambda: build_lp_sketch(_uniform(101, 60, 3, 1), 0.1),
+    "lp-p2": lambda: build_lp_sketch(_uniform(102, 80, 5, 2), 0.05),
+    "lp-pinf": lambda: build_lp_sketch(_uniform(103, 70, 4, INF), 0.2),
+    "lp-multiscale": lambda: build_lp_sketch(_multiscale(104), 0.05),
+    "lp-int-grid": lambda: build_lp_sketch(_int_grid(), 0.125),
+    "lp-deep-ingress": lambda: build_lp_sketch(_deep_grid(), 0.125),
+    "euclidean": lambda: build_euclidean_sketch(
         scale_points(np.random.default_rng(105).normal(size=(40, 10)), 2), 0.3, seed=7),
-                  "4cabc0f4c927df73ebee77ac8c128a8503053d0359ff10d660e41174f697e142"),
+}
+SKETCH_DIGESTS = {
+    "lp-p1": "068cee7efe5dfe36cdbb879139099a65668d2b84f0ce71160b0df6553f38437d",
+    "lp-p2": "cadd4d6f845e54cad799c2d7245659a96170cea0f56c168b47cec02f361ea886",
+    "lp-pinf": "7e2455c35135c62b6f342ccd9889978c286eefa73c71dd45d04b4853899a7075",
+    "lp-multiscale": "b94520949be2b85c738b6425633196b8ec6468343b47d13d2dea1b7052d4eb0d",
+    "lp-int-grid": "c34cf73c8c6c214b5d4c761ce9792a6fdfa1cef9916b714696726d2b5aef4ff0",
+    "lp-deep-ingress": "58c27f9d42027524ef58d1f860f7fc9de278808e42f843409430e3ce4aa4c7ee",
+    "euclidean": "4cabc0f4c927df73ebee77ac8c128a8503053d0359ff10d660e41174f697e142",
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_sketch_digest(name):
-    build, digest = CASES[name]
-    assert hashlib.sha256(build().data).hexdigest() == digest
+    assert _sha(CASES[name]().data) == SKETCH_DIGESTS[name]
 
 
 ESTIMATE_DIGESTS = {
@@ -86,10 +92,6 @@ ESTIMATE_DIGESTS = {
 SQUARED_DIGESTS = {
     "euclidean": "345fee9995c10084a6e6a18d1bf6cd4452ff1d3e101841c98242a25e33f0fa7a",
 }
-
-
-def _sha(a: np.ndarray) -> str:
-    return hashlib.sha256(a.tobytes()).hexdigest()
 
 
 # all_pairs at eps 0.1 of the tree tests' reference inputs: clustered, grid
@@ -119,7 +121,7 @@ REFERENCE_INPUTS = dict(_reference_inputs())
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_estimate_digest(name):
-    ctx = QueryContext(decode(CASES[name][0]()))
+    ctx = QueryContext(decode(CASES[name]()))
     assert _sha(ctx.all_pairs()) == ESTIMATE_DIGESTS[name]
     if name in SQUARED_DIGESTS:
         assert _sha(ctx.all_pairs_squared()) == SQUARED_DIGESTS[name]
@@ -129,3 +131,44 @@ def test_golden_estimate_digest(name):
 def test_reference_input_estimate_digest(name):
     ctx = QueryContext(build_lp_sketch(REFERENCE_INPUTS[name], 0.1))
     assert _sha(ctx.all_pairs()) == REFERENCE_ESTIMATE_DIGESTS[name]
+
+
+def _case_digests():
+    """Every case's sketch bytes and all_pairs digest, built from scratch."""
+    out = {}
+    for name, build in CASES.items():
+        sketch = build()
+        out[name] = sketch.data, _sha(QueryContext(decode(sketch)).all_pairs())
+    return out
+
+
+def test_block_sizes_change_no_byte(monkeypatch):
+    # scaling the build must not change a byte: distance row blocks and
+    # codec chunks far smaller than the inputs give the same files and
+    # estimates
+    want = _case_digests()
+    monkeypatch.setattr(metric, "ROW_BLOCK", 3)
+    monkeypatch.setattr(bits, "CHUNK", 5)
+    assert _case_digests() == want
+
+
+if __name__ == "__main__":
+    # Print every digest as the code now computes it, in the dicts' own
+    # format, to re-capture them after a change meant to alter them:
+    #   PYTHONPATH=src python tests/test_golden.py
+    sketches = {name: build() for name, build in CASES.items()}
+    contexts = {name: QueryContext(decode(sk)) for name, sk in sketches.items()}
+    current = {
+        "SKETCH_DIGESTS": {name: _sha(sk.data) for name, sk in sketches.items()},
+        "ESTIMATE_DIGESTS": {name: _sha(ctx.all_pairs()) for name, ctx in contexts.items()},
+        "SQUARED_DIGESTS": {name: _sha(contexts[name].all_pairs_squared())
+                            for name in SQUARED_DIGESTS},
+        "REFERENCE_ESTIMATE_DIGESTS": {
+            name: _sha(QueryContext(build_lp_sketch(ps, 0.1)).all_pairs())
+            for name, ps in REFERENCE_INPUTS.items()},
+    }
+    for title, digests in current.items():
+        print(f"{title} = {{")
+        for name, digest in digests.items():
+            print(f'    "{name}": "{digest}",')
+        print("}")
