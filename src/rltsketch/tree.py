@@ -1,10 +1,11 @@
 """Relative location tree construction.
 
 Pipeline: read the hierarchy's merges off the minimum spanning tree, emit
-the compressed tree with each idle cluster's non-branching path as one
-annotated long edge or a run of unary nodes, then annotate the compressed
-tree with centers, ingresses, quantized displacements (coarse and fine), and
-landmark shortcuts. The finished tree is immutable and safe to share.
+the compressed tree with each idle cluster's non-branching path as one leaf
+(a single point), one annotated long edge or a run of unary nodes, then
+annotate the compressed tree with centers, ingresses, quantized
+displacements (coarse and fine), and landmark shortcuts. The finished tree
+is immutable and safe to share.
 
 Level l of the hierarchy merges, transitively, the clusters closer than 2^l.
 Those clusters are the single-linkage clusters at threshold 2^l, i.e. the
@@ -133,7 +134,7 @@ class RelativeLocationTree:
     Children keep construction order (ascending center index).
 
     Decoded trees carry the same annotation fields but no point-side data
-    (members, delta, s_units are None).
+    (members, delta, s_units, child_graph are None).
     """
 
     n: int
@@ -317,12 +318,13 @@ def build_hierarchy(ps: PointSet) -> Merges:
 def compress_paths(h: Merges, ps: PointSet, eps: float) -> RelativeLocationTree:
     """The compressed tree in preorder. Below a merge node at level l, a
     child c idles at levels level(c)..l - 1, a non-branching path of
-    k = l - level(c) edges. Where k >= 2 and delta(c) <= 2^(l-1) * eps the
-    path becomes a long edge from a node at level l - 1 down to c, annotated
-    with its length k, so the subtree-leaf diameter bound holds with no
-    slack (delta = 0 always qualifies); otherwise it stays k - 1 unary
-    nodes above c. Chain nodes carry c's members and delta. Returns the
-    unannotated tree over ps.
+    k = l - level(c) edges. A single point is one leaf at level l - 1,
+    whatever k: a subtree of one point would hold nothing a query reads.
+    Otherwise, where k >= 2 and delta(c) <= 2^(l-1) * eps, the path becomes
+    a long edge from a node at level l - 1 down to c, annotated with its
+    length k, so the subtree-leaf diameter bound holds with no slack; else
+    it stays k - 1 unary nodes above c. Chain nodes carry c's members and
+    delta. Returns the unannotated tree over ps.
     """
     root = len(h.level) - 1
     parent, edge_len = [-1], [0]  # edge_len 0 for short edges
@@ -333,7 +335,9 @@ def compress_paths(h: Merges, ps: PointSet, eps: float) -> RelativeLocationTree:
         c, par = stack.pop()
         lvl = h.level[src[par]]
         k = lvl - h.level[c]
-        if k >= 2 and h.delta[c] <= math.pow(2.0, lvl - 1) * eps:
+        if not h.children[c]:
+            lens = [0]  # a point alone: one leaf at level lvl - 1
+        elif k >= 2 and h.delta[c] <= math.pow(2.0, lvl - 1) * eps:
             lens = [0, k]  # a node at level lvl - 1, then c under a long edge
         else:
             lens = [0] * k  # k - 1 unary nodes, then c

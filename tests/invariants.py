@@ -22,16 +22,22 @@ def fine_surrogate_units(t: RelativeLocationTree, v: int) -> np.ndarray:
     return t.s_units[inn] + (math.pow(2.0, int(t.level[v])) * t.eps) * t.eta_eps[v]
 
 
+def level_spans(t: RelativeLocationTree):
+    """(lo, hi) arrays: the hierarchy levels lo..hi each node's cluster
+    stands for. A node covers level(v)..level(parent) - 1 and the root its
+    own level; a leaf, one point, covers every level from 0 up."""
+    hi = t.level.copy()
+    hi[1:] = t.level[t.parent[1:]] - 1
+    lo = np.where(np.bincount(t.parent[1:], minlength=t.node_count) == 0, 0, t.level)
+    return lo, hi
+
+
 def level_partitions(t: RelativeLocationTree):
     """Point labels for every hierarchy level, reconstructed from the
-    compressed tree: a node's cluster covers levels [level(v), level(parent)-1]."""
-    top = int(t.phi_exponent)
-    labels = np.full((top + 1, t.n), -1, dtype=np.int64)
-    for v in range(t.node_count):
-        lo = int(t.level[v])
-        hi = top if t.parent[v] < 0 else int(t.level[t.parent[v]]) - 1
-        for lvl in range(lo, hi + 1):
-            labels[lvl, t.members[v]] = v
+    compressed tree's level spans."""
+    labels = np.full((int(t.phi_exponent) + 1, t.n), -1, dtype=np.int64)
+    for v, (lo, hi) in enumerate(zip(*level_spans(t))):
+        labels[lo:hi + 1, t.members[v]] = v
     assert (labels >= 0).all(), "levels do not cover all points"
     return labels
 
@@ -63,11 +69,10 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
                 assert dm[cross].min() >= math.pow(2.0, lvl), f"separation at level {lvl}"
 
     # diameter budget over the uncompressed hierarchy: node v stands for the
-    # levels level(v)..level(parent(v)) - 1, each with diameter delta(v), and
-    # the root for its own level; sum_{l=lo}^{hi} 2^-l = 2^(1-lo) - 2^-hi
-    hi = t.level.copy()
-    hi[1:] = t.level[t.parent[1:]] - 1
-    budget = float(np.sum(t.delta * (np.ldexp(2.0, -t.level) - np.ldexp(1.0, -hi))))
+    # levels of its span, each with diameter delta(v);
+    # sum_{l=lo}^{hi} 2^-l = 2^(1-lo) - 2^-hi
+    lo, hi = level_spans(t)
+    budget = float(np.sum(t.delta * (np.ldexp(2.0, -lo) - np.ldexp(1.0, -hi))))
     assert budget <= 4.0 * n, "hierarchy diameter budget"
 
     # compressed tree size

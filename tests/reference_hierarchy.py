@@ -7,8 +7,8 @@ transitively, with one node per cluster per level. This costs
 O(levels * n^2) time and several n^2 copies, so the library reads only the
 merges off one minimum spanning tree instead. `reference_compress` then
 walks each non-branching path of that per-level hierarchy and folds it into
-a long edge where it qualifies, where the library makes each chain when it
-emits the merge node below it. `reference_ingresses` copies the rows and
+one leaf over a single point, or into a long edge where it qualifies, where
+the library makes each chain when it emits the merge node below it. `reference_ingresses` copies the rows and
 columns of each branching node's points to get its children's neighbor
 graph, where the library fills that graph while it reads the cross-child
 blocks for the diameters. `reference_landmarks` runs the greedy landmark
@@ -94,9 +94,10 @@ def reference_hierarchy(dm: np.ndarray):
 def reference_compress(level, parent, children, members, delta, root, child_graph,
                        eps: float) -> dict:
     """Fold each maximal non-branching path v_0..v_k (interior nodes of one
-    child) of a per-level hierarchy into a long edge v_0 -> v_k annotated
-    with the length k, where k >= 2 and delta(v_k) <= 2^level(v_0) * eps;
-    otherwise keep the path. Returns the compressed tree's parent, edge_len
+    child) of a per-level hierarchy into one leaf v_0 where v_k is a point,
+    else into a long edge v_0 -> v_k annotated with the length k, where
+    k >= 2 and delta(v_k) <= 2^level(v_0) * eps; otherwise keep the path.
+    Returns the compressed tree's parent, edge_len
     (0 for short edges), level, members, delta and child_graph in preorder,
     children in ascending min member."""
     out_parent: list[int] = []
@@ -118,7 +119,9 @@ def reference_compress(level, parent, children, members, delta, root, child_grap
             chain.append(children[chain[-1]][0])
         k = len(chain)
         bottom = chain[-1]
-        if k >= 2 and delta[bottom] <= math.pow(2.0, level[chain[0]]) * eps:
+        if not children[bottom]:
+            bot_new = new_node(chain[0], par)  # a point alone: one leaf
+        elif k >= 2 and delta[bottom] <= math.pow(2.0, level[chain[0]]) * eps:
             bot_new = new_node(bottom, new_node(chain[0], par), k)
         else:
             bot_new = par

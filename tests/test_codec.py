@@ -264,11 +264,14 @@ def test_topology_is_two_bits_per_node():
 
 
 def test_long_edge_budget():
+    # ten tight clusters far apart: each hangs under a long edge (a point
+    # alone would be one leaf, with no long edge)
     rng = np.random.default_rng(47)
-    ps = random_pointset(rng, 60, 2, 2, spread=1e7)
-    t = build_tree(ps, 0.25)
+    centers = rng.uniform(0, 1e7, size=(10, 2))
+    pts = np.concatenate([c + rng.uniform(0, 1, size=(6, 2)) for c in centers])
+    t = build_tree(scale_points(pts, 2), 0.25)
     n_long = int(t.edge_long.sum())
-    assert n_long <= 2 * t.n
+    assert 0 < n_long <= 2 * t.n
     rep = size_report(encode(t))
     max_code = 2 * int(math.floor(math.log2(max(1, int(t.edge_len.max()))))) + 1
     assert rep["sections"]["long_edges"]["data_bits"] <= (t.node_count - 1) + n_long * max_code

@@ -142,17 +142,20 @@ def test_augmentation_corner_mean_matches_displacement():
 
 
 def test_long_edge_corner_support_length():
-    tree, proj = _fixed_tree(seed=2, n=24)
+    # four tight clusters far apart: each hangs under a long edge (a point
+    # alone would be one leaf, with no corner)
+    rng = np.random.default_rng(2)
+    centers = rng.uniform(0, 1e4, size=(4, 6))
+    pts = np.concatenate([c + rng.uniform(0, 1, size=(6, 6)) for c in centers])
+    proj = jl_transform(scale_points(pts, 2), JlConfig(40, 7))
+    tree = build_tree(proj, EUCLIDEAN_TREE_EPS)
+    assert tree.edge_long.any()
     rng = np.random.default_rng(17)
     d = tree.d
-    unit = tree.unit()
     samples = []
     for _ in range(400):
         aug = build_augmentations(tree, proj.points, rng.random(d), rng.random(d))
-        if len(aug.b1):
-            samples.append(aug.b1.astype(np.float64))
-    if not samples:
-        pytest.skip("instance produced no long-edge corners")
+        samples.append(aug.b1.astype(np.float64))
     stack = np.stack(samples)  # draws x nodes x d, in cell units
     spread = stack.max(axis=0) - stack.min(axis=0)
     assert spread.max() <= 1.0  # one cell: interval length 2^level(u)/sqrt(d)

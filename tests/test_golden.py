@@ -65,13 +65,13 @@ CASES = {
         scale_points(np.random.default_rng(105).normal(size=(40, 10)), 2), 0.3, seed=7),
 }
 SKETCH_DIGESTS = {
-    "lp-p1": "068cee7efe5dfe36cdbb879139099a65668d2b84f0ce71160b0df6553f38437d",
-    "lp-p2": "cadd4d6f845e54cad799c2d7245659a96170cea0f56c168b47cec02f361ea886",
-    "lp-pinf": "7e2455c35135c62b6f342ccd9889978c286eefa73c71dd45d04b4853899a7075",
-    "lp-multiscale": "b94520949be2b85c738b6425633196b8ec6468343b47d13d2dea1b7052d4eb0d",
+    "lp-p1": "c1af1ab06171f6525ee24395482cf7e0e4d85b153aa8fc9eb726910b60ca8c56",
+    "lp-p2": "c06ed28464d6e615a3eb32d9d63588deb3d95e70cdba6fda3a9e4f4e0eb7feb0",
+    "lp-pinf": "ce73b821a73410f8530ff334a5458f9387b899fd3221173731a1da873f9df429",
+    "lp-multiscale": "d66b38ddfab6c4010a9993670bfd5ebd5390ec6fd5eca147ad56280f446b0c49",
     "lp-int-grid": "c34cf73c8c6c214b5d4c761ce9792a6fdfa1cef9916b714696726d2b5aef4ff0",
     "lp-deep-ingress": "58c27f9d42027524ef58d1f860f7fc9de278808e42f843409430e3ce4aa4c7ee",
-    "euclidean": "4cabc0f4c927df73ebee77ac8c128a8503053d0359ff10d660e41174f697e142",
+    "euclidean": "06f4739bca624fd3f243cb3c7736e6974e19394071bb64d5cab7d4f3eea3ef91",
 }
 
 
@@ -131,6 +131,17 @@ def test_golden_estimate_digest(name):
 def test_reference_input_estimate_digest(name):
     ctx = QueryContext(build_lp_sketch(REFERENCE_INPUTS[name], 0.1))
     assert _sha(ctx.all_pairs()) == REFERENCE_ESTIMATE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + list(REFERENCE_INPUTS))
+def test_no_subtree_holds_a_single_point(name):
+    # a point alone is one leaf, never a subtree below a long edge
+    sketch = CASES[name]() if name in CASES else build_lp_sketch(REFERENCE_INPUTS[name], 0.1)
+    t = decode(sketch)
+    points = (np.bincount(t.parent[1:], minlength=t.node_count) == 0).astype(np.int64)
+    for v in range(t.node_count - 1, 0, -1):  # preorder: children after parents
+        points[t.parent[v]] += points[v]
+    assert (points[t.subtree_roots()[1:]] >= 2).all()
 
 
 def _case_digests():

@@ -121,14 +121,24 @@ def test_landmarks_match_greedy_reference(name, ps):
         assert np.array_equal(t.landmark_units, t.s_units[t.landmarks])
 
 
+def _long_edges(t):
+    return [(int(t.level[t.parent[v]]), int(t.level[v]), int(t.edge_len[v]))
+            for v in range(t.node_count) if t.edge_long[v]]
+
+
+def _leaf_levels(t):
+    """(level of the parent, level) of each point's leaf, in point order."""
+    leaves = t.leaf_of_point()
+    return [(int(t.level[t.parent[v]]), int(t.level[v])) for v in leaves]
+
+
 def test_compression_on_three_points():
     t = build_tree(pointset_1d([0, 1, 10]), 0.5)
     # chain above the {0,1} merge compresses with annotated length 3; the
-    # singleton chain over the far point compresses with length 4
-    longs = [(int(t.level[t.parent[v]]), int(t.level[v]), int(t.edge_len[v]))
-             for v in range(t.node_count) if t.edge_long[v]]
-    assert sorted(longs) == [(3, 0, 4), (3, 1, 3)]
-    assert t.node_count == 7
+    # far point's 4-edge chain is one leaf right under the root
+    assert _long_edges(t) == [(3, 1, 3)]
+    assert _leaf_levels(t) == [(1, 0), (1, 0), (4, 3)]
+    assert t.node_count == 6
 
 
 def test_plain_edges_never_compress():
@@ -139,11 +149,12 @@ def test_plain_edges_never_compress():
 
 
 def test_leaf_chains_always_compress():
-    # delta = 0 gives threshold -inf: even a length-2 chain over a leaf folds
+    # a point alone needs no subtree: even a length-2 chain over it is one
+    # leaf, at the level just below its merge
     t = build_tree(pointset_1d([0, 2, 3]), 0.25)
-    longs = [(int(t.level[t.parent[v]]), int(t.level[v]), int(t.edge_len[v]))
-             for v in range(t.node_count) if t.edge_long[v]]
-    assert longs == [(1, 0, 2)]
+    assert not t.edge_long.any()
+    assert _leaf_levels(t) == [(2, 1), (1, 0), (1, 0)]
+    assert t.node_count == 5
 
 
 def test_compression_boundary_preserves_leaf_diameter_bound():
@@ -151,17 +162,15 @@ def test_compression_boundary_preserves_leaf_diameter_bound():
     # (diameter 12) idles from level 1 to the level-5 merge. Folding its
     # 4-edge run would leave a subtree leaf at level 4 with diameter
     # 12 > 2^4 * eps = 8, so the run must stay short; the far point's
-    # zero-diameter chain still folds.
+    # chain still folds, into one leaf at level 4.
     coords = list(range(13)) + [28]
     ps = pointset_1d(coords)
     t = build_tree(ps, 0.5)
     chain_nodes = [v for v in range(t.node_count)
                    if len(t.members[v]) == 13 and 1 <= t.level[v] <= 4]
     assert len(chain_nodes) == 4
-    assert not any(t.edge_long[v] for v in chain_nodes)
-    longs = [(int(t.level[t.parent[v]]), int(t.level[v]), int(t.edge_len[v]))
-             for v in range(t.node_count) if t.edge_long[v]]
-    assert longs == [(4, 0, 5)]
+    assert not t.edge_long.any()
+    assert _leaf_levels(t) == [(1, 0)] * 13 + [(5, 4)]
     check_tree_invariants(t, ps)
 
 
