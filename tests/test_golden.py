@@ -144,32 +144,11 @@ def test_no_subtree_holds_a_single_point(name):
     assert (points[t.subtree_roots()[1:]] >= 2).all()
 
 
-def _case_digests():
-    """Every case's sketch bytes and all_pairs digest, built from scratch."""
-    out = {}
-    for name, build in CASES.items():
-        sketch = build()
-        out[name] = sketch.data, _sha(QueryContext(decode(sketch)).all_pairs())
-    return out
-
-
-def test_block_sizes_change_no_byte(monkeypatch):
-    # scaling the build must not change a byte: distance row blocks and
-    # codec chunks far smaller than the inputs give the same files and
-    # estimates
-    want = _case_digests()
-    monkeypatch.setattr(metric, "ROW_BLOCK", 3)
-    monkeypatch.setattr(bits, "CHUNK", 5)
-    assert _case_digests() == want
-
-
-if __name__ == "__main__":
-    # Print every digest as the code now computes it, in the dicts' own
-    # format, to re-capture them after a change meant to alter them:
-    #   PYTHONPATH=src python tests/test_golden.py
+def _current_digests() -> dict:
+    """Every digest above as the code now computes it, by dict name."""
     sketches = {name: build() for name, build in CASES.items()}
     contexts = {name: QueryContext(decode(sk)) for name, sk in sketches.items()}
-    current = {
+    return {
         "SKETCH_DIGESTS": {name: _sha(sk.data) for name, sk in sketches.items()},
         "ESTIMATE_DIGESTS": {name: _sha(ctx.all_pairs()) for name, ctx in contexts.items()},
         "SQUARED_DIGESTS": {name: _sha(contexts[name].all_pairs_squared())
@@ -178,7 +157,23 @@ if __name__ == "__main__":
             name: _sha(QueryContext(build_lp_sketch(ps, 0.1)).all_pairs())
             for name, ps in REFERENCE_INPUTS.items()},
     }
-    for title, digests in current.items():
+
+
+def test_block_sizes_change_no_byte(monkeypatch):
+    # scaling the build must not change a byte: distance row blocks and
+    # codec chunks far smaller than the inputs give the same files and
+    # estimates
+    want = _current_digests()
+    monkeypatch.setattr(metric, "ROW_BLOCK", 3)
+    monkeypatch.setattr(bits, "CHUNK", 5)
+    assert _current_digests() == want
+
+
+if __name__ == "__main__":
+    # Print every digest in the dicts' own format, to re-capture them after
+    # a change meant to alter them:
+    #   PYTHONPATH=src python tests/test_golden.py
+    for title, digests in _current_digests().items():
         print(f"{title} = {{")
         for name, digest in digests.items():
             print(f'    "{name}": "{digest}",')
