@@ -8,13 +8,13 @@ O(levels * n^2) time and several n^2 copies, so the library reads only the
 merges off one minimum spanning tree instead. `reference_compress` then
 walks each non-branching path of that per-level hierarchy and folds it into
 one leaf over a single point, or into a long edge where it qualifies, where
-the library makes each chain when it emits the merge node below it. `reference_ingresses` copies the rows and
-columns of each branching node's points to get its children's neighbor
-graph, where the library fills that graph while it reads the cross-child
-blocks for the diameters. `reference_landmarks` runs the greedy landmark
-rule node by node, where the library makes one bottom-up pass over the
-ingress layers. The tests use this module to check that both give identical
-results.
+the library makes each chain when it emits the merge node below it.
+`reference_ingresses` copies the rows and columns of each branching node's
+points to get its children's neighbor graph, where the library fills that
+graph while it reads the cross-child blocks for the diameters.
+`reference_landmarks` runs the greedy landmark rule node by node, where the
+library makes one bottom-up pass over the ingress layers. The tests use this
+module to check that both give identical results.
 """
 import math
 
@@ -97,9 +97,9 @@ def reference_compress(level, parent, children, members, delta, root, child_grap
     child) of a per-level hierarchy into one leaf v_0 where v_k is a point,
     else into a long edge v_0 -> v_k annotated with the length k, where
     k >= 2 and delta(v_k) <= 2^level(v_0) * eps; otherwise keep the path.
-    Returns the compressed tree's parent, edge_len
-    (0 for short edges), level, members, delta and child_graph in preorder,
-    children in ascending min member."""
+    Returns the compressed tree's parent, edge_len (0 for short edges),
+    level, members, delta and child_graph in preorder, children in
+    ascending min member."""
     out_parent: list[int] = []
     edge_len: list[int] = []
     raw_id: list[int] = []

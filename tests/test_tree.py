@@ -121,11 +121,6 @@ def test_landmarks_match_greedy_reference(name, ps):
         assert np.array_equal(t.landmark_units, t.s_units[t.landmarks])
 
 
-def _long_edges(t):
-    return [(int(t.level[t.parent[v]]), int(t.level[v]), int(t.edge_len[v]))
-            for v in range(t.node_count) if t.edge_long[v]]
-
-
 def _leaf_levels(t):
     """(level of the parent, level) of each point's leaf, in point order."""
     leaves = t.leaf_of_point()
@@ -136,7 +131,9 @@ def test_compression_on_three_points():
     t = build_tree(pointset_1d([0, 1, 10]), 0.5)
     # chain above the {0,1} merge compresses with annotated length 3; the
     # far point's 4-edge chain is one leaf right under the root
-    assert _long_edges(t) == [(3, 1, 3)]
+    longs = [(int(t.level[t.parent[v]]), int(t.level[v]), int(t.edge_len[v]))
+             for v in range(t.node_count) if t.edge_long[v]]
+    assert longs == [(3, 1, 3)]
     assert _leaf_levels(t) == [(1, 0), (1, 0), (4, 3)]
     assert t.node_count == 6
 
