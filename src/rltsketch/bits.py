@@ -61,19 +61,6 @@ class BitWriter:
             self._tail = bits[whole:]
             self.bit_length += int(w.sum())
 
-    def write_uint(self, value: int, width: int):
-        self.write_uint_array([value], width)
-
-    def write_bit(self, bit: int):
-        self.write_uint(bit & 1, 1)
-
-    def write_gamma(self, value: int):
-        """Elias-gamma code of value >= 1: floor(log2 v) zeros then v in binary,
-        i.e. v in 2*bitlen(v) - 1 bits."""
-        if value < 1:
-            raise ValueError("gamma codes require value >= 1")
-        self.write_uint(value, 2 * value.bit_length() - 1)
-
     def getvalue(self) -> bytes:
         return b"".join(self._packed) + np.packbits(self._tail).tobytes()
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .bits import BitReader, BitWriter, bit_length, width_for_bound, width_for_count
 from .metric import INF, PointSet, norm_root
-from .tree import EPS_EXPONENT, Augmentations, RelativeLocationTree, build_tree, tree_structure
+from .tree import (EPS_EXPONENT, Augmentations, RelativeLocationTree, build_tree, first_leaves,
+                   tree_structure)
 
 MAGIC = b"RLTS"
 VERSION = 1
@@ -119,10 +120,9 @@ def encode(t: RelativeLocationTree, aug: Augmentations | None = None) -> SketchB
     if flags and t.eps != EUCLIDEAN_TREE_EPS:
         raise ValueError("euclidean sketches require a tree built at eps = 1/2")
 
-    header_eps = t.header_eps if t.header_eps is not None else t.eps
-    eps_num = int(math.floor(header_eps * (1 << EPS_EXPONENT)))
+    eps_num = int(math.floor(t.header_eps * (1 << EPS_EXPONENT)))
     if not 0 < eps_num < (1 << 32):
-        raise ValueError(f"eps {header_eps} not representable")
+        raise ValueError(f"eps {t.header_eps} not representable")
 
     ids = np.arange(m)
     is_root = t.subtree_root == ids
@@ -292,10 +292,12 @@ def _decode(sketch: SketchBits) -> RelativeLocationTree:
 
     r = BitReader(*secs["centers"])
     center = r.read_uint_array(m, width_for_count(n))
-    leaf_centers = center[[not ch for ch in structure["children"]]]
+    leaf_centers = center[np.bincount(parent[1:], minlength=m) == 0]
     if (len(leaf_centers) != n or center.max() >= n
             or not np.array_equal(np.sort(leaf_centers), np.arange(n))):
         raise DecodeError("leaf centers are not a permutation of the points")
+    if np.any(center != center[first_leaves(parent)]):
+        raise DecodeError("an internal center is not its first leaf's point")
 
     r = BitReader(*secs["ingresses"])
     leaf_nodes = np.flatnonzero(is_leaf)
@@ -354,12 +356,10 @@ def _decode(sketch: SketchBits) -> RelativeLocationTree:
         aug = Augmentations(*mats)
 
     return RelativeLocationTree(
-        n=n, d=d, p=p, eps=tree_eps, scale_exponent=scale_exp,
-        phi_exponent=phi_exp, parent=parent, edge_long=edge_long, edge_len=edge_len,
+        n=n, d=d, p=p, eps=tree_eps, header_eps=header_eps, scale_exponent=scale_exp,
+        parent=parent, edge_long=edge_long, edge_len=edge_len,
         **structure, center=center, ingress=ingress, g=g, eta=eta, eta_eps=eta_eps,
-        landmarks=landmarks, landmark_units=landmark_units, K=K,
-        flags_euclidean=bool(flags & FLAG_EUCLIDEAN), augmentations=aug,
-        header_eps=header_eps,
+        landmarks=landmarks, landmark_units=landmark_units, K=K, augmentations=aug,
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .codec import SketchBits, decode
 from .metric import lp_norm, pairwise_distances
-from .tree import RelativeLocationTree, ingress_layers
+from .tree import RelativeLocationTree, surrogate_units
 
 
 class QueryContext:
@@ -167,7 +167,7 @@ class QueryContext:
         """Unbiased randomized stand-in for point i relative to subtree root r,
         in the sketch's (projected, scaled) coordinate space."""
         t = self.tree
-        if not t.flags_euclidean or t.augmentations is None:
+        if not t.flags_euclidean:
             raise ValueError("probabilistic surrogates require a Euclidean sketch")
         if copy not in (1, 2):
             raise ValueError("copy must be 1 or 2")
@@ -180,7 +180,7 @@ class QueryContext:
     def inner_estimate(self, i: int, j: int) -> float:
         """Unclamped squared-distance estimate Z1.Z2 (original units squared)."""
         t = self.tree
-        if not t.flags_euclidean or t.augmentations is None:
+        if not t.flags_euclidean:
             raise ValueError("euclidean estimation requires a Euclidean sketch")
         ci, a, cj, b = self._common(i, j)
         z1 = self._x_units(ci, a, 1) - self._x_units(cj, b, 1)
@@ -200,14 +200,12 @@ class QueryContext:
     # -- bulk all-pairs -------------------------------------------------------
 
     def _bulk_inputs(self):
-        """Every node's _s_units from one replay of the ingress layers (exact:
-        integers below 2^53); every point's chain of (subtree root, entry leaf)
-        pairs, bottom-up, one array step per nesting level; and the positions of
-        each subtree with two or more leaves, in runs by (root depth, root, point)."""
+        """Every node's _s_units; every point's chain of (subtree root, entry
+        leaf) pairs, bottom-up, one array step per nesting level; and the
+        positions of each subtree with two or more leaves, in runs by (root
+        depth, root, point)."""
         t = self.tree
-        s = np.zeros((t.node_count, t.d))
-        for vs in ingress_layers(t)[1:]:
-            s[vs] = s[t.ingress[vs]] + np.ldexp(1.0, t.level[vs])[:, None] * t.eta[vs]
+        s = surrogate_units(t)
         pt, e, chain = np.arange(t.n), self.leaf_of, []
         while len(pt):
             chain.append((pt, e))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .codec import EUCLIDEAN_TREE_EPS, SketchBits, corner_bound, encode
 from .metric import PointSet, lp_norms, norm_root, randomized_grid_round, scale_points
-from .tree import Augmentations, RelativeLocationTree, build_tree, quantize_eps
+from .tree import Augmentations, RelativeLocationTree, build_tree, quantize_eps, surrogate_units
 
 
 @dataclass
@@ -75,7 +75,7 @@ def build_augmentations(
 
     leaves = np.flatnonzero(tree.is_subtree_leaf)  # in leaf_row order
     unit = 1.0 / dp
-    s_star = points[tree.center[tree.subtree_root[leaves]]] + tree.s_units[leaves] * unit
+    s_star = points[tree.center[tree.subtree_root[leaves]]] + surrogate_units(tree)[leaves] * unit
     a1, a2 = corners("surrogate", leaves, points[tree.center[leaves]] - s_star,
                      np.ldexp(1.0, tree.level[leaves]))
 
@@ -87,7 +87,7 @@ def build_augmentations(
     b1, b2 = corners("long-edge", nodes, points[tree.center[nodes]] - points[tree.center[u]],
                      np.ldexp(1.0, tree.level[u]))
 
-    return Augmentations(a1=a1, a2=a2, b1=b1, b2=b2, sigma1=sigma1, sigma2=sigma2)
+    return Augmentations(a1=a1, a2=a2, b1=b1, b2=b2)
 
 
 def build_euclidean_sketch(ps: PointSet, eps: float, seed: int) -> SketchBits:
@@ -103,7 +103,6 @@ def build_euclidean_sketch(ps: PointSet, eps: float, seed: int) -> SketchBits:
     seed_mat, seed_s1, seed_s2 = seq.spawn(3)
     proj = jl_transform(ps, JlConfig(target_dim=dprime, seed=seed_mat))
     tree = build_tree(proj, EUCLIDEAN_TREE_EPS)
-    tree.flags_euclidean = True
     tree.header_eps = eps_d
     sigma1 = np.random.default_rng(seed_s1).random(dprime)
     sigma2 = np.random.default_rng(seed_s2).random(dprime)

@@ -107,6 +107,9 @@ def ingest_points(path: str, format: str = "text", p=2) -> PointSet:
 
 # -- general metrics ----------------------------------------------------------
 
+TRIANGLE_CHECK_MAX_N = 500  # the O(n^3) triangle check runs up to this n
+
+
 @dataclass(eq=False)
 class GeneralMetric:
     """A finite metric given by its distance matrix (entries in [1, phi])."""
@@ -114,7 +117,7 @@ class GeneralMetric:
     n: int
     matrix: np.ndarray
 
-    def validate(self, check_triangle: bool | None = None):
+    def validate(self):
         m = self.matrix
         if m.shape != (self.n, self.n):
             raise InputError("metric matrix shape mismatch")
@@ -127,9 +130,7 @@ class GeneralMetric:
         off = m[~np.eye(self.n, dtype=bool)]
         if off.size and off.min() < 1.0:
             raise InputError("metric distances must be >= 1")
-        if check_triangle is None:
-            check_triangle = self.n <= 500  # O(n^3); gated for larger inputs
-        if check_triangle:
+        if self.n <= TRIANGLE_CHECK_MAX_N:
             for k in range(self.n):
                 if np.any(m > m[:, k][:, None] + m[k, :][None, :] + 1e-9):
                     raise InputError("triangle inequality violated")

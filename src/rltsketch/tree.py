@@ -20,15 +20,16 @@ spanning trees are built; no per-node copy of the members' distances is
 made.
 
 Layout: a tree is a set of flat arrays indexed by node id in preorder (root
-0). Its shape is `parent`, `edge_long` and `edge_len` plus the root level;
-`tree_structure` derives everything else from them (children, depth, levels,
-subtree roots, the subtree leaves L(T), and the row of each subtree leaf and
-of each long-edge corner node), for built and decoded trees alike. Each
-annotation is one array: `center`, `ingress`, `g`, and the (m, d) int64
-matrices `eta` (rows meaningful where subtree_root[v] != v) and `eta_eps`
-(rows meaningful at subtree leaves that are not subtree roots), zero
-elsewhere. Landmarks are the sorted node ids `landmarks`, with their shifted
-surrogates in the rows of `landmark_units`.
+0), the same for built and decoded trees. Its shape is `parent`, `edge_long`
+and `edge_len` plus the root level; `tree_structure` derives everything else
+(depth, levels, subtree roots, the subtree leaves L(T), and the row of each
+subtree leaf and of each long-edge corner node). Each annotation is one
+array: `center`, `ingress`, `g`, and the (m, d) int64 matrices `eta` (rows
+meaningful where subtree_root[v] != v) and `eta_eps` (rows meaningful at
+subtree leaves that are not subtree roots), zero elsewhere. Landmarks are
+the sorted node ids `landmarks`, with their shifted surrogates in the rows
+of `landmark_units`. The builder's hierarchy stays outside the tree: the
+stages read it through `src[v]`, the merge node each tree node stands for.
 
 Order: the builder's one order is the ingress layers (`ingress_layers`).
 Layer 0 holds the subtree roots and layer k the nodes whose ingress is in
@@ -71,16 +72,12 @@ class Augmentations:
     per subtree leaf (surrogate displacement), plus corners for the long-edge
     displacement at every long-edge corner node (a subtree leaf whose subtree
     hangs under a long edge). Rows follow the tree's leaf_row and corner_row.
-
-    The shift vectors sigma1/sigma2 are transient and never serialized.
     """
 
     a1: np.ndarray  # (|L|, d) int64 corner coords, copy 1
     a2: np.ndarray
     b1: np.ndarray  # (corner nodes, d) int64
     b2: np.ndarray
-    sigma1: np.ndarray | None = None
-    sigma2: np.ndarray | None = None
 
 
 def _rank(mask: np.ndarray) -> np.ndarray:
@@ -93,21 +90,19 @@ def _rank(mask: np.ndarray) -> np.ndarray:
 def tree_structure(parent: np.ndarray, edge_long: np.ndarray, edge_len: np.ndarray,
                    root_level: int) -> dict:
     """Every field derived from the shape of a preorder tree (parent[v] < v):
-    children (ascending), depth, level (a long edge spans edge_len - 1
-    levels, a short one 1), subtree_root (the root and long-edge bottoms
-    start subtrees), is_subtree_leaf (no short-edge children: L(T)), and the
-    rows of the subtree leaves and of the long-edge corner nodes (subtree
-    leaves outside the root's subtree), -1 elsewhere.
+    depth, level (a long edge spans edge_len - 1 levels, a short one 1),
+    subtree_root (the root and long-edge bottoms start subtrees),
+    is_subtree_leaf (no short-edge children: L(T)), and the rows of the
+    subtree leaves and of the long-edge corner nodes (subtree leaves outside
+    the root's subtree), -1 elsewhere.
     """
     m = len(parent)
     par, long_, length = parent.tolist(), edge_long.tolist(), edge_len.tolist()
-    children: list[list[int]] = [[] for _ in range(m)]
     depth = [0] * m
     level = [int(root_level)] * m
     sub = list(range(m))
     for v in range(1, m):
         u = par[v]
-        children[u].append(v)
         depth[v] = depth[u] + 1
         if long_[v]:
             level[v] = level[u] - (length[v] - 1)
@@ -118,7 +113,6 @@ def tree_structure(parent: np.ndarray, edge_long: np.ndarray, edge_len: np.ndarr
     is_leaf = np.ones(m, dtype=bool)
     is_leaf[parent[1:][~edge_long[1:]]] = False
     return dict(
-        children=children,
         depth=np.array(depth, dtype=np.int64),
         level=np.array(level, dtype=np.int64),
         subtree_root=subtree_root,
@@ -128,28 +122,36 @@ def tree_structure(parent: np.ndarray, edge_long: np.ndarray, edge_len: np.ndarr
     )
 
 
+def first_leaves(parent: np.ndarray) -> np.ndarray:
+    """The first leaf at or after each node in preorder, its first leaf: its
+    subtree is a run of ids. Children ascend by min member, so that leaf's
+    point is the node's min member, which is its center."""
+    m = len(parent)
+    leaves = np.flatnonzero(np.bincount(parent[1:], minlength=m) == 0)
+    return leaves[np.searchsorted(leaves, np.arange(m))]
+
+
 @dataclass(eq=False)
 class RelativeLocationTree:
     """Compressed, annotated tree in the flat layout of the module docstring.
-    Children keep construction order (ascending center index).
-
-    Decoded trees carry the same annotation fields but no point-side data
-    (members, delta, s_units, child_graph are None).
+    Built and decoded trees carry the same fields, all stored in the file
+    or derived from it; nothing about the points beyond the annotations.
     """
 
     n: int
     d: int
     p: object
     eps: float  # dyadic
+    # query-time eps from the header; equals eps for the lp flavor, the user's
+    # eps (not the fixed tree constant) for the Euclidean flavor
+    header_eps: float
     scale_exponent: int
-    phi_exponent: int
 
     parent: np.ndarray  # int64, -1 at root
     edge_long: np.ndarray  # bool: the edge above this node is long
     edge_len: np.ndarray  # int64: annotated original path length k (0 if short)
 
     # derived by tree_structure
-    children: list[list[int]]
     depth: np.ndarray  # int64
     level: np.ndarray  # int64
     subtree_root: np.ndarray  # int64
@@ -167,17 +169,15 @@ class RelativeLocationTree:
     landmark_units: np.ndarray  # (len(landmarks), d) integer-valued float64 s(v) units
     K: int
 
-    flags_euclidean: bool = False
-    augmentations: Augmentations | None = None
-    # query-time eps from the header; equals eps for the lp flavor, the user's
-    # eps (not the fixed tree constant) for the Euclidean flavor
-    header_eps: float | None = None
+    augmentations: Augmentations | None = None  # the Euclidean flavor's corners
 
-    # builder-side only (None on decoded trees)
-    members: list[np.ndarray] | None = None
-    delta: np.ndarray | None = None
-    s_units: np.ndarray | None = None  # (m, d) shifted surrogates, d^(-1/p) units
-    child_graph: list[np.ndarray | None] | None = None  # of the short children
+    @property
+    def phi_exponent(self) -> int:
+        return int(self.level[0])
+
+    @property
+    def flags_euclidean(self) -> bool:
+        return self.augmentations is not None
 
     @property
     def node_count(self) -> int:
@@ -315,7 +315,7 @@ def build_hierarchy(ps: PointSet) -> Merges:
     return Merges(level, children, members, delta, child_graph)
 
 
-def compress_paths(h: Merges, ps: PointSet, eps: float) -> RelativeLocationTree:
+def compress_paths(h: Merges, ps: PointSet, eps: float) -> tuple[RelativeLocationTree, np.ndarray]:
     """The compressed tree in preorder. Below a merge node at level l, a
     child c idles at levels level(c)..l - 1, a non-branching path of
     k = l - level(c) edges. A single point is one leaf at level l - 1,
@@ -323,13 +323,13 @@ def compress_paths(h: Merges, ps: PointSet, eps: float) -> RelativeLocationTree:
     Otherwise, where k >= 2 and delta(c) <= 2^(l-1) * eps, the path becomes
     a long edge from a node at level l - 1 down to c, annotated with its
     length k, so the subtree-leaf diameter bound holds with no slack; else
-    it stays k - 1 unary nodes above c. Chain nodes carry c's members and
-    delta. Returns the unannotated tree over ps.
+    it stays k - 1 unary nodes above c. Returns the unannotated tree over ps
+    and src: the merge node of h each tree node stands for, c for every node
+    of c's chain, so a leaf's src is its point.
     """
     root = len(h.level) - 1
     parent, edge_len = [-1], [0]  # edge_len 0 for short edges
-    src = [root]  # the merge node each tree node takes members and delta of
-    graph = [h.child_graph[root]]
+    src = [root]
     stack = [(c, 0) for c in reversed(h.children[root])]
     while stack:
         c, par = stack.pop()
@@ -345,20 +345,17 @@ def compress_paths(h: Merges, ps: PointSet, eps: float) -> RelativeLocationTree:
             parent.append(par)
             edge_len.append(length)
             src.append(c)
-            graph.append(None)
             par = len(parent) - 1
-        graph[-1] = h.child_graph[c]
         stack.extend((ch, par) for ch in reversed(h.children[c]))
 
     m = len(parent)
     parent_a = np.array(parent, dtype=np.int64)
     edge_len_a = np.array(edge_len, dtype=np.int64)
     edge_long = edge_len_a > 0
-    root_level = h.level[root]
-    return RelativeLocationTree(
-        n=ps.n, d=ps.d, p=ps.p, eps=eps, scale_exponent=ps.scale_exponent,
-        phi_exponent=root_level, parent=parent_a, edge_long=edge_long, edge_len=edge_len_a,
-        **tree_structure(parent_a, edge_long, edge_len_a, root_level),
+    t = RelativeLocationTree(
+        n=ps.n, d=ps.d, p=ps.p, eps=eps, header_eps=eps, scale_exponent=ps.scale_exponent,
+        parent=parent_a, edge_long=edge_long, edge_len=edge_len_a,
+        **tree_structure(parent_a, edge_long, edge_len_a, h.level[root]),
         center=np.full(m, -1, dtype=np.int64),
         ingress=np.full(m, -1, dtype=np.int64),
         g=np.zeros(m, dtype=np.int64),
@@ -367,20 +364,17 @@ def compress_paths(h: Merges, ps: PointSet, eps: float) -> RelativeLocationTree:
         landmarks=np.zeros(0, dtype=np.int64),
         landmark_units=np.zeros((0, ps.d)),
         K=0,
-        members=[h.members[v] for v in src],
-        child_graph=graph,
-        delta=np.array(h.delta, dtype=np.float64)[src],
-        s_units=np.zeros((m, ps.d)),
     )
+    return t, np.array(src, dtype=np.int64)
 
 
-def assign_centers(t: RelativeLocationTree):
-    """Leaf of x_i gets center i; internal nodes the min of children's centers,
-    which is their min member, as children partition the parent's members."""
-    t.center[:] = [int(mem[0]) for mem in t.members]  # members are sorted
+def assign_centers(t: RelativeLocationTree, src: np.ndarray):
+    """Each node's center is the point of its first leaf in preorder, its
+    min member (first_leaves)."""
+    t.center[:] = src[first_leaves(t.parent)]
 
 
-def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
+def assign_ingresses(t: RelativeLocationTree, ps: PointSet, h: Merges, src: np.ndarray):
     """Per subtree: the root is its own ingress; each child holding its
     parent's center points to the parent; every other child points to the
     entry leaf (in this subtree) of the nearest point in its spanning-tree
@@ -389,7 +383,9 @@ def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
     The spanning tree is a BFS of the children's neighbor graph (clusters
     within 2^level), which build_hierarchy filled in its one read of the
     cross-child blocks; only the block of each child against its
-    spanning-tree parent is read again here.
+    spanning-tree parent is read again here. A node with two or more short
+    children is the bottom of its merge node's chain, so its children are
+    that merge's, in order.
     """
     dm = ps.distance_matrix()
     leaf_of = t.leaf_of_point()
@@ -397,18 +393,18 @@ def assign_ingresses(t: RelativeLocationTree, ps: PointSet):
     roots = t.subtree_roots()
     t.ingress[roots] = roots
 
-    for v in range(t.node_count):
-        us = [c for c in t.children[v] if not t.edge_long[c]]
-        if not us:
-            continue
+    short = np.flatnonzero(~t.edge_long[1:]) + 1
+    short = short[np.argsort(t.parent[short], kind="stable")]
+    for v, us in groupby(short.tolist(), key=t.parent.tolist().__getitem__):
+        us = list(us)
         if t.center[us[0]] != t.center[v]:
             raise AssertionError("first child must hold the parent's center")
         k = len(us)
         if k == 1:
             t.ingress[us[0]] = v
             continue
-        adj = t.child_graph[v]
-        blocks = [t.members[u] for u in us]
+        adj = h.child_graph[src[v]]
+        blocks = [h.members[src[u]] for u in us]
 
         # BFS spanning tree rooted at the center-holding child, neighbors in
         # ascending child index for determinism
@@ -456,21 +452,36 @@ def ingress_layers(t: RelativeLocationTree) -> list[np.ndarray]:
     return layers
 
 
-def compute_surrogates(t: RelativeLocationTree, ps: PointSet, eps: float):
+def surrogate_units(t: RelativeLocationTree) -> np.ndarray:
+    """(m, d) shifted surrogates in grid units d^(-1/p), replayed from the
+    tree alone, one array step per ingress layer: s(v) = s(ingress(v)) +
+    2^level(v) eta(v), zero at the subtree roots. Integers below 2^53, so
+    exact, and equal to the ones compute_surrogates accumulates."""
+    s = np.zeros((t.node_count, t.d))
+    for vs in ingress_layers(t)[1:]:
+        s[vs] = s[t.ingress[vs]] + np.ldexp(1.0, t.level[vs])[:, None] * t.eta[vs]
+    return s
+
+
+def compute_surrogates(t: RelativeLocationTree, ps: PointSet, h: Merges,
+                       src: np.ndarray) -> np.ndarray:
     """Layer by layer over the ingress forest: quantize each center's
     displacement from its ingress surrogate onto the grid net (coarse
     everywhere, fine at subtree leaves) and accumulate shifted surrogates in
-    exact grid units. The roots' surrogates are their centers (s_units 0).
+    exact grid units. The roots' surrogates are their centers (units 0).
+    Returns the (m, d) shifted surrogates, as surrogate_units replays them.
     """
     x = ps.points
     unit = 1.0 / norm_root(t.d, t.p)
+    delta = np.array(h.delta)[src]
+    s = np.zeros((t.node_count, t.d))
     for vs in ingress_layers(t)[1:]:
         two_l = np.ldexp(1.0, t.level[vs])
-        g = 5 + np.ceil(t.delta[vs] / two_l).astype(np.int64)
+        g = 5 + np.ceil(delta[vs] / two_l).astype(np.int64)
         t.g[vs] = g
         gamma = 1.0 / g
         inn = t.ingress[vs]
-        s_in = x[t.center[t.subtree_root[vs]]] + t.s_units[inn] * unit
+        s_in = x[t.center[t.subtree_root[vs]]] + s[inn] * unit
         eta_star = (x[t.center[vs]] - s_in) * (gamma / two_l)[:, None]
         nrm = lp_norms(eta_star, t.p)
         if np.any(nrm > 1.0 + 1e-9):
@@ -478,22 +489,23 @@ def compute_surrogates(t: RelativeLocationTree, ps: PointSet, eps: float):
             raise AssertionError(
                 f"displacement norm {nrm[bad]} > 1 at node {vs[bad]} (ingress/level bug)")
         t.eta[vs] = round_to_net(eta_star, gamma, t.p)
-        t.s_units[vs] = t.s_units[inn] + two_l[:, None] * t.eta[vs].astype(np.float64)
+        s[vs] = s[inn] + two_l[:, None] * t.eta[vs].astype(np.float64)
         fine = t.is_subtree_leaf[vs]
-        t.eta_eps[vs[fine]] = round_to_net(eta_star[fine], gamma[fine] * eps, t.p)
+        t.eta_eps[vs[fine]] = round_to_net(eta_star[fine], gamma[fine] * t.eps, t.p)
 
-    if np.abs(t.s_units).max(initial=0.0) >= math.pow(2.0, 53):
+    if np.abs(s).max(initial=0.0) >= math.pow(2.0, 53):
         raise OverflowError("surrogate units exceed exact float64 integer range")
+    return s
 
 
-def select_landmarks(t: RelativeLocationTree, K: int):
+def select_landmarks(t: RelativeLocationTree, K: int, s: np.ndarray):
     """Bottom-up over the ingress layers: reach[v] counts the ingress hops
     down to the farthest node below v that no stored node covers yet. Store
     v when that reaches K, or when v is a subtree root; otherwise pass
     reach + 1 up to v's ingress. Every node then reaches a stored surrogate
     or its subtree root within K ingress hops. This stores the nodes that
     the greedy "climb K hops from a deepest uncovered node, store, drop its
-    ingress descendants" stores.
+    ingress descendants" stores. s holds every node's shifted surrogate.
     """
     t.K = K
     layers = ingress_layers(t)
@@ -506,7 +518,7 @@ def select_landmarks(t: RelativeLocationTree, K: int):
         rest = vs[~full]
         np.maximum.at(reach, t.ingress[rest], reach[rest] + 1)
     t.landmarks = np.flatnonzero(store)
-    t.landmark_units = t.s_units[t.landmarks]
+    t.landmark_units = s[t.landmarks]
 
 
 def landmark_step_budget(phi: float, d: int, p) -> int:
@@ -516,10 +528,10 @@ def landmark_step_budget(phi: float, d: int, p) -> int:
 
 def build_tree(ps: PointSet, eps: float) -> RelativeLocationTree:
     """Full construction over a scaled point set; eps is quantized to dyadic."""
-    eps_d = quantize_eps(eps)
-    t = compress_paths(build_hierarchy(ps), ps, eps_d)
-    assign_centers(t)
-    assign_ingresses(t, ps)
-    compute_surrogates(t, ps, eps_d)
-    select_landmarks(t, landmark_step_budget(ps.phi, ps.d, ps.p))
+    h = build_hierarchy(ps)
+    t, src = compress_paths(h, ps, quantize_eps(eps))
+    assign_centers(t, src)
+    assign_ingresses(t, ps, h, src)
+    s = compute_surrogates(t, ps, h, src)
+    select_landmarks(t, landmark_step_budget(ps.phi, ps.d, ps.p), s)
     return t

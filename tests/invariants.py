@@ -2,7 +2,9 @@
 
 Every check recomputes its quantities from the raw points and the finished
 tree (brute force where the bound is about the metric), independently of the
-construction path.
+construction path: a node's members are the points of the leaves below it,
+its diameter the largest distance among them, and the shifted surrogates
+are replayed from the tree's annotations.
 """
 from __future__ import annotations
 
@@ -12,14 +14,40 @@ import numpy as np
 
 from rltsketch.estimator import QueryContext
 from rltsketch.metric import PointSet, lp_distance, lp_norm, norm_root
-from rltsketch.tree import RelativeLocationTree, ingress_layers
+from rltsketch.tree import RelativeLocationTree, ingress_layers, surrogate_units
 
 
-def fine_surrogate_units(t: RelativeLocationTree, v: int) -> np.ndarray:
-    """Shifted fine surrogate in grid units: one fine increment on the coarse
-    prefix (the fine net is not accumulated inductively)."""
+def fine_surrogate_units(t: RelativeLocationTree, s: np.ndarray, v: int) -> np.ndarray:
+    """Shifted fine surrogate in grid units, given the coarse ones s
+    (surrogate_units): one fine increment on the coarse prefix (the fine net
+    is not accumulated inductively)."""
     inn = int(t.ingress[v])
-    return t.s_units[inn] + (math.pow(2.0, int(t.level[v])) * t.eps) * t.eta_eps[v]
+    return s[inn] + (math.pow(2.0, int(t.level[v])) * t.eps) * t.eta_eps[v]
+
+
+def tree_children(t: RelativeLocationTree) -> list[list[int]]:
+    """Each node's children, ascending."""
+    children: list[list[int]] = [[] for _ in range(t.node_count)]
+    for v, u in enumerate(t.parent[1:].tolist(), 1):
+        children[u].append(v)
+    return children
+
+
+def node_members(t: RelativeLocationTree) -> list[np.ndarray]:
+    """Each node's points, sorted: the centers of the leaves below it. A
+    node's subtree is the run of preorder ids from the node on, as long as
+    its subtree size."""
+    m = t.node_count
+    size = np.ones(m, dtype=np.int64)
+    for v in range(m - 1, 0, -1):
+        size[t.parent[v]] += size[v]
+    is_leaf = np.bincount(t.parent[1:], minlength=m) == 0
+    return [np.sort(t.center[v:v + size[v]][is_leaf[v:v + size[v]]]) for v in range(m)]
+
+
+def node_diameters(members: list[np.ndarray], dm: np.ndarray) -> np.ndarray:
+    """Each node's diameter: the largest distance among its members."""
+    return np.array([dm[np.ix_(mem, mem)].max() for mem in members])
 
 
 def level_spans(t: RelativeLocationTree):
@@ -32,12 +60,12 @@ def level_spans(t: RelativeLocationTree):
     return lo, hi
 
 
-def level_partitions(t: RelativeLocationTree):
+def level_partitions(t: RelativeLocationTree, members: list[np.ndarray]):
     """Point labels for every hierarchy level, reconstructed from the
     compressed tree's level spans."""
     labels = np.full((int(t.phi_exponent) + 1, t.n), -1, dtype=np.int64)
     for v, (lo, hi) in enumerate(zip(*level_spans(t))):
-        labels[lo:hi + 1, t.members[v]] = v
+        labels[lo:hi + 1, members[v]] = v
     assert (labels >= 0).all(), "levels do not cover all points"
     return labels
 
@@ -46,12 +74,14 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
     """Raises AssertionError with a named bound on any violation."""
     n, x, eps = t.n, ps.points, t.eps
     dm = ps.distance_matrix()
+    children, members = tree_children(t), node_members(t)
+    delta, s = node_diameters(members, dm), surrogate_units(t)
 
     # structure: children partition parents, levels decrease correctly
     for v in range(t.node_count):
-        if t.children[v]:
-            parts = np.sort(np.concatenate([t.members[c] for c in t.children[v]]))
-            assert np.array_equal(parts, t.members[v]), "children do not partition parent"
+        if children[v]:
+            parts = np.sort(np.concatenate([members[c] for c in children[v]]))
+            assert np.array_equal(parts, members[v]), "children do not partition parent"
         if t.parent[v] >= 0:
             gap = int(t.level[t.parent[v]]) - int(t.level[v])
             if t.edge_long[v]:
@@ -61,7 +91,7 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
 
     # separation: distinct clusters at level l are >= 2^l apart
     if full_separation and n > 1:
-        labels = level_partitions(t)
+        labels = level_partitions(t, members)
         for lvl in range(labels.shape[0]):
             lab = labels[lvl]
             cross = lab[:, None] != lab[None, :]
@@ -72,7 +102,7 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
     # levels of its span, each with diameter delta(v);
     # sum_{l=lo}^{hi} 2^-l = 2^(1-lo) - 2^-hi
     lo, hi = level_spans(t)
-    budget = float(np.sum(t.delta * (np.ldexp(2.0, -lo) - np.ldexp(1.0, -hi))))
+    budget = float(np.sum(delta * (np.ldexp(2.0, -lo) - np.ldexp(1.0, -hi))))
     assert budget <= 4.0 * n, "hierarchy diameter budget"
 
     # compressed tree size
@@ -80,27 +110,27 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
 
     # subtree leaves have small diameters
     for v in np.flatnonzero(t.is_subtree_leaf):
-        assert t.delta[v] <= math.pow(2.0, int(t.level[v])) * eps, "subtree-leaf diameter"
+        assert delta[v] <= math.pow(2.0, int(t.level[v])) * eps, "subtree-leaf diameter"
 
     # ingress distance and level bounds
     for v in range(t.node_count):
         inn = int(t.ingress[v])
         dist = lp_distance(x[t.center[v]], x[t.center[inn]], t.p)
-        assert dist <= 3.0 * math.pow(2.0, int(t.level[v])) + t.delta[v], "ingress distance"
+        assert dist <= 3.0 * math.pow(2.0, int(t.level[v])) + delta[v], "ingress distance"
         assert int(t.level[inn]) <= int(t.level[v]) + 1, "ingress level"
 
     # surrogate errors, net membership, and the shift identity
     for v in range(t.node_count):
         root = int(t.subtree_root[v])
         x_root = x[t.center[root]]
-        s_star = x_root + t.s_units[v] * t.unit()
+        s_star = x_root + s[v] * t.unit()
         err = lp_distance(x[t.center[v]], s_star, t.p)
         assert err <= math.pow(2.0, int(t.level[v])), "coarse surrogate error"
         if root != v:
             vec = t.eta[v] * ((1.0 / t.g[v]) * t.unit())  # coords * cell side
             assert lp_norm(vec, t.p) <= 2.0 + 1e-12, "net membership"
         if t.is_subtree_leaf[v] and root != v:
-            s_fine = x_root + fine_surrogate_units(t, v) * t.unit()
+            s_fine = x_root + fine_surrogate_units(t, s, v) * t.unit()
             err = lp_distance(x[t.center[v]], s_fine, t.p)
             assert err <= math.pow(2.0, int(t.level[v])) * eps, "fine surrogate error"
 
@@ -110,15 +140,15 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
 
     # centers: leaf rule and min-of-children recursion
     for v in range(t.node_count):
-        if t.children[v]:
-            assert t.center[v] == min(int(t.center[c]) for c in t.children[v]), "center recursion"
+        if children[v]:
+            assert t.center[v] == min(int(t.center[c]) for c in children[v]), "center recursion"
         else:
-            assert t.members[v].shape == (1,) and t.center[v] == t.members[v][0], "leaf center"
+            assert members[v].shape == (1,) and t.center[v] == members[v][0], "leaf center"
 
-    # decoded replay reproduces the builder's shifted surrogates exactly
+    # the query path's replay reproduces the layered replay exactly
     ctx = QueryContext(t, use_landmarks=True, memoize=True)
     for v in range(t.node_count):
-        assert np.array_equal(ctx._s_units(v), t.s_units[v]), "shifted surrogate replay"
+        assert np.array_equal(ctx._s_units(v), s[v]), "shifted surrogate replay"
 
     # literal-formula oracle: accumulating s*(v) = s*(in(v)) + (2^l/gamma)*eta
     # in plain float arithmetic agrees with the grid-unit accumulation
@@ -133,7 +163,7 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
                 gamma = 1.0 / float(t.g[v])
                 step = (math.pow(2.0, int(t.level[v])) / gamma) * (t.eta[v] * (gamma / dp))
                 s_alt[v] = s_alt[int(t.ingress[v])] + step
-            direct = x[t.center[r]] + t.s_units[v] * t.unit()
+            direct = x[t.center[r]] + s[v] * t.unit()
             np.testing.assert_allclose(s_alt[v], direct, rtol=1e-9, atol=1e-9,
                                        err_msg="literal surrogate recursion")
 

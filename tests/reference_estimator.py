@@ -15,6 +15,7 @@ the tree one parent at a time; the library reads the pair's lowest common
 subtree off the two points' subtree chains instead.
 """
 import numpy as np
+from invariants import tree_children
 
 from rltsketch.metric import pairwise_distances
 
@@ -22,11 +23,12 @@ from rltsketch.metric import pairwise_distances
 def points_under(t) -> list[np.ndarray]:
     """Point indices below each node (leaf centers of its T-subtree)."""
     pts: list = [None] * t.node_count
+    children = tree_children(t)
     for v in range(t.node_count - 1, -1, -1):
-        if not t.children[v]:
+        if not children[v]:
             pts[v] = np.array([t.center[v]], dtype=np.int64)
         else:
-            pts[v] = np.concatenate([pts[c] for c in t.children[v]])
+            pts[v] = np.concatenate([pts[c] for c in children[v]])
     return pts
 
 

@@ -22,6 +22,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from invariants import node_members, tree_children
+
 
 def cluster_min_matrix(dm: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-cluster-pair minimum point distance (diagonal holds in-cluster mins)."""
@@ -140,7 +142,7 @@ def reference_compress(level, parent, children, members, delta, root, child_grap
 
 
 def reference_ingresses(t, dm: np.ndarray):
-    """(graphs, ingress) of a built tree, from its shape and members alone:
+    """(graphs, ingress) of a built tree, from its shape and leaf centers alone:
     graphs maps every node with two or more short children to their neighbor
     graph (min distance between child clusters <= 2^level), and ingress
     follows `rltsketch.tree.assign_ingresses`."""
@@ -149,16 +151,17 @@ def reference_ingresses(t, dm: np.ndarray):
     roots = t.subtree_roots()
     ingress[roots] = roots
     leaf_of = t.leaf_of_point()
+    children, members = tree_children(t), node_members(t)
 
     for v in range(t.node_count):
-        us = [c for c in t.children[v] if not t.edge_long[c]]
+        us = [c for c in children[v] if not t.edge_long[c]]
         if not us:
             continue
         ingress[us[0]] = v
         k = len(us)
         if k == 1:
             continue
-        blocks = [t.members[u] for u in us]
+        blocks = [members[u] for u in us]
         starts = np.cumsum([0] + [len(b) for b in blocks])
         order_pts = np.concatenate(blocks)
         sub = dm[np.ix_(order_pts, order_pts)]

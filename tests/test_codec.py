@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,13 +33,17 @@ def random_pointset(rng, n, d, p, spread=100.0):
 
 # -- bit level ------------------------------------------------------------------
 
+def _gamma_width(v: int) -> int:
+    """Width of the Elias-gamma code of v >= 1: v written in 2*bitlen(v) - 1 bits."""
+    return 2 * v.bit_length() - 1
+
+
 def test_bit_roundtrip_scalar_and_array():
     w = BitWriter()
-    w.write_uint(5, 3)
-    w.write_bit(1)
+    w.write_uint_array([5], 3)
+    w.write_uint_array([1], 1)
     w.write_uint_array(np.array([0, 7, 3, 4]), 3)
-    w.write_gamma(1)
-    w.write_gamma(13)
+    w.write_uint_array([1, 13], [_gamma_width(1), _gamma_width(13)])
     payload = w.getvalue()
     r = BitReader(payload, w.bit_length)
     assert r.read_uint(3) == 5
@@ -54,11 +59,9 @@ def test_gamma_lengths():
     # value v costs 2*floor(log2 v) + 1 bits
     for v in (1, 2, 3, 4, 7, 8, 255, 256, 12345):
         w = BitWriter()
-        w.write_gamma(v)
+        w.write_uint_array([v], _gamma_width(v))
         assert w.bit_length == 2 * int(math.floor(math.log2(v))) + 1
         assert BitReader(w.getvalue(), w.bit_length).read_gamma() == v
-    with pytest.raises(ValueError):
-        BitWriter().write_gamma(0)
 
 
 def _packed(bitstring: str) -> bytes:
@@ -74,13 +77,13 @@ _width_and_value = st.integers(0, 64).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_width_and_value, max_size=40))
 def test_array_write_with_per_value_widths(pairs):
-    # one array write equals the per-value scalar writes and the plain binary
+    # one array write equals the per-value writes and the plain binary
     # strings, and one array read gives the values back
     widths = np.array([w for w, _ in pairs], dtype=np.int64)
     values = np.array([v for _, v in pairs], dtype=np.uint64)
     scalar = BitWriter()
     for w, v in pairs:
-        scalar.write_uint(v, w)
+        scalar.write_uint_array(np.array([v], dtype=np.uint64), w)
     array = BitWriter()
     array.write_uint_array(values, widths)
     expect = "".join(format(v, "b").zfill(w) if w else "" for w, v in pairs)
@@ -93,12 +96,10 @@ def test_array_write_with_per_value_widths(pairs):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, (1 << 32) - 1))  # codes of at most 63 bits
 def test_gamma_code_is_its_fixed_width_write(v):
-    gamma = BitWriter()
-    gamma.write_gamma(v)
     fixed = BitWriter()
-    fixed.write_uint(v, 2 * v.bit_length() - 1)
+    fixed.write_uint_array([v], _gamma_width(v))
     expect = "0" * (v.bit_length() - 1) + format(v, "b")
-    assert gamma.getvalue() == fixed.getvalue() == _packed(expect)
+    assert fixed.getvalue() == _packed(expect)
     assert BitReader(fixed.getvalue(), fixed.bit_length).read_gamma() == v
 
 
@@ -111,10 +112,10 @@ def test_array_calls_span_chunks_and_broadcast_row_widths():
     vals = np.where(row_w < 64, vals & ((np.uint64(1) << row_w.astype(np.uint64)) - 1), vals)
     vals[row_w[:, 0] == 0] = 0
     w = BitWriter()
-    w.write_uint(5, 3)
+    w.write_uint_array([5], 3)
     w.write_uint_array(vals, row_w)
     one_by_one = BitWriter()
-    one_by_one.write_uint(5, 3)
+    one_by_one.write_uint_array([5], 3)
     for row, wd in zip(vals, row_w[:, 0]):
         one_by_one.write_uint_array(row, wd)
     assert w.getvalue() == one_by_one.getvalue()
@@ -136,41 +137,22 @@ def test_width_helpers():
 # -- tree equality ---------------------------------------------------------------
 
 def assert_trees_equal(a, b):
-    assert a.n == b.n and a.d == b.d and a.p == b.p
-    assert a.eps == b.eps
-    assert (a.header_eps or a.eps) == (b.header_eps or b.eps)
-    assert a.scale_exponent == b.scale_exponent
-    assert a.phi_exponent == b.phi_exponent
-    assert np.array_equal(a.level, b.level)
-    assert np.array_equal(a.parent, b.parent)
-    assert a.children == b.children
-    assert np.array_equal(a.depth, b.depth)
-    assert np.array_equal(a.edge_long, b.edge_long)
-    assert np.array_equal(a.edge_len, b.edge_len)
-    assert np.array_equal(a.center, b.center)
-    assert np.array_equal(a.ingress, b.ingress)
-    assert np.array_equal(a.g, b.g)
-    assert np.array_equal(a.subtree_root, b.subtree_root)
-    assert np.array_equal(a.is_subtree_leaf, b.is_subtree_leaf)
-    assert np.array_equal(a.leaf_row, b.leaf_row)
-    assert np.array_equal(a.corner_row, b.corner_row)
-    assert np.array_equal(a.eta, b.eta)
-    assert np.array_equal(a.eta_eps, b.eta_eps)
-    assert np.array_equal(a.landmarks, b.landmarks)
-    assert np.array_equal(a.landmark_units, b.landmark_units)
-    assert a.K == b.K
-    assert a.flags_euclidean == b.flags_euclidean
-    if a.augmentations is not None or b.augmentations is not None:
-        ag, bg = a.augmentations, b.augmentations
-        assert np.array_equal(ag.a1, bg.a1) and np.array_equal(ag.a2, bg.a2)
-        assert np.array_equal(ag.b1, bg.b1) and np.array_equal(ag.b2, bg.b2)
+    """Every field of the two trees, and of their augmentations, is equal."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if dataclasses.is_dataclass(x) or dataclasses.is_dataclass(y):
+            assert_trees_equal(x, y)
+        elif isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray) and x.dtype == y.dtype, field.name
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
 
 
 def test_roundtrip_three_points():
     t = build_tree(pointset_1d([0, 1, 10]), 0.5)
-    dec = decode(encode(t))
-    assert_trees_equal(t, dec)
-    assert dec.members is None and dec.delta is None  # no raw point data
+    assert_trees_equal(t, decode(encode(t)))
 
 
 def test_roundtrip_single_point():
@@ -224,7 +206,6 @@ def test_roundtrip_euclidean_field_exact_vs_builder():
     dprime = target_dimension(ps.n, eps_d)
     proj = jl_transform(ps, JlConfig(dprime, seed_mat))
     tree = build_tree(proj, EUCLIDEAN_TREE_EPS)
-    tree.flags_euclidean = True
     tree.header_eps = eps_d
     sig1 = np.random.default_rng(seed_s1).random(dprime)
     sig2 = np.random.default_rng(seed_s2).random(dprime)
@@ -327,6 +308,17 @@ def test_decode_rejects_corruption():
         decode(SketchBits(sk.data[: len(sk.data) // 2]))
     with pytest.raises(DecodeError):
         decode(SketchBits(sk.data + b"\x00"))
+
+
+def test_decode_rejects_a_wrong_internal_center():
+    # an internal node's center is the point of its first leaf in preorder;
+    # encode writes whatever the tree holds, decode must refuse a mismatch
+    ps = random_pointset(np.random.default_rng(3), 40, 3, 2)
+    t = decode(build_lp_sketch(ps, 0.25))
+    assert 2 in t.parent and t.center[2] == 1  # node 2 is internal
+    t.center[2] = 2
+    with pytest.raises(DecodeError, match="center"):
+        decode(encode(t))
 
 
 def test_decode_survives_random_bit_flips():

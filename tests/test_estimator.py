@@ -12,7 +12,7 @@ from rltsketch.codec import build_lp_sketch, encode
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.metric import INF, pairwise_distances, scale_points
-from rltsketch.tree import build_tree
+from rltsketch.tree import build_tree, surrogate_units
 
 
 def pointset_1d(coords, p=2):
@@ -178,11 +178,12 @@ def test_estimate_equals_builder_fine_surrogate_difference():
         ps = random_pointset(rng, 24, 3, p)
         t = build_tree(ps, 0.2)
         ctx = QueryContext(encode(t))
+        s = surrogate_units(t)
         for _ in range(30):
             i, j = (int(x) for x in rng.choice(24, size=2, replace=False))
             ci, a, cj, b = ctx._common(i, j)
             vi, vj = ci[a][1], cj[b][1]
-            diff = fine_surrogate_units(t, vi) - fine_surrogate_units(t, vj)
+            diff = fine_surrogate_units(t, s, vi) - fine_surrogate_units(t, s, vj)
             want = (lp_norm(diff, p) * t.unit()) * math.ldexp(1.0, t.scale_exponent)
             assert ctx.estimate(i, j) == want
 
@@ -207,9 +208,10 @@ def test_shifted_surrogate_root_and_identity():
     for r in t.subtree_roots():
         assert np.all(ctx.shifted_surrogate(int(r)) == 0.0)
     # s(v) equals the builder-side surrogate minus the subtree root's center
+    s = surrogate_units(t)
     for v in range(t.node_count):
         x_root = ps.points[t.center[int(t.subtree_root[v])]]
-        s_star = x_root + t.s_units[v] * t.unit()
+        s_star = x_root + s[v] * t.unit()
         assert np.allclose(ctx.shifted_surrogate(v) + x_root, s_star, rtol=0, atol=0)
 
 

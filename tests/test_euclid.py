@@ -13,7 +13,7 @@ from rltsketch.euclid import (
     target_dimension,
 )
 from rltsketch.metric import pairwise_distances, scale_points
-from rltsketch.tree import build_tree
+from rltsketch.tree import build_tree, surrogate_units
 
 
 def random_pointset(rng, n, d, spread=100.0):
@@ -95,8 +95,19 @@ def _fixed_tree(seed=0, n=14, d=6, dprime=40):
     rng = np.random.default_rng(seed)
     ps = random_pointset(rng, n, d)
     proj = jl_transform(ps, JlConfig(dprime, 7))
+    return build_tree(proj, EUCLIDEAN_TREE_EPS), proj
+
+
+def _clustered_tree(seed=2, clusters=4, size=6, d=6, dprime=40):
+    """A tree over unit cubes of points in a row, 6 apart: each cube hangs
+    under a long edge (a point alone would be one leaf, with no corner), and
+    its diameter is near enough the long edge's cell for nonzero corners."""
+    rng = np.random.default_rng(seed)
+    centers = np.arange(clusters)[:, None] * np.full(d, 6.0 / math.sqrt(d))
+    pts = np.concatenate([c + rng.uniform(0, 1, size=(size, d)) for c in centers])
+    proj = jl_transform(scale_points(pts, 2), JlConfig(dprime, 7))
     tree = build_tree(proj, EUCLIDEAN_TREE_EPS)
-    tree.flags_euclidean = True
+    assert tree.edge_long.any()
     return tree, proj
 
 
@@ -122,6 +133,7 @@ def test_augmentation_corner_mean_matches_displacement():
     rng = np.random.default_rng(13)
     d = tree.d
     unit = tree.unit()
+    s = surrogate_units(tree)
     leaves = np.flatnonzero(tree.is_subtree_leaf)
     draws = 3000
     acc = np.zeros((len(leaves), d))
@@ -135,21 +147,14 @@ def test_augmentation_corner_mean_matches_displacement():
         v = int(v)
         root = int(tree.subtree_root[v])
         target = proj.points[tree.center[v]] - (
-            proj.points[tree.center[root]] + tree.s_units[v] * unit)
+            proj.points[tree.center[root]] + s[v] * unit)
         cell = math.pow(2.0, int(tree.level[v])) * unit
         se = cell * 0.5 / math.sqrt(draws)  # corner std is at most cell/2
         assert np.all(np.abs(acc[k] - target) <= 4 * se + 1e-12)
 
 
 def test_long_edge_corner_support_length():
-    # four tight clusters far apart: each hangs under a long edge (a point
-    # alone would be one leaf, with no corner)
-    rng = np.random.default_rng(2)
-    centers = rng.uniform(0, 1e4, size=(4, 6))
-    pts = np.concatenate([c + rng.uniform(0, 1, size=(6, 6)) for c in centers])
-    proj = jl_transform(scale_points(pts, 2), JlConfig(40, 7))
-    tree = build_tree(proj, EUCLIDEAN_TREE_EPS)
-    assert tree.edge_long.any()
+    tree, proj = _clustered_tree()
     rng = np.random.default_rng(17)
     d = tree.d
     samples = []
@@ -168,6 +173,7 @@ def test_corner_offsets_within_one_cell_of_unshifted_floor():
     rng = np.random.default_rng(41)
     d = tree.d
     unit = tree.unit()
+    s = surrogate_units(tree)
     aug = build_augmentations(tree, proj.points, rng.random(d), rng.random(d))
     leaves = np.flatnonzero(tree.is_subtree_leaf)
     for k, v in enumerate(leaves):
@@ -175,7 +181,7 @@ def test_corner_offsets_within_one_cell_of_unshifted_floor():
         root = int(tree.subtree_root[v])
         cell = math.pow(2.0, int(tree.level[v])) * unit
         y = proj.points[tree.center[v]] - (
-            proj.points[tree.center[root]] + tree.s_units[v] * unit)
+            proj.points[tree.center[root]] + s[v] * unit)
         base = np.floor(y / cell).astype(np.int64)
         for mat in (aug.a1, aug.a2):
             off = mat[k] - base
@@ -196,12 +202,13 @@ def test_copy_one_never_reads_copy_two():
 
 
 def test_copy_independence():
-    tree, proj = _fixed_tree(seed=3)
+    tree, proj = _clustered_tree(seed=3)
     rng = np.random.default_rng(19)
     d = tree.d
     s1 = rng.random(d)
     a = build_augmentations(tree, proj.points, s1, rng.random(d))
     b = build_augmentations(tree, proj.points, s1, rng.random(d))
+    assert a.b1.any()  # long-edge corners that are not all zero
     assert np.array_equal(a.a1, b.a1)
     assert np.array_equal(a.b1, b.b1)
     assert not np.array_equal(a.a2, b.a2)  # second copy saw a different shift
@@ -217,24 +224,20 @@ def test_euclidean_sketch_bytes_deterministic():
     assert a.data != c.data
 
 
-def test_sigmas_never_serialized():
-    rng = np.random.default_rng(23)
-    ps = random_pointset(rng, 10, 5)
-    sk = build_euclidean_sketch(ps, 0.3, seed=5)
-    dec = decode(sk)
-    assert dec.augmentations.sigma1 is None and dec.augmentations.sigma2 is None
-
-
 def test_probabilistic_surrogate_expectation_and_support():
-    tree, proj = _fixed_tree(seed=4, n=20)
+    # point 2 sits in a subtree below a long edge and is not its subtree's
+    # center, so its surrogate relative to the global root carries a
+    # long-edge corner of a nonzero displacement
+    tree, proj = _clustered_tree(seed=4)
     rng = np.random.default_rng(29)
     d = tree.d
     unit = tree.unit()
-    i = 0
+    i = 2
     draws = 2500
     vals = np.empty((draws, d))
     ctx0 = QueryContext(tree)
     chain = ctx0._chain(i)
+    assert len(chain) >= 2 and tree.center[chain[0][0]] != i
     r, v_i = chain[-1][0], chain[-1][1]  # topmost subtree (global root)
     for k in range(draws):
         tree.augmentations = build_augmentations(
@@ -256,7 +259,7 @@ def test_probabilistic_surrogate_requires_membership():
     ctx = QueryContext(tree)
     # a leaf holding a different point is never on point 0's subtree chain
     other = [v for v in range(tree.node_count)
-             if not tree.children[v] and tree.center[v] != 0][0]
+             if v not in tree.parent and tree.center[v] != 0][0]
     with pytest.raises(ValueError):
         ctx.probabilistic_surrogate(0, other, copy=1)
     with pytest.raises(ValueError):

@@ -3,16 +3,20 @@ import pytest
 
 from rltsketch.metric import INF, PointSet, scale_points
 from rltsketch.tree import (
+    assign_centers,
+    assign_ingresses,
     build_hierarchy,
     build_tree,
     compress_paths,
+    compute_surrogates,
     ingress_layers,
     landmark_step_budget,
     quantize_eps,
     select_landmarks,
+    surrogate_units,
 )
 
-from invariants import check_pair_floor, check_tree_invariants
+from invariants import check_pair_floor, check_tree_invariants, tree_children
 from reference_hierarchy import (
     reference_compress,
     reference_hierarchy,
@@ -27,6 +31,23 @@ def pointset_1d(coords, p=2):
 
 def random_pointset(rng, n, d, p, spread=100.0):
     return scale_points(rng.uniform(0.0, spread, size=(n, d)), p)
+
+
+def _built(ps, eps):
+    """build_tree's tree, the hierarchy, and the merge node each tree node
+    stands for (compress_paths' src)."""
+    h = build_hierarchy(ps)
+    t = build_tree(ps, eps)
+    _, src = compress_paths(h, ps, quantize_eps(eps))
+    assert len(src) == t.node_count
+    return t, h, src
+
+
+def _child_graphs(t, h, src):
+    """The neighbor graph of each node's children where it has two or more
+    (the bottom node of its merge chain), None elsewhere."""
+    wide = np.bincount(t.parent[1:], minlength=t.node_count) >= 2
+    return [h.child_graph[v] if w else None for v, w in zip(src.tolist(), wide)]
 
 
 def test_hierarchy_merge_schedule():
@@ -79,14 +100,15 @@ def test_hierarchy_matches_per_level_reference(name, ps):
     h = build_hierarchy(ps)
     for eps in (quantize_eps(0.1), 0.5):
         want = reference_compress(*raw, eps)
-        t = compress_paths(h, ps, eps)
+        t, src = compress_paths(h, ps, eps)
         for field in ("parent", "edge_len", "level"):
             assert np.array_equal(getattr(t, field), want[field])
-        assert np.array_equal(t.delta, want["delta"])  # exact float equality
-        assert len(t.members) == len(want["members"])
-        for got, exp in zip(t.members, want["members"]):
+        assert np.array_equal(np.array(h.delta)[src], want["delta"])  # exact float equality
+        members = [h.members[v] for v in src]
+        assert len(members) == len(want["members"])
+        for got, exp in zip(members, want["members"]):
             assert np.array_equal(got, exp) and got.dtype == exp.dtype
-        for got, exp in zip(t.child_graph, want["child_graph"]):
+        for got, exp in zip(_child_graphs(t, h, src), want["child_graph"]):
             assert (got is None and exp is None) or np.array_equal(got, exp)
 
 
@@ -100,13 +122,14 @@ def test_hierarchy_has_a_node_per_merge_only(name, ps):
 
 @pytest.mark.parametrize("name,ps", list(_reference_inputs()))
 def test_ingresses_match_dense_reference(name, ps):
-    t = build_tree(ps, 0.1)
+    t, h, src = _built(ps, 0.1)
+    child_graph = _child_graphs(t, h, src)
     graphs, ingress = reference_ingresses(t, ps.distance_matrix())
     for v in range(t.node_count):
         if v in graphs:
-            assert np.array_equal(t.child_graph[v], graphs[v])
+            assert np.array_equal(child_graph[v], graphs[v])
         else:
-            assert t.child_graph[v] is None
+            assert child_graph[v] is None
     assert np.array_equal(t.ingress, ingress)
 
 
@@ -114,11 +137,12 @@ def test_ingresses_match_dense_reference(name, ps):
 def test_landmarks_match_greedy_reference(name, ps):
     t = build_tree(ps, 0.1)
     assert np.array_equal(t.landmarks, reference_landmarks(t, t.K))
+    s = surrogate_units(t)
     # small budgets store landmarks below the subtree roots on these inputs
     for K in (1, 2, 3):
-        select_landmarks(t, K)
+        select_landmarks(t, K, s)
         assert np.array_equal(t.landmarks, reference_landmarks(t, K))
-        assert np.array_equal(t.landmark_units, t.s_units[t.landmarks])
+        assert np.array_equal(t.landmark_units, s[t.landmarks])
 
 
 def _leaf_levels(t):
@@ -162,9 +186,9 @@ def test_compression_boundary_preserves_leaf_diameter_bound():
     # chain still folds, into one leaf at level 4.
     coords = list(range(13)) + [28]
     ps = pointset_1d(coords)
-    t = build_tree(ps, 0.5)
+    t, h, src = _built(ps, 0.5)
     chain_nodes = [v for v in range(t.node_count)
-                   if len(t.members[v]) == 13 and 1 <= t.level[v] <= 4]
+                   if len(h.members[src[v]]) == 13 and 1 <= t.level[v] <= 4]
     assert len(chain_nodes) == 4
     assert not t.edge_long.any()
     assert _leaf_levels(t) == [(1, 0)] * 13 + [(5, 4)]
@@ -183,7 +207,7 @@ def test_tree_structure_matches_per_node_definitions():
         assert t.edge_long.any()
         leaves, corners = [], []
         for v in range(m):
-            assert t.children[v] == [c for c in range(m) if t.parent[c] == v]
+            children = [c for c in range(m) if t.parent[c] == v]
             path = [v]
             while t.parent[path[-1]] >= 0:
                 path.append(int(t.parent[path[-1]]))
@@ -192,7 +216,7 @@ def test_tree_structure_matches_per_node_definitions():
             assert t.level[v] == t.phi_exponent - sum(gaps)
             top = next((u for u in path if t.parent[u] < 0 or t.edge_long[u]))
             assert t.subtree_root[v] == top
-            is_leaf = all(t.edge_long[c] for c in t.children[v])
+            is_leaf = all(t.edge_long[c] for c in children)
             assert t.is_subtree_leaf[v] == is_leaf
             leaves += [v] if is_leaf else []
             corners += [v] if is_leaf and top != 0 else []
@@ -200,7 +224,7 @@ def test_tree_structure_matches_per_node_definitions():
         # the leaves found from the parent array are the childless nodes,
         # each holding its point as center
         leaf_of = t.leaf_of_point()
-        assert sorted(leaf_of.tolist()) == [v for v in range(m) if not t.children[v]]
+        assert sorted(leaf_of.tolist()) == [v for v in range(m) if v not in t.parent]
         assert np.array_equal(t.center[leaf_of], np.arange(t.n))
         for rows, nodes in ((t.leaf_row, leaves), (t.corner_row, corners)):
             expect = np.full(m, -1)
@@ -209,19 +233,21 @@ def test_tree_structure_matches_per_node_definitions():
 
 
 def test_centers():
-    t = build_tree(pointset_1d([3, 1, 10, 0]), 0.5)
+    t, h, src = _built(pointset_1d([3, 1, 10, 0]), 0.5)
+    children = tree_children(t)
     assert int(t.center[0]) == 0  # root holds the global minimum index
     for v in range(t.node_count):
-        if not t.children[v]:
-            assert t.center[v] == t.members[v][0]
+        if not children[v]:
+            assert t.center[v] == h.members[src[v]][0]
         else:
-            assert t.center[v] == min(int(t.center[c]) for c in t.children[v])
+            assert t.center[v] == min(int(t.center[c]) for c in children[v])
 
 
 def test_ingress_center_child_points_to_parent():
     t = build_tree(pointset_1d([0, 3]), 0.5)
+    children = tree_children(t)
     for v in range(t.node_count):
-        short = [c for c in t.children[v] if not t.edge_long[c]]
+        short = [c for c in children[v] if not t.edge_long[c]]
         for c in short:
             if t.center[c] == t.center[v]:
                 assert t.ingress[c] == v
@@ -232,7 +258,7 @@ def test_ingress_entry_leaf_case():
     # holding the closest point of the center child's cluster
     t = build_tree(pointset_1d([0, 3]), 0.5)
     leaf0 = [v for v in range(t.node_count)
-             if not t.children[v] and t.center[v] == 0][0]
+             if v not in t.parent and t.center[v] == 0][0]
     side = [v for v in range(t.node_count)
             if t.parent[v] == 0 and t.center[v] == 1][0]
     assert int(t.ingress[side]) == leaf0
@@ -254,23 +280,28 @@ def test_ingress_level_bound_and_order():
 
 def test_gamma_examples():
     # delta = 0 leaves get precision 1/5
-    t = build_tree(pointset_1d([0, 4]), 0.5)
+    t, h, src = _built(pointset_1d([0, 4]), 0.5)
     for v in range(t.node_count):
-        if t.subtree_root[v] != v and t.delta[v] == 0.0:
+        if t.subtree_root[v] != v and h.delta[src[v]] == 0.0:
             assert t.g[v] == 5
     # a unit chain {0..5} merges at level 1 with diameter 5: ceil(5/2) = 3 -> 1/8
-    t = build_tree(pointset_1d([0, 1, 2, 3, 4, 5, 40]), 0.5)
+    t, h, src = _built(pointset_1d([0, 1, 2, 3, 4, 5, 40]), 0.5)
     tight = [v for v in range(t.node_count)
-             if t.level[v] == 1 and len(t.members[v]) == 6]
+             if t.level[v] == 1 and len(h.members[src[v]]) == 6]
     assert tight and all(t.g[v] == 8 for v in tight if t.subtree_root[v] != v)
 
 
 def test_surrogate_roots_exact():
     rng = np.random.default_rng(3)
     ps = random_pointset(rng, 30, 4, 2)
-    t = build_tree(ps, 0.25)
+    h = build_hierarchy(ps)
+    t, src = compress_paths(h, ps, 0.25)
+    assign_centers(t, src)
+    assign_ingresses(t, ps, h, src)
+    s = compute_surrogates(t, ps, h, src)
+    assert np.array_equal(s, surrogate_units(t))  # the replay from the tree alone
     for r in t.subtree_roots():
-        assert np.all(t.s_units[int(r)] == 0.0)
+        assert np.all(s[int(r)] == 0.0)
 
 
 def test_landmark_budget_values():
@@ -306,7 +337,7 @@ def _chain_tree(length):
     parent = np.arange(-1, m - 1)
     edge_long, edge_len = np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64)
     return RelativeLocationTree(
-        n=m, d=1, p=2, eps=0.5, scale_exponent=0, phi_exponent=m - 1,
+        n=m, d=1, p=2, eps=0.5, header_eps=0.5, scale_exponent=0,
         parent=parent, edge_long=edge_long, edge_len=edge_len,
         **tree_structure(parent, edge_long, edge_len, m - 1),
         center=np.zeros(m, dtype=np.int64),
@@ -314,7 +345,6 @@ def _chain_tree(length):
         g=np.zeros(m, dtype=np.int64), eta=np.zeros((m, 1), dtype=np.int64),
         eta_eps=np.zeros((m, 1), dtype=np.int64),
         landmarks=np.zeros(0, dtype=np.int64), landmark_units=np.zeros((0, 1)), K=0,
-        s_units=np.zeros((m, 1)),
     )
 
 
@@ -331,12 +361,12 @@ def test_landmark_chain_of_exactly_k_plus_one():
     # reaches the root, which becomes the single landmark
     K = 6
     t = _chain_tree(K + 1)
-    select_landmarks(t, K)
+    select_landmarks(t, K, surrogate_units(t))
     assert sorted(t.landmarks) == [0]
     # one node longer: the first landmark sits one step below the root, and a
     # second round covers the root itself
     t = _chain_tree(K + 2)
-    select_landmarks(t, K)
+    select_landmarks(t, K, surrogate_units(t))
     assert sorted(t.landmarks) == [0, 1]
 
 
