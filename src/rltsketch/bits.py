@@ -1,7 +1,9 @@
 """MSB-first bit streams. Arrays of values are written and read with one
-call, each value in its own width (0 to 64 bits); an Elias-gamma code of v is
-the write of v in 2*bitlen(v) - 1 bits. Both directions work in chunks of
-CHUNK values, so a stream is never held whole as one byte per bit.
+call, each value in its own width (0 to 64 bits); the codec writes and reads
+nothing else. Both directions work in chunks of CHUNK values, so a stream is
+never held whole as one byte per bit. BitReader also reads single values
+(read_uint, read_bit, and read_gamma for an Elias-gamma code, v written in
+2*bitlen(v) - 1 bits): a scalar reference reader for tests.
 """
 from __future__ import annotations
 
@@ -132,14 +134,6 @@ class BitReader:
             done += len(w)
             self.pos = int(ends[-1])
         return out.reshape(shape)
-
-
-def width_for_bound(bound):
-    """Bits needed for offset-binary storage of integers in [-bound, bound]
-    (elementwise for an array of bounds)."""
-    if np.any(np.asarray(bound) < 0):
-        raise ValueError("bound must be >= 0")
-    return np.maximum(1, bit_length(2 * np.asarray(bound, dtype=np.int64)))
 
 
 def width_for_count(count: int) -> int:

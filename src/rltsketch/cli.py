@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 contract violation (distortion band breached),
-2 input error.
+2 input error (a malformed input or sketch file, or an input whose estimates
+would overflow).
 """
 from __future__ import annotations
 
@@ -203,7 +204,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, DecodeError, ValueError, IndexError, OSError) as exc:
+    except (InputError, DecodeError, ValueError, IndexError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

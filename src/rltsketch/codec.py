@@ -1,35 +1,52 @@
-"""Bit-exact sketch serialization.
+"""Bit-exact sketch serialization, format v2.
 
-File layout (little-endian): a fixed 54-byte header, then byte-aligned
-sections, each preceded by a 64-bit payload bit-length. Section order:
-topology (balanced parentheses), long-edge flags/lengths, centers, ingress
-references, precision codes, coarse net elements, fine net elements,
-landmark surrogates, and (Euclidean flavor only) grid-corner augmentations.
+A file is a 54-byte header and its CRC-32, then nine byte-aligned sections
+in SECTION_NAMES order. A section is its payload's 64-bit bit length, the
+CRC-32 of the payload (pad bits read as zero) and the payload, a run of
+fields. It holds only what the decoder cannot derive: internal centers,
+ingress tags, the subtree roots' landmarks, long-edge flags, the Euclidean
+flavor's fine etas and the zero long-edge corner rows are all derived.
 
-Every annotation round-trips exactly; `size_report` accounts for every bit
-of the file.
+FIELDS lists every field in the order decode reads it. A field states its
+count, derived from the header and the fields before it, and its code:
+either a fixed width derived the same way, or a range code, whose header
+holds the values' min (64-bit two's complement) and width (6 bits) and
+whose values follow as value - min in width bits; a field with no values
+stores nothing. encode, decode and size_report all walk FIELDS, and each
+field is one array read. The README's Format section gives the layout field
+by field.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
+import zlib
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bits import BitReader, BitWriter, bit_length, width_for_bound, width_for_count
-from .metric import INF, PointSet, norm_root
-from .tree import (EPS_EXPONENT, Augmentations, RelativeLocationTree, build_tree, first_leaves,
-                   tree_structure)
+from .bits import BitReader, BitWriter, width_for_count
+from .metric import INF, PointSet
+from .tree import (EPS_EXPONENT, Augmentations, RelativeLocationTree, build_tree, check_finite,
+                   first_leaves, tree_structure)
 
 MAGIC = b"RLTS"
-VERSION = 1
+VERSION = 2
 FLAG_EUCLIDEAN = 0x01
 # largest binary exponent of a finite double: bounds levels and the scale
 MAX_EXPONENT = 1023
 EUCLIDEAN_TREE_EPS = 0.5  # fixed tree precision for the Euclidean flavor
+# coordinates (nodes x d) a file may describe beyond 64 per stored bit: a
+# field of equal values takes no bits, so a small file could ask for any
+# number of them
+FREE_CELLS = 1 << 20
 
 _HEADER = struct.Struct("<4sBBQQQIIqQ")
+_CRC = struct.Struct("<I")
+_FRAME = struct.Struct("<QI")  # a section's bit length and CRC-32
 
 SECTION_NAMES = (
     "topology",
@@ -45,8 +62,8 @@ SECTION_NAMES = (
 
 
 class DecodeError(Exception):
-    """Malformed sketch: a bad header, truncation, or a tree that queries
-    cannot use."""
+    """Malformed sketch: a bad header or checksum, truncation, or a tree that
+    queries cannot use."""
 
 
 @dataclass(eq=False)
@@ -60,25 +77,6 @@ class SketchBits:
         return 8 * len(self.data)
 
 
-def eta_bound(dp: float, g, eps: float = 1.0) -> np.ndarray:
-    """Coordinate bound ceil(2 * dp * g / eps) of a net element at precision
-    eps/g, for each precision code g (coarse net: eps = 1)."""
-    bound = np.ceil(2.0 * dp * np.asarray(g, dtype=np.float64) / eps)
-    if not np.all(bound < 2.0**62):
-        raise ValueError("net coordinate bound needs more than 63 bits")
-    return bound.astype(np.int64)
-
-
-def corner_bound(d: int) -> int:
-    """Coordinate bound for randomized grid corners of in-ball displacements."""
-    return int(math.ceil(math.sqrt(d))) + 1
-
-
-def _gamma_width(values: np.ndarray) -> np.ndarray:
-    """Width of the Elias-gamma code of each value: 2*bitlen(v) - 1."""
-    return 2 * bit_length(values) - 1
-
-
 def _p_code(p) -> int:
     return 0 if p == INF else int(p)
 
@@ -87,119 +85,370 @@ def _p_from_code(code: int):
     return INF if code == 0 else int(code)
 
 
-def _tree_eps(flags: int, header_eps: float) -> float:
-    return EUCLIDEAN_TREE_EPS if flags & FLAG_EUCLIDEAN else header_eps
+def _crc(payload: bytes, bit_len: int) -> int:
+    """CRC-32 of a payload, its pad bits (after bit_len) read as zero."""
+    pad = -bit_len % 8
+    if pad and payload:
+        payload = payload[:-1] + bytes([payload[-1] & (0xFF << pad) & 0xFF])
+    return zlib.crc32(payload)
 
 
-def _row_codes(bound: np.ndarray, rows: np.ndarray):
-    """Per-row offset and width of offset-binary net coordinates: the given
-    rows at their bound's width, every other row zero and 0 bits wide."""
-    bound = np.where(rows, bound, 0)[:, None]
-    return bound, np.where(rows[:, None], width_for_bound(bound), 0)
+def _floor_eps(e: np.ndarray, num: int) -> np.ndarray:
+    """floor(e * num / 2^32) of each int64 e, exactly (num < 2^32): the
+    high and low 32 bits of e times num, the low product in uint64."""
+    low = (e & 0xFFFFFFFF).astype(np.uint64) * np.uint64(num) >> np.uint64(32)
+    return (e >> 32) * num + low.astype(np.int64)
 
 
-def _write_rows(w: BitWriter, mat: np.ndarray, bound: np.ndarray, rows: np.ndarray):
-    bound, widths = _row_codes(bound, rows)
-    if np.any(np.abs(mat) > bound):
-        raise ValueError("net coordinate out of range, or set in an undefined row")
-    w.write_uint_array(mat + bound, widths)
+class _Fields:
+    """The header's values, each field's values (by "section.field") as
+    encode writes or decode reads them, and what the tree derives from them,
+    each derived once, when a count or the tree first needs it. Derivations
+    raise DecodeError on values no tree can hold."""
+
+    def __init__(self, flags: int, n: int, d: int, p, eps_num: int, scale_exp: int,
+                 phi_exp: int, file_bits: float):
+        self.euclidean = bool(flags & FLAG_EUCLIDEAN)
+        self.n, self.d, self.p, self.eps_num = n, d, p, eps_num
+        self.scale_exp, self.phi_exp, self.file_bits = scale_exp, phi_exp, file_bits
+        self.values: dict[str, np.ndarray] = {}
+
+    def count(self, key: str) -> int:
+        return int(self.values[key][0])
+
+    # -- shape ---------------------------------------------------------------
+
+    @cached_property
+    def parent(self) -> np.ndarray:
+        """From the balanced parentheses: a node's parent is the last
+        earlier node one level up."""
+        bits = self.values["topology.parens"]
+        run = np.cumsum(2 * bits - 1)  # depth after each bit
+        if not (len(run) and run[-1] == 0 and run[:-1].min(initial=1) > 0):
+            raise DecodeError("topology is not one balanced tree")
+        opens = np.flatnonzero(bits)
+        m = len(opens)
+        if m * self.d > FREE_CELLS + 64 * self.file_bits:
+            raise DecodeError(f"{m} nodes of dimension {self.d} do not fit the file")
+        ids = np.arange(m)
+        key = (run[opens] - 1) * m + ids  # depth-major
+        by_key = np.argsort(key)
+        parent = by_key[np.searchsorted(key[by_key], key - m) - 1]
+        parent[0] = -1
+        return parent
+
+    @property
+    def m(self) -> int:
+        return len(self.parent)
+
+    @cached_property
+    def shape(self) -> dict:
+        """Long edges and every field tree_structure derives."""
+        nodes, lengths = self.values["long_edges.nodes"], self.values["long_edges.lengths"]
+        if np.any(np.diff(nodes) <= 0) or np.any((nodes < 1) | (nodes >= self.m)):
+            raise DecodeError("long-edge nodes are not ascending non-root ids")
+        if np.any((lengths < 2) | (lengths > MAX_EXPONENT + 1)):
+            raise DecodeError("long edge with invalid length")
+        edge_len = np.zeros(self.m, dtype=np.int64)
+        edge_len[nodes] = lengths
+        edge_long = edge_len > 0
+        shape = tree_structure(self.parent, edge_long, edge_len, self.phi_exp)
+        if shape["level"].min() < 0:
+            raise DecodeError("level below 0")
+        return dict(edge_long=edge_long, edge_len=edge_len, **shape)
+
+    @cached_property
+    def is_root(self) -> np.ndarray:
+        return self.shape["subtree_root"] == np.arange(self.m)
+
+    @cached_property
+    def non_root(self) -> np.ndarray:
+        return np.flatnonzero(~self.is_root)
+
+    @cached_property
+    def fine(self) -> np.ndarray:
+        """Rows with fine etas: the non-root subtree leaves, lp flavor only."""
+        return np.flatnonzero(self.shape["is_subtree_leaf"] & ~self.is_root & (not self.euclidean))
+
+    @cached_property
+    def coarse(self) -> np.ndarray:
+        """Rows whose coarse etas are stored as they are: the other non-roots."""
+        return np.setdiff1d(self.non_root, self.fine)
+
+    @cached_property
+    def leaves(self) -> np.ndarray:
+        leaves = np.flatnonzero(np.bincount(self.parent[1:], minlength=self.m) == 0)
+        if len(leaves) != self.n:
+            raise DecodeError(f"{len(leaves)} leaves for {self.n} points")
+        return leaves
+
+    @cached_property
+    def later_children(self) -> np.ndarray:
+        """Short children after their parent's first one: the nodes whose
+        ingress is stored. Every non-root is a short child."""
+        _, first = np.unique(self.parent[self.non_root], return_index=True)
+        return np.delete(self.non_root, first)
+
+    @cached_property
+    def stored_corners(self) -> np.ndarray:
+        """Long-edge corner rows stored: all but each subtree's first one,
+        whose leaf holds the subtree's center, so its displacement is 0."""
+        corners = np.flatnonzero(self.shape["corner_row"] >= 0)
+        _, first = np.unique(self.shape["subtree_root"][corners], return_index=True)
+        return np.delete(np.arange(len(corners)), first)
+
+    # -- annotations ---------------------------------------------------------
+
+    def center(self) -> np.ndarray:
+        leaf_centers = self.values["centers.leaf_centers"]
+        if not np.array_equal(np.sort(leaf_centers), np.arange(self.n)):
+            raise DecodeError("leaf centers are not a permutation of the points")
+        center = np.empty(self.m, dtype=np.int64)
+        center[self.leaves] = leaf_centers
+        return center[first_leaves(self.parent)]
+
+    def ingress(self) -> np.ndarray:
+        """Roots point to themselves, first short children to their parent,
+        the other short children to a stored subtree leaf."""
+        subtree_root = self.shape["subtree_root"]
+        leaf_nodes = np.flatnonzero(self.shape["is_subtree_leaf"])
+        k = self.values["ingresses.leaf_index"]
+        if k.max(initial=0) >= len(leaf_nodes):
+            raise DecodeError(f"ingress leaf index {k.max()} >= {len(leaf_nodes)}")
+        ingress = self.parent.copy()
+        ingress[self.is_root] = np.flatnonzero(self.is_root)
+        ingress[self.later_children] = leaf_nodes[k]
+        if np.any(subtree_root[ingress] != subtree_root):
+            raise DecodeError("ingress target outside its node's subtree")
+        hops = ingress
+        for _ in range(max(self.m - 1, 1).bit_length()):  # 2^k >= m hops
+            hops = hops[hops]
+        if np.any(hops != subtree_root):
+            raise DecodeError("ingress links form a cycle")
+        return ingress
+
+    def g(self) -> np.ndarray:
+        g = np.zeros(self.m, dtype=np.int64)
+        g[self.non_root] = codes = self.values["gammas.g"]
+        if codes.size and not (5 <= codes.min() and codes.max() < 1 << 53):
+            raise DecodeError("precision code outside [5, 2^53)")
+        return g
+
+    @cached_property
+    def eta_eps(self) -> np.ndarray:
+        eta_eps = np.zeros((self.m, self.d), dtype=np.int64)
+        eta_eps[self.fine] = self.values["leaf_etas.fine"]
+        return eta_eps
+
+    def eta(self) -> np.ndarray:
+        """Coarse etas; at fine rows, the residual plus floor(eta_eps * eps)."""
+        eta = np.zeros((self.m, self.d), dtype=np.int64)
+        eta[self.coarse] = self.values["etas.coarse"]
+        eta[self.fine] = self.values["etas.residual"] + _floor_eps(self.eta_eps[self.fine],
+                                                                   self.eps_num)
+        return eta
+
+    def landmarks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every subtree root (units zero) and the stored other landmarks."""
+        nodes = self.values["landmarks.nodes"]
+        if np.any(np.diff(nodes) <= 0) or np.any(nodes >= self.m) or self.is_root[nodes].any():
+            raise DecodeError("landmarks are not ascending ids of non-root nodes")
+        landmarks = np.union1d(np.flatnonzero(self.is_root), nodes)
+        units = np.zeros((len(landmarks), self.d))
+        units[np.searchsorted(landmarks, nodes)] = self.values["landmarks.units"]
+        return landmarks, units
+
+    def augmentations(self) -> Augmentations | None:
+        if not self.euclidean:
+            return None
+        a1, a2 = self.values["augmentations.a1"], self.values["augmentations.a2"]
+        b1, b2 = (np.zeros((np.count_nonzero(self.shape["corner_row"] >= 0), self.d),
+                           dtype=np.int64) for _ in range(2))
+        b1[self.stored_corners] = self.values["augmentations.b1"]
+        b2[self.stored_corners] = self.values["augmentations.b2"]
+        return Augmentations(a1, a2, b1, b2)
+
+    def tree(self) -> RelativeLocationTree:
+        header_eps = self.eps_num / float(1 << EPS_EXPONENT)
+        landmarks, landmark_units = self.landmarks()
+        return RelativeLocationTree(
+            n=self.n, d=self.d, p=self.p,
+            eps=EUCLIDEAN_TREE_EPS if self.euclidean else header_eps,
+            header_eps=header_eps, scale_exponent=self.scale_exp,
+            parent=self.parent, **self.shape, center=self.center(), ingress=self.ingress(),
+            g=self.g(), eta=self.eta(), eta_eps=self.eta_eps, landmarks=landmarks,
+            landmark_units=landmark_units, K=self.count("landmarks.K"),
+            augmentations=self.augmentations(),
+        )
 
 
-def _read_rows(r: BitReader, shape: tuple, bound: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    bound, widths = _row_codes(bound, rows)
-    mat = r.read_uint_array(shape, widths)
-    mat -= bound
-    return mat
+RANGE = None  # a field's code: value - min in the width its header gives
+
+
+class Field(NamedTuple):
+    section: str
+    name: str
+    count: Callable[[_Fields], int | tuple] | None  # None: the whole section
+    width: Callable[[_Fields], int] | None  # fixed width, or RANGE
+    take: Callable[[RelativeLocationTree, _Fields], np.ndarray]  # encode's values
+
+    @property
+    def key(self) -> str:
+        return f"{self.section}.{self.name}"
+
+
+def _node_width(f: _Fields) -> int:
+    return width_for_count(f.m)
+
+
+def _parens(t: RelativeLocationTree, f) -> np.ndarray:
+    """Balanced parentheses: before node v opens, the v earlier nodes have
+    opened and all but its depth[v] ancestors have closed."""
+    ids = np.arange(t.node_count)
+    parens = np.zeros(2 * t.node_count, dtype=np.int64)
+    parens[2 * ids - t.depth] = 1
+    return parens
+
+
+def _stored_landmarks(t: RelativeLocationTree, f) -> np.ndarray:
+    return ~f.is_root[t.landmarks]
+
+
+def _corners(name: str) -> Field:
+    """One copy of the surrogate corners (a1, a2: every subtree leaf) or of
+    the long-edge corners (b1, b2: the stored rows), Euclidean flavor only."""
+    def rows(f: _Fields) -> np.ndarray:
+        if not f.euclidean:
+            return np.zeros(0, dtype=np.int64)
+        if name[0] == "a":
+            return np.arange(np.count_nonzero(f.shape["is_subtree_leaf"]))
+        return f.stored_corners
+
+    return Field("augmentations", name, lambda f: (len(rows(f)), f.d), RANGE,
+                 lambda t, f: getattr(t.augmentations, name)[rows(f)] if f.euclidean
+                 else np.zeros((0, t.d)))
+
+
+FIELDS = (
+    Field("topology", "parens", None, lambda f: 1, _parens),
+    Field("long_edges", "count", lambda f: 1, _node_width,
+          lambda t, f: [np.count_nonzero(t.edge_long)]),
+    Field("long_edges", "nodes", lambda f: f.count("long_edges.count"), _node_width,
+          lambda t, f: np.flatnonzero(t.edge_long)),
+    Field("long_edges", "lengths", lambda f: f.count("long_edges.count"), RANGE,
+          lambda t, f: t.edge_len[t.edge_long]),
+    Field("centers", "leaf_centers", lambda f: len(f.leaves), lambda f: width_for_count(f.n),
+          lambda t, f: t.center[f.leaves]),
+    Field("ingresses", "leaf_index", lambda f: len(f.later_children),
+          lambda f: width_for_count(np.count_nonzero(f.shape["is_subtree_leaf"])),
+          lambda t, f: t.leaf_row[t.ingress[f.later_children]]),
+    Field("gammas", "g", lambda f: len(f.non_root), RANGE, lambda t, f: t.g[f.non_root]),
+    Field("leaf_etas", "fine", lambda f: (len(f.fine), f.d), RANGE,
+          lambda t, f: t.eta_eps[f.fine]),
+    Field("etas", "coarse", lambda f: (len(f.coarse), f.d), RANGE,
+          lambda t, f: t.eta[f.coarse]),
+    Field("etas", "residual", lambda f: (len(f.fine), f.d), RANGE,
+          lambda t, f: t.eta[f.fine] - _floor_eps(t.eta_eps[f.fine], f.eps_num)),
+    Field("landmarks", "K", lambda f: 1, lambda f: 16, lambda t, f: [t.K]),
+    Field("landmarks", "count", lambda f: 1, _node_width,
+          lambda t, f: [np.count_nonzero(_stored_landmarks(t, f))]),
+    Field("landmarks", "nodes", lambda f: f.count("landmarks.count"), _node_width,
+          lambda t, f: t.landmarks[_stored_landmarks(t, f)]),
+    Field("landmarks", "units", lambda f: (f.count("landmarks.count"), f.d), RANGE,
+          lambda t, f: t.landmark_units[_stored_landmarks(t, f)].astype(np.int64)),
+    *(_corners(name) for name in ("a1", "a2", "b1", "b2")),
+)
+
+
+def _shape(count) -> tuple:
+    return count if isinstance(count, tuple) else (count,)
+
+
+def _same(a, b) -> bool:
+    """Equal arrays or values, field by field for dataclasses."""
+    if dataclasses.is_dataclass(a) and dataclasses.is_dataclass(b):
+        return all(_same(getattr(a, x.name), getattr(b, x.name)) for x in dataclasses.fields(a))
+    return np.array_equal(a, b)
+
+
+def _write_field(w: BitWriter, field: Field, values: np.ndarray, f: _Fields):
+    if not values.size:
+        return
+    if field.width is RANGE:
+        lo = int(values.min())
+        width = (int(values.max()) - lo).bit_length()
+        if width > 63:
+            raise ValueError(f"{field.key} spans more than 2^63 values")
+        w.write_uint_array(np.array([lo, width]).view(np.uint64), [64, 6])
+        values = values - lo
+    else:
+        width = field.width(f)
+    w.write_uint_array(values, width)
+
+
+def _read_field(r: BitReader, field: Field, f: _Fields) -> np.ndarray:
+    shape = (r.bit_length,) if field.count is None else _shape(field.count(f))
+    if not math.prod(shape):
+        return np.zeros(shape, dtype=np.int64)
+    if field.width is not RANGE:
+        return r.read_uint_array(shape, field.width(f))
+    lo, width = r.read_uint_array(2, [64, 6]).tolist()
+    if lo + (1 << width) > 1 << 63:
+        raise DecodeError(f"{field.key}: range beyond int64")
+    return r.read_uint_array(shape, width) + lo
 
 
 def encode(t: RelativeLocationTree, aug: Augmentations | None = None) -> SketchBits:
-    """Serialize an annotated tree (plus optional Euclidean augmentations)."""
-    m, d = t.node_count, t.d
-    dp = norm_root(d, t.p)
-    flags = FLAG_EUCLIDEAN if (t.flags_euclidean or aug is not None) else 0
+    """Serialize an annotated tree (plus optional Euclidean augmentations).
+
+    Raises ValueError for a tree the file cannot hold as it is: one whose
+    derived fields (internal centers, ingress tags, subtree-root landmarks,
+    zero corner rows, no fine etas on the Euclidean flavor) differ from what
+    decode derives; OverflowError where check_finite raises it.
+    """
+    if aug is not None:
+        t = dataclasses.replace(t, augmentations=aug)
+    flags = FLAG_EUCLIDEAN if t.flags_euclidean else 0
     if flags and t.eps != EUCLIDEAN_TREE_EPS:
         raise ValueError("euclidean sketches require a tree built at eps = 1/2")
-
     eps_num = int(math.floor(t.header_eps * (1 << EPS_EXPONENT)))
     if not 0 < eps_num < (1 << 32):
         raise ValueError(f"eps {t.header_eps} not representable")
+    header = _HEADER.pack(MAGIC, VERSION, flags, t.n, t.d, _p_code(t.p), eps_num, EPS_EXPONENT,
+                          int(t.scale_exponent), int(t.phi_exponent))
 
-    ids = np.arange(m)
-    is_root = t.subtree_root == ids
-    fine = t.is_subtree_leaf & ~is_root
-    sections = {name: BitWriter() for name in SECTION_NAMES}
+    f = _Fields(flags, t.n, t.d, t.p, eps_num, int(t.scale_exponent), int(t.phi_exponent),
+                math.inf)
+    writers = {name: BitWriter() for name in SECTION_NAMES}
+    try:
+        for field in FIELDS:
+            values = np.asarray(field.take(t, f), dtype=np.int64)
+            if field.count is not None and values.shape != _shape(field.count(f)):
+                raise ValueError(f"{field.key} holds {values.shape} values, not "
+                                 f"{_shape(field.count(f))}")
+            f.values[field.key] = values
+            _write_field(writers[field.section], field, values, f)
+        back = f.tree()
+    except DecodeError as exc:
+        raise ValueError(f"tree does not encode: {exc}")
+    for field in dataclasses.fields(t):
+        if not _same(getattr(t, field.name), getattr(back, field.name)):
+            raise ValueError(f"{field.name} differs from the one decode derives")
+    check_finite(t)
 
-    # balanced parentheses: before node v opens, the v earlier nodes have
-    # opened and all but its depth[v] ancestors have closed
-    topology = np.zeros(2 * m, dtype=np.uint8)
-    topology[2 * ids - t.depth] = 1
-    sections["topology"].write_uint_array(topology, 1)
-
-    long_, length = t.edge_long[1:], t.edge_len[1:]
-    sections["long_edges"].write_uint_array(
-        np.stack([long_, length], axis=1),
-        np.stack([np.ones_like(length), np.where(long_, _gamma_width(length), 0)], axis=1))
-
-    sections["centers"].write_uint_array(t.center, width_for_count(t.n))
-
-    inn = t.ingress
-    if np.any(inn < 0):
-        raise ValueError("missing ingress annotation")
-    if np.any((inn == ids) != is_root):
-        raise ValueError("self-ingress not exactly at the subtree roots")
-    tag = np.where(inn == ids, 0, np.where(inn == t.parent, 1, 2))
-    leaf = np.where(tag == 2, t.leaf_row[inn], 0)
-    if np.any(leaf < 0):
-        raise ValueError("ingress target is not a subtree leaf")
-    w_leaf = width_for_count(np.count_nonzero(t.is_subtree_leaf))
-    sections["ingresses"].write_uint_array(
-        np.stack([tag, leaf], axis=1),
-        np.stack([np.full(m, 2), np.where(tag == 2, w_leaf, 0)], axis=1))
-
-    g = t.g[~is_root]
-    if np.any(g < 5):
-        raise ValueError("missing precision annotation")
-    sections["gammas"].write_uint_array(g, _gamma_width(g))
-
-    _write_rows(sections["etas"], t.eta, eta_bound(dp, t.g), ~is_root)
-    _write_rows(sections["leaf_etas"], t.eta_eps, eta_bound(dp, t.g, t.eps), fine)
-
-    units = t.landmark_units.astype(np.int64)
-    w_land = int(np.abs(units).max(initial=0)).bit_length() + 1  # signed, offset 2^(W-1)
-    units += 1 << (w_land - 1)
-    sections["landmarks"].write_uint_array(
-        np.concatenate([[len(t.landmarks), w_land, t.K],
-                        np.column_stack([t.landmarks, units]).ravel()]),
-        np.concatenate([[64, 16, 16],
-                        np.tile(np.r_[width_for_count(m), np.full(d, w_land)], len(units))]))
-
-    if flags:
-        if aug is None:
-            raise ValueError("euclidean flag set but augmentations missing")
-        n_leaf = np.count_nonzero(t.is_subtree_leaf)
-        n_corner = np.count_nonzero(t.corner_row >= 0)
-        shapes = [(n_leaf, d), (n_leaf, d), (n_corner, d), (n_corner, d)]
-        if [mat.shape for mat in (aug.a1, aug.a2, aug.b1, aug.b2)] != shapes:
-            raise ValueError("augmentation shape mismatch")
-        corners = np.concatenate([aug.a1, aug.a2, aug.b1, aug.b2])
-        bound = corner_bound(d)
-        if np.abs(corners).max(initial=0) > bound:
-            raise ValueError("corner outside the encodable ball")
-        corners += bound
-        sections["augmentations"].write_uint_array(corners, width_for_bound(bound))
-
-    header = _HEADER.pack(
-        MAGIC, VERSION, flags, t.n, d, _p_code(t.p),
-        eps_num, EPS_EXPONENT, int(t.scale_exponent), int(t.phi_exponent))
-    out = bytearray(header)
+    out = bytearray(header + _CRC.pack(zlib.crc32(header)))
     for name in SECTION_NAMES:
-        sec = sections[name]
-        out += struct.pack("<Q", sec.bit_length)
-        out += sec.getvalue()
+        w = writers[name]
+        payload = w.getvalue()
+        out += _FRAME.pack(w.bit_length, _crc(payload, w.bit_length)) + payload
+    if t.node_count * t.d > FREE_CELLS + 64 * 8 * len(out):
+        raise ValueError(f"{t.node_count} nodes of dimension {t.d} need a larger file")
     return SketchBits(bytes(out))
 
 
-def _parse_header(data: bytes):
+def _parse_header(data: bytes) -> tuple:
+    """The header's fields, checked. Returns (flags, n, d, p, eps_num,
+    scale_exp, phi_exp)."""
     if len(data) < _HEADER.size:
         raise DecodeError("truncated header")
     magic, version, flags, n, d, p_code, eps_num, eps_exp, scale_exp, phi_exp = \
@@ -208,182 +457,105 @@ def _parse_header(data: bytes):
         raise DecodeError(f"bad magic {magic!r}")
     if version != VERSION:
         raise DecodeError(f"unsupported version {version}")
+    if len(data) < _HEADER.size + _CRC.size:
+        raise DecodeError("truncated header")
+    if _CRC.unpack_from(data, _HEADER.size)[0] != zlib.crc32(data[:_HEADER.size]):
+        raise DecodeError("header CRC mismatch")
+    if flags & ~FLAG_EUCLIDEAN:
+        raise DecodeError(f"unknown flags {flags:#x}")
+    if flags and p_code != 2:
+        raise DecodeError("a euclidean sketch with p != 2")
+    if not 1 <= d:
+        raise DecodeError("dimension 0")
     if eps_exp != EPS_EXPONENT or eps_num == 0:
         raise DecodeError(f"eps {eps_num}/2^{eps_exp} is not a dyadic in (0, 1)")
-    eps = eps_num / float(1 << eps_exp)
     if phi_exp > MAX_EXPONENT:
         raise DecodeError(f"root level {phi_exp} above {MAX_EXPONENT}")
     if scale_exp > MAX_EXPONENT:
         raise DecodeError(f"scale 2^{scale_exp} overflows a double")
-    return flags, n, d, _p_from_code(p_code), eps, scale_exp, phi_exp
+    return flags, n, d, _p_from_code(p_code), eps_num, scale_exp, phi_exp
 
 
-def _read_sections(data: bytes):
-    pos = _HEADER.size
-    sections = {}
+def _sections(data: bytes) -> dict[str, BitReader]:
+    """A reader over each section's payload, its CRC checked."""
+    pos = _HEADER.size + _CRC.size
+    readers = {}
     for name in SECTION_NAMES:
-        if pos + 8 > len(data):
+        if pos + _FRAME.size > len(data):
             raise DecodeError(f"truncated stream before section {name}")
-        (bit_len,) = struct.unpack_from("<Q", data, pos)
-        pos += 8
-        nbytes = (bit_len + 7) // 8
-        if pos + nbytes > len(data):
+        bit_len, crc = _FRAME.unpack_from(data, pos)
+        pos += _FRAME.size
+        payload = data[pos:pos + (bit_len + 7) // 8]
+        if 8 * len(payload) < bit_len:
             raise DecodeError(f"truncated stream inside section {name}")
-        sections[name] = (data[pos : pos + nbytes], bit_len)
-        pos += nbytes
+        if _crc(payload, bit_len) != crc:
+            raise DecodeError(f"section {name} CRC mismatch")
+        readers[name] = BitReader(payload, bit_len)
+        pos += len(payload)
     if pos != len(data):
         raise DecodeError("trailing bytes after final section")
-    return sections
+    return readers
+
+
+def _read(data: bytes) -> tuple[_Fields, dict[str, BitReader], dict[str, int]]:
+    """Walk FIELDS over a file: the fields, the section readers and each
+    field's bits."""
+    f = _Fields(*_parse_header(data), 8 * len(data))
+    readers = _sections(data)
+    bits = {}
+    for field in FIELDS:
+        r = readers[field.section]
+        start = r.pos
+        f.values[field.key] = _read_field(r, field, f)
+        bits[field.key] = r.pos - start
+    for name, r in readers.items():
+        if r.pos != r.bit_length:
+            raise DecodeError(f"{r.bit_length - r.pos} bits of section {name} unread")
+    return f, readers, bits
 
 
 def decode(sketch: SketchBits) -> RelativeLocationTree:
     """Reconstruct topology, levels, and all annotations (no raw points).
 
-    Raises DecodeError unless the file describes one tree whose leaves hold
-    each point once and whose ingress links stay inside their subtree and
-    lead, without cycles, to its root: the structure every query relies on.
+    Raises DecodeError unless both checksums hold and the file describes one
+    tree whose leaves hold each point once, whose ingress links stay inside
+    their subtree and lead, without cycles, to its root, and whose estimates
+    are all finite (check_finite): the structure every query relies on.
     """
     try:
-        return _decode(sketch)
-    except (EOFError, ValueError) as exc:
+        f, _, _ = _read(sketch.data)
+        t = f.tree()
+        check_finite(t)
+        return t
+    except (EOFError, ValueError, OverflowError) as exc:
         raise DecodeError(f"corrupt stream: {exc}")
 
 
-def _decode(sketch: SketchBits) -> RelativeLocationTree:
-    data = sketch.data
-    flags, n, d, p, header_eps, scale_exp, phi_exp = _parse_header(data)
-    tree_eps = _tree_eps(flags, header_eps)
-    secs = _read_sections(data)
-    dp = norm_root(d, p)
-
-    # topology: one balanced parenthesis word; a node's parent is the last
-    # earlier node one level up
-    r = BitReader(*secs["topology"])
-    bits = r.read_uint_array(r.bit_length, 1)
-    run = np.cumsum(2 * bits - 1)  # depth after each bit
-    if not (len(run) and run[-1] == 0 and run[:-1].min(initial=1) > 0):
-        raise DecodeError("topology is not one balanced tree")
-    opens = np.flatnonzero(bits)
-    m = len(opens)
-    ids = np.arange(m)
-    key = (run[opens] - 1) * m + ids  # depth-major
-    by_key = np.argsort(key)
-    parent = by_key[np.searchsorted(key[by_key], key - m) - 1]
-    parent[0] = -1
-    # each non-root stores d net coordinates and each subtree at least one
-    # landmark of d coordinates, every coordinate in at least one bit
-    if not 1 <= d or m * d > secs["etas"][1] + secs["landmarks"][1]:
-        raise DecodeError(f"{m} nodes of dimension {d} do not fit the file")
-
-    r = BitReader(*secs["long_edges"])
-    edge_len = np.zeros(m, dtype=np.int64)
-    for v in range(1, m):
-        if r.read_bit():
-            edge_len[v] = k = r.read_gamma()
-            if not 2 <= k <= MAX_EXPONENT + 1:
-                raise DecodeError(f"long edge with invalid length {k}")
-    edge_long = edge_len > 0
-    structure = tree_structure(parent, edge_long, edge_len, phi_exp)
-    if structure["level"].min() < 0:
-        raise DecodeError("level below 0")
-    subtree_root, is_leaf = structure["subtree_root"], structure["is_subtree_leaf"]
-    is_root = subtree_root == ids
-    fine = is_leaf & ~is_root
-
-    r = BitReader(*secs["centers"])
-    center = r.read_uint_array(m, width_for_count(n))
-    leaf_centers = center[np.bincount(parent[1:], minlength=m) == 0]
-    if (len(leaf_centers) != n or center.max() >= n
-            or not np.array_equal(np.sort(leaf_centers), np.arange(n))):
-        raise DecodeError("leaf centers are not a permutation of the points")
-    if np.any(center != center[first_leaves(parent)]):
-        raise DecodeError("an internal center is not its first leaf's point")
-
-    r = BitReader(*secs["ingresses"])
-    leaf_nodes = np.flatnonzero(is_leaf)
-    w_leaf = width_for_count(len(leaf_nodes))
-    ingress = np.empty(m, dtype=np.int64)
-    for v, par in enumerate(parent.tolist()):
-        tag = r.read_uint(2)
-        if tag == 2:
-            k = r.read_uint(w_leaf)
-            if k >= len(leaf_nodes):
-                raise DecodeError(f"ingress leaf index {k} >= {len(leaf_nodes)}")
-            ingress[v] = leaf_nodes[k]
-        elif tag == 3:
-            raise DecodeError("bad ingress tag 3")
-        else:
-            ingress[v] = par if tag else v
-    if np.any((ingress == ids) != is_root):
-        raise DecodeError("self-ingress not exactly at the subtree roots")
-    if np.any(subtree_root[ingress] != subtree_root):
-        raise DecodeError("ingress target outside its node's subtree")
-    hops = ingress
-    for _ in range(max(m - 1, 1).bit_length()):  # 2^k >= m hops
-        hops = hops[hops]
-    if np.any(hops != subtree_root):
-        raise DecodeError("ingress links form a cycle")
-
-    r = BitReader(*secs["gammas"])
-    g = np.zeros(m, dtype=np.int64)
-    codes = [r.read_gamma() for _ in range(m - np.count_nonzero(is_root))]
-    if codes and not (5 <= min(codes) and max(codes) < 1 << 53):
-        raise DecodeError("precision code outside [5, 2^53)")
-    g[~is_root] = codes
-
-    eta = _read_rows(BitReader(*secs["etas"]), (m, d), eta_bound(dp, g), ~is_root)
-    eta_eps = _read_rows(BitReader(*secs["leaf_etas"]), (m, d), eta_bound(dp, g, tree_eps), fine)
-
-    r = BitReader(*secs["landmarks"])
-    n_land, w_land, K = r.read_uint(64), r.read_uint(16), r.read_uint(16)
-    if not 1 <= w_land <= 63 or n_land > m:
-        raise DecodeError(f"{n_land} landmarks of width {w_land}")
-    body = r.read_uint_array((n_land, d + 1), np.r_[width_for_count(m), np.full(d, w_land)])
-    landmarks = body[:, 0]
-    if np.any(np.diff(landmarks) <= 0) or landmarks.max(initial=0) >= m:
-        raise DecodeError("landmarks are not sorted node ids")
-    landmark_units = (body[:, 1:] - (1 << (w_land - 1))).astype(np.float64)
-
-    aug = None
-    if flags & FLAG_EUCLIDEAN:
-        r = BitReader(*secs["augmentations"])
-        bound = corner_bound(d)
-        n_corner = np.count_nonzero(structure["corner_row"] >= 0)
-        mats = [r.read_uint_array((rows, d), width_for_bound(bound))
-                for rows in (len(leaf_nodes), len(leaf_nodes), n_corner, n_corner)]
-        for mat in mats:
-            mat -= bound
-        aug = Augmentations(*mats)
-
-    return RelativeLocationTree(
-        n=n, d=d, p=p, eps=tree_eps, header_eps=header_eps, scale_exponent=scale_exp,
-        parent=parent, edge_long=edge_long, edge_len=edge_len,
-        **structure, center=center, ingress=ingress, g=g, eta=eta, eta_eps=eta_eps,
-        landmarks=landmarks, landmark_units=landmark_units, K=K, augmentations=aug,
-    )
-
-
 def size_report(sketch: SketchBits) -> dict:
-    """Exact per-section bit counts: data_bits is the pre-padding payload,
-    stored_bits includes the 64-bit length prefix and byte padding."""
-    data = sketch.data
-    _parse_header(data)
-    secs = _read_sections(data)
+    """Exact bit counts. Per section: data_bits is the payload before
+    padding, stored_bits adds the 64-bit length, the 32-bit CRC and the
+    padding, and fields gives each field's data_bits (its range header
+    included). The header's stored_bits include its CRC."""
+    try:
+        _, readers, bits = _read(sketch.data)
+    except (EOFError, ValueError) as exc:
+        raise DecodeError(f"corrupt stream: {exc}")
+    header = 8 * _HEADER.size
     report = {
-        "header": {"data_bits": _HEADER.size * 8, "stored_bits": _HEADER.size * 8},
+        "header": {"data_bits": header, "stored_bits": header + 8 * _CRC.size},
         "sections": {},
     }
-    total_data = _HEADER.size * 8
-    total_stored = _HEADER.size * 8
-    for name in SECTION_NAMES:
-        payload, bit_len = secs[name]
-        stored = 64 + 8 * len(payload)
-        report["sections"][name] = {"data_bits": bit_len, "stored_bits": stored}
-        total_data += bit_len
-        total_stored += stored
-    report["total_data_bits"] = total_data
-    report["total_stored_bits"] = total_stored
-    report["file_bytes"] = len(data)
+    for name, r in readers.items():
+        report["sections"][name] = {
+            "data_bits": r.bit_length,
+            "stored_bits": 8 * _FRAME.size + 8 * ((r.bit_length + 7) // 8),
+            "fields": {field.name: bits[field.key] for field in FIELDS if field.section == name},
+        }
+    sections = report["sections"].values()
+    report["total_data_bits"] = header + sum(s["data_bits"] for s in sections)
+    report["total_stored_bits"] = report["header"]["stored_bits"] + sum(
+        s["stored_bits"] for s in sections)
+    report["file_bytes"] = len(sketch.data)
     return report
 
 

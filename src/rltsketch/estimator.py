@@ -93,11 +93,14 @@ class QueryContext:
         return self._s_units(self._ingress[v]) + fine
 
     def shifted_surrogate(self, v: int, fine: bool = False) -> np.ndarray:
-        """s(v) (or the fine s_eps(v), defined for non-root subtree leaves)."""
+        """s(v) (or the fine s_eps(v), defined for non-root subtree leaves of
+        an lp sketch)."""
         t = self.tree
         if not 0 <= v < t.node_count:
             raise ValueError(f"node {v} out of range")
         if fine:
+            if t.flags_euclidean:
+                raise ValueError("a Euclidean sketch holds no fine surrogates")
             if not t.is_subtree_leaf[v] or t.subtree_root[v] == v:
                 raise ValueError(f"fine surrogate undefined at node {v}")
             return self._fine_units(v) * self.unit

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import EUCLIDEAN_TREE_EPS, SketchBits, corner_bound, encode
+from .codec import EUCLIDEAN_TREE_EPS, SketchBits, encode
 from .metric import PointSet, lp_norms, norm_root, randomized_grid_round, scale_points
-from .tree import Augmentations, RelativeLocationTree, build_tree, quantize_eps, surrogate_units
+from .tree import (Augmentations, RelativeLocationTree, build_coarse_tree, quantize_eps,
+                   surrogate_units)
 
 
 @dataclass
@@ -59,7 +60,6 @@ def build_augmentations(
     long-edge corner nodes, whose subtree hangs under a long edge) the
     displacement from the long edge's top center at the top node's cell side."""
     dp = norm_root(tree.d, 2)
-    bound = corner_bound(tree.d)
 
     def corners(what, nodes, y, two_l):
         nrm = lp_norms(y, 2)
@@ -67,11 +67,8 @@ def build_augmentations(
         if over.any():
             raise AssertionError(
                 f"{what} displacement {nrm[over][0]} > 2^level at node {nodes[over][0]}")
-        c1 = randomized_grid_round(y, two_l / dp, sigma1)
-        c2 = randomized_grid_round(y, two_l / dp, sigma2)
-        if max(np.abs(c1).max(initial=0), np.abs(c2).max(initial=0)) > bound:
-            raise AssertionError("corner outside the encodable ball")
-        return c1, c2
+        return (randomized_grid_round(y, two_l / dp, sigma1),
+                randomized_grid_round(y, two_l / dp, sigma2))
 
     leaves = np.flatnonzero(tree.is_subtree_leaf)  # in leaf_row order
     unit = 1.0 / dp
@@ -92,7 +89,8 @@ def build_augmentations(
 
 def build_euclidean_sketch(ps: PointSet, eps: float, seed: int) -> SketchBits:
     """Randomized Euclidean pipeline: project to d' = ceil(3 eps^-2 log2 n)
-    dimensions, build the tree at the fixed constant precision 1/2, attach two
+    dimensions, build the tree at the fixed constant precision 1/2 (no fine
+    etas: the Euclidean estimator never reads them), attach two
     independently shifted augmentation copies, and serialize. The shift
     vectors are discarded; only data derived from them is stored."""
     if ps.p != 2:
@@ -102,7 +100,7 @@ def build_euclidean_sketch(ps: PointSet, eps: float, seed: int) -> SketchBits:
     seq = np.random.SeedSequence(seed)
     seed_mat, seed_s1, seed_s2 = seq.spawn(3)
     proj = jl_transform(ps, JlConfig(target_dim=dprime, seed=seed_mat))
-    tree = build_tree(proj, EUCLIDEAN_TREE_EPS)
+    tree, _ = build_coarse_tree(proj, EUCLIDEAN_TREE_EPS)
     tree.header_eps = eps_d
     sigma1 = np.random.default_rng(seed_s1).random(dprime)
     sigma2 = np.random.default_rng(seed_s2).random(dprime)

@@ -4,8 +4,8 @@ Pipeline: read the hierarchy's merges off the minimum spanning tree, emit
 the compressed tree with each idle cluster's non-branching path as one leaf
 (a single point), one annotated long edge or a run of unary nodes, then
 annotate the compressed tree with centers, ingresses, quantized
-displacements (coarse and fine), and landmark shortcuts. The finished tree
-is immutable and safe to share.
+displacements (coarse, and fine on the lp flavor), and landmark shortcuts.
+The finished tree is immutable and safe to share.
 
 Level l of the hierarchy merges, transitively, the clusters closer than 2^l.
 Those clusters are the single-linkage clusters at threshold 2^l, i.e. the
@@ -26,9 +26,9 @@ and `edge_len` plus the root level; `tree_structure` derives everything else
 subtree leaf and of each long-edge corner node). Each annotation is one
 array: `center`, `ingress`, `g`, and the (m, d) int64 matrices `eta` (rows
 meaningful where subtree_root[v] != v) and `eta_eps` (rows meaningful at
-subtree leaves that are not subtree roots), zero elsewhere. Landmarks are
-the sorted node ids `landmarks`, with their shifted surrogates in the rows
-of `landmark_units`. The builder's hierarchy stays outside the tree: the
+subtree leaves that are not subtree roots, lp flavor only), zero elsewhere.
+Landmarks are the sorted node ids `landmarks`, with their shifted
+surrogates in the rows of `landmark_units`. The builder's hierarchy stays outside the tree: the
 stages read it through `src[v]`, the merge node each tree node stands for.
 
 Order: the builder's one order is the ingress layers (`ingress_layers`).
@@ -89,36 +89,38 @@ def _rank(mask: np.ndarray) -> np.ndarray:
 
 def tree_structure(parent: np.ndarray, edge_long: np.ndarray, edge_len: np.ndarray,
                    root_level: int) -> dict:
-    """Every field derived from the shape of a preorder tree (parent[v] < v):
-    depth, level (a long edge spans edge_len - 1 levels, a short one 1),
-    subtree_root (the root and long-edge bottoms start subtrees),
-    is_subtree_leaf (no short-edge children: L(T)), and the rows of the
-    subtree leaves and of the long-edge corner nodes (subtree leaves outside
-    the root's subtree), -1 elsewhere.
+    """Every field derived from the shape of a tree (root 0): depth, level
+    (a long edge spans edge_len - 1 levels, a short one 1), subtree_root (the
+    root and long-edge bottoms start subtrees), is_subtree_leaf (no
+    short-edge children: L(T)), and the rows of the subtree leaves and of the
+    long-edge corner nodes (subtree leaves outside the root's subtree), -1
+    elsewhere.
+
+    Depth, level and subtree root come from pointer doubling over parent:
+    each of ceil(log2 m) rounds adds to every node's sums those of the node
+    its pointer reaches, then doubles the pointer, until every pointer is at
+    the root (for the subtree root, at the nearest subtree top).
     """
     m = len(parent)
-    par, long_, length = parent.tolist(), edge_long.tolist(), edge_len.tolist()
-    depth = [0] * m
-    level = [int(root_level)] * m
-    sub = list(range(m))
-    for v in range(1, m):
-        u = par[v]
-        depth[v] = depth[u] + 1
-        if long_[v]:
-            level[v] = level[u] - (length[v] - 1)
-        else:
-            level[v] = level[u] - 1
-            sub[v] = sub[u]
-    subtree_root = np.array(sub, dtype=np.int64)
+    ids = np.arange(m)
+    up = np.where(ids > 0, parent, 0)
+    # per node: one edge and the levels it drops, summed up to the root
+    sums = np.stack([ids > 0, np.where(edge_long, edge_len - 1, 1)]).astype(np.int64)
+    sums[:, 0] = 0
+    top = np.where(edge_long | (ids == 0), ids, up)
+    for _ in range(max(m - 1, 1).bit_length()):
+        sums += sums[:, up]
+        up = up[up]
+        top = top[top]
     is_leaf = np.ones(m, dtype=bool)
     is_leaf[parent[1:][~edge_long[1:]]] = False
     return dict(
-        depth=np.array(depth, dtype=np.int64),
-        level=np.array(level, dtype=np.int64),
-        subtree_root=subtree_root,
+        depth=sums[0],
+        level=int(root_level) - sums[1],
+        subtree_root=top,
         is_subtree_leaf=is_leaf,
         leaf_row=_rank(is_leaf),
-        corner_row=_rank(is_leaf & (subtree_root != 0)),
+        corner_row=_rank(is_leaf & (top != 0)),
     )
 
 
@@ -463,16 +465,23 @@ def surrogate_units(t: RelativeLocationTree) -> np.ndarray:
     return s
 
 
+def _displacement(t: RelativeLocationTree, ps: PointSet, s: np.ndarray, vs: np.ndarray,
+                  scale: np.ndarray) -> np.ndarray:
+    """The centers of nodes vs minus their ingress surrogates, row v times
+    scale[v] (gamma / 2^level: the unit lp ball then holds it)."""
+    s_in = ps.points[t.center[t.subtree_root[vs]]] + s[t.ingress[vs]] * (1.0 / norm_root(t.d, t.p))
+    return (ps.points[t.center[vs]] - s_in) * scale[:, None]
+
+
 def compute_surrogates(t: RelativeLocationTree, ps: PointSet, h: Merges,
                        src: np.ndarray) -> np.ndarray:
     """Layer by layer over the ingress forest: quantize each center's
-    displacement from its ingress surrogate onto the grid net (coarse
-    everywhere, fine at subtree leaves) and accumulate shifted surrogates in
-    exact grid units. The roots' surrogates are their centers (units 0).
-    Returns the (m, d) shifted surrogates, as surrogate_units replays them.
+    displacement from its ingress surrogate onto the coarse grid net and
+    accumulate shifted surrogates in exact grid units. The roots' surrogates
+    are their centers (units 0). Returns the (m, d) shifted surrogates, as
+    surrogate_units replays them; raises OverflowError where check_finite
+    does.
     """
-    x = ps.points
-    unit = 1.0 / norm_root(t.d, t.p)
     delta = np.array(h.delta)[src]
     s = np.zeros((t.node_count, t.d))
     for vs in ingress_layers(t)[1:]:
@@ -480,22 +489,78 @@ def compute_surrogates(t: RelativeLocationTree, ps: PointSet, h: Merges,
         g = 5 + np.ceil(delta[vs] / two_l).astype(np.int64)
         t.g[vs] = g
         gamma = 1.0 / g
-        inn = t.ingress[vs]
-        s_in = x[t.center[t.subtree_root[vs]]] + s[inn] * unit
-        eta_star = (x[t.center[vs]] - s_in) * (gamma / two_l)[:, None]
+        eta_star = _displacement(t, ps, s, vs, gamma / two_l)
         nrm = lp_norms(eta_star, t.p)
         if np.any(nrm > 1.0 + 1e-9):
             bad = int(np.argmax(nrm))
             raise AssertionError(
                 f"displacement norm {nrm[bad]} > 1 at node {vs[bad]} (ingress/level bug)")
         t.eta[vs] = round_to_net(eta_star, gamma, t.p)
-        s[vs] = s[inn] + two_l[:, None] * t.eta[vs].astype(np.float64)
-        fine = t.is_subtree_leaf[vs]
-        t.eta_eps[vs[fine]] = round_to_net(eta_star[fine], gamma[fine] * t.eps, t.p)
-
-    if np.abs(s).max(initial=0.0) >= math.pow(2.0, 53):
-        raise OverflowError("surrogate units exceed exact float64 integer range")
+        s[vs] = s[t.ingress[vs]] + two_l[:, None] * t.eta[vs].astype(np.float64)
+    check_finite(t)
     return s
+
+
+def compute_fine_etas(t: RelativeLocationTree, ps: PointSet, s: np.ndarray):
+    """The lp flavor's fine net elements: at each non-root subtree leaf, the
+    displacement compute_surrogates rounds onto the coarse net, rounded onto
+    the finer net at eps / g. s holds the shifted surrogates
+    compute_surrogates returned."""
+    vs = np.flatnonzero(t.is_subtree_leaf & (t.subtree_root != np.arange(t.node_count)))
+    gamma = 1.0 / t.g[vs]
+    eta_star = _displacement(t, ps, s, vs, gamma / np.ldexp(1.0, t.level[vs]))
+    t.eta_eps[vs] = round_to_net(eta_star, gamma * t.eps, t.p)
+
+
+def _abs_row_max(a: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each row, as float64 (exact for int64 -2^63)."""
+    return np.maximum(a.max(axis=1, initial=0).astype(np.float64),
+                      -a.min(axis=1, initial=0).astype(np.float64))
+
+
+def check_finite(t: RelativeLocationTree):
+    """Raise OverflowError unless every shifted surrogate a query replays is
+    an exact float64 integer and every estimate read from t is finite.
+
+    One pointer-doubling pass over the ingress forest bounds |s(v)| by
+    b(v) = b(ingress v) + 2^level(v) max|eta[v]| (0 at the subtree roots),
+    and a fine surrogate by b(ingress v) + 2^level(v) eps max|eta_eps[v]|.
+    Both, and the stored landmark units, must stay below 2^53. A replay
+    from a landmark stays below their sum X, plus, on the Euclidean flavor,
+    the largest surrogate corner term and the sum of all long-edge corner
+    terms. Coordinate differences stay below 2X; their p-th powers (products,
+    Euclidean) summed over d coordinates, and the estimate scaled by
+    2^scale_exponent (squared, Euclidean), must stay far from 2^1024.
+    """
+    ids = np.arange(t.node_count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        two_l = np.ldexp(1.0, t.level)
+        b = np.where(t.subtree_root == ids, 0.0, two_l * _abs_row_max(t.eta))
+        hop = t.ingress
+        for _ in range(max(t.node_count - 1, 1).bit_length()):
+            b = b + b[hop]
+            hop = hop[hop]
+        fine = b[t.ingress] + two_l * t.eps * _abs_row_max(t.eta_eps)
+        coarse = max(b.max(initial=0.0), fine.max(initial=0.0))
+        landmark = _abs_row_max(t.landmark_units).max(initial=0.0)
+        if not max(coarse, landmark) < 2.0**53:
+            raise OverflowError("surrogate units exceed exact float64 integer range")
+        x = coarse + landmark
+        squares = t.augmentations is not None
+        if squares:
+            aug = t.augmentations
+            leaf = np.flatnonzero(t.is_subtree_leaf)
+            corner = np.flatnonzero(t.corner_row >= 0)
+            x += (two_l[leaf] * np.maximum(_abs_row_max(aug.a1), _abs_row_max(aug.a2))).max(
+                initial=0.0)
+            x += (two_l[t.parent[t.subtree_root[corner]]]
+                  * np.maximum(_abs_row_max(aug.b1), _abs_row_max(aug.b2))).sum()
+    e = math.log2(max(2.0 * x, 1.0))
+    power = 1 if t.p == math.inf else t.p
+    times = 2 if squares else 1
+    if not (math.log2(t.d) + power * e < 1020
+            and math.log2(t.d) + times * (e + t.scale_exponent) < 1020):
+        raise OverflowError("estimates exceed the float64 range")
 
 
 def select_landmarks(t: RelativeLocationTree, K: int, s: np.ndarray):
@@ -526,12 +591,21 @@ def landmark_step_budget(phi: float, d: int, p) -> int:
     return max(1, int(math.ceil(math.log2(2.0 * phi * norm_root(d, p)))))
 
 
-def build_tree(ps: PointSet, eps: float) -> RelativeLocationTree:
-    """Full construction over a scaled point set; eps is quantized to dyadic."""
+def build_coarse_tree(ps: PointSet, eps: float) -> tuple[RelativeLocationTree, np.ndarray]:
+    """Every stage but the fine etas, over a scaled point set at eps
+    quantized to dyadic: the Euclidean flavor's tree. Returns the tree and
+    its shifted surrogates."""
     h = build_hierarchy(ps)
     t, src = compress_paths(h, ps, quantize_eps(eps))
     assign_centers(t, src)
     assign_ingresses(t, ps, h, src)
     s = compute_surrogates(t, ps, h, src)
     select_landmarks(t, landmark_step_budget(ps.phi, ps.d, ps.p), s)
+    return t, s
+
+
+def build_tree(ps: PointSet, eps: float) -> RelativeLocationTree:
+    """Full lp construction over a scaled point set; eps is quantized to dyadic."""
+    t, s = build_coarse_tree(ps, eps)
+    compute_fine_etas(t, ps, s)
     return t

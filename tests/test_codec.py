@@ -1,15 +1,18 @@
 import dataclasses
 import math
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rltsketch.bits import CHUNK, BitReader, BitWriter, width_for_bound, width_for_count
+from rltsketch.bits import CHUNK, BitReader, BitWriter, width_for_count
 from rltsketch.codec import (
     _HEADER,
     SECTION_NAMES,
+    VERSION,
+    _crc,
     DecodeError,
     SketchBits,
     build_lp_sketch,
@@ -20,7 +23,7 @@ from rltsketch.codec import (
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.metric import INF, PointSet, scale_points
-from rltsketch.tree import build_tree
+from rltsketch.tree import build_coarse_tree, build_tree
 
 
 def pointset_1d(coords, p=2):
@@ -129,9 +132,6 @@ def test_width_helpers():
     assert width_for_count(1) == 0
     assert width_for_count(2) == 1
     assert width_for_count(5) == 3
-    assert width_for_bound(0) == 1
-    assert width_for_bound(1) == 2   # values -1..1
-    assert width_for_bound(4) == 4   # values -4..4 (9 of them)
 
 
 # -- tree equality ---------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_roundtrip_euclidean_field_exact_vs_builder():
     seed_mat, seed_s1, seed_s2 = seq.spawn(3)
     dprime = target_dimension(ps.n, eps_d)
     proj = jl_transform(ps, JlConfig(dprime, seed_mat))
-    tree = build_tree(proj, EUCLIDEAN_TREE_EPS)
+    tree, _ = build_coarse_tree(proj, EUCLIDEAN_TREE_EPS)
     tree.header_eps = eps_d
     sig1 = np.random.default_rng(seed_s1).random(dprime)
     sig2 = np.random.default_rng(seed_s2).random(dprime)
@@ -233,7 +233,9 @@ def test_center_section_width():
     ps = random_pointset(rng, 20, 2, 2)
     t = build_tree(ps, 0.25)
     rep = size_report(encode(t))
-    assert rep["sections"]["centers"]["data_bits"] == t.node_count * math.ceil(math.log2(20))
+    # only the n leaves' centers: an internal center is its first leaf's
+    assert t.node_count > t.n
+    assert rep["sections"]["centers"]["data_bits"] == t.n * math.ceil(math.log2(20))
 
 
 def test_topology_is_two_bits_per_node():
@@ -266,13 +268,13 @@ def test_augmentation_section_iff_euclidean():
 
     sk = build_euclidean_sketch(ps, 0.4, seed=9)
     dec = decode(sk)
-    rep = size_report(sk)
-    n_leaf = int(dec.is_subtree_leaf.sum())
-    n_b = int((dec.corner_row >= 0).sum())
-    from rltsketch.codec import corner_bound
-    wa = width_for_bound(corner_bound(dec.d))
-    # two independent copies of every corner
-    assert rep["sections"]["augmentations"]["data_bits"] == 2 * (n_leaf + n_b) * dec.d * wa
+    fields = size_report(sk)["sections"]["augmentations"]["fields"]
+    assert len(dec.augmentations.a1) == int(dec.is_subtree_leaf.sum())
+    # two independent copies of every surrogate corner, each at the width
+    # of its observed range after a 70-bit (min, width) header
+    for name in ("a1", "a2"):
+        mat = getattr(dec.augmentations, name)
+        assert fields[name] == 70 + mat.size * int(mat.max() - mat.min()).bit_length()
 
 
 def test_fine_net_section_growth_under_eps_halving():
@@ -310,15 +312,16 @@ def test_decode_rejects_corruption():
         decode(SketchBits(sk.data + b"\x00"))
 
 
-def test_decode_rejects_a_wrong_internal_center():
+def test_encode_rejects_a_wrong_internal_center():
     # an internal node's center is the point of its first leaf in preorder;
-    # encode writes whatever the tree holds, decode must refuse a mismatch
+    # the file holds only the leaves' centers, so encode must refuse a tree
+    # whose internal center decode would derive differently
     ps = random_pointset(np.random.default_rng(3), 40, 3, 2)
     t = decode(build_lp_sketch(ps, 0.25))
     assert 2 in t.parent and t.center[2] == 1  # node 2 is internal
     t.center[2] = 2
-    with pytest.raises(DecodeError, match="center"):
-        decode(encode(t))
+    with pytest.raises(ValueError, match="center"):
+        encode(t)
 
 
 def test_decode_survives_random_bit_flips():
@@ -361,23 +364,44 @@ def test_level_recovery_under_long_edges():
 
 
 def _section_span(data: bytes, name: str) -> tuple[int, int]:
-    """Byte range of a section in a sketch file, 64-bit length prefix included."""
+    """Byte range of a section in a sketch file, its 64-bit length and
+    32-bit CRC included."""
     def end(start):
-        return start + 8 + (int.from_bytes(data[start:start + 8], "little") + 7) // 8
+        return start + 12 + (int.from_bytes(data[start:start + 8], "little") + 7) // 8
 
-    lo = _HEADER.size
+    lo = _HEADER.size + 4  # the header's CRC
     for _ in range(SECTION_NAMES.index(name)):
         lo = end(lo)
     return lo, end(lo)
 
 
-def test_decode_rejects_zero_landmark_width():
+def reseal(data: bytes) -> bytes:
+    """The file with the header's CRC and each section's CRC recomputed, as
+    far as the section lengths reach: a mutation then meets the decoder's
+    structural checks instead of its checksums."""
+    out = bytearray(data)
+    pos = _HEADER.size + 4
+    if len(out) >= pos:
+        out[_HEADER.size:pos] = zlib.crc32(out[:_HEADER.size]).to_bytes(4, "little")
+    for _ in SECTION_NAMES:
+        bit_len = int.from_bytes(out[pos:pos + 8], "little")
+        end = pos + 12 + (bit_len + 7) // 8
+        if end > len(out):
+            break
+        out[pos + 8:pos + 12] = _crc(bytes(out[pos + 12:end]), bit_len).to_bytes(4, "little")
+        pos = end
+    return bytes(out)
+
+
+def test_decode_rejects_a_range_beyond_int64():
+    # a range header whose min + 2^width - 1 passes 2^63 - 1
     sk = build_lp_sketch(random_pointset(np.random.default_rng(5), 20, 2, 2), 0.25)
-    lo, _ = _section_span(sk.data, "landmarks")
+    assert size_report(sk)["sections"]["gammas"]["data_bits"] > 70  # width >= 1
+    lo, _ = _section_span(sk.data, "gammas")
     bad = bytearray(sk.data)
-    bad[lo + 16:lo + 18] = b"\x00\x00"  # payload bits 64..79: the value width
-    with pytest.raises(DecodeError):
-        decode(SketchBits(bytes(bad)))
+    bad[lo + 12:lo + 20] = b"\x7f" + b"\xff" * 7  # the g field's min: 2^63 - 1
+    with pytest.raises(DecodeError, match="int64"):
+        decode(SketchBits(reseal(bytes(bad))))
 
 
 def test_decode_single_bit_flips_of_header_and_ingresses():
@@ -420,3 +444,129 @@ def test_every_single_bit_flip_decodes_to_a_queryable_tree_or_raises():
             ctx.estimate(0, t.n - 1)
             ctx.all_pairs()
     assert decoded > 0
+
+
+# -- format v2 ---------------------------------------------------------------
+
+# encode(build_tree(pointset_1d([0, 1, 10]), 0.5)) in format v1
+V1_SKETCH = bytes.fromhex(
+    "524c545301000300000000000000010000000000000002000000000000000000008020"
+    "000000000000000000000004000000000000000c00000000000000f440080000000000"
+    "0000580c000000000000000060100000000000000011981400000000000000314a5014"
+    "000000000000006296b018000000000000006145966800000000000000000000000000"
+    "000200010005150000000000000000")
+
+
+def test_a_v1_file_is_rejected():
+    assert VERSION == 2
+    with pytest.raises(DecodeError, match="unsupported version 1"):
+        decode(SketchBits(V1_SKETCH))
+    with pytest.raises(DecodeError, match="unsupported version 1"):
+        size_report(SketchBits(V1_SKETCH))
+
+
+def test_checksums_cover_header_and_every_section():
+    sk = build_lp_sketch(random_pointset(np.random.default_rng(7), 30, 2, 2), 0.25)
+    for name in SECTION_NAMES[:-1]:  # the lp flavor's augmentations are empty
+        lo, hi = _section_span(sk.data, name)
+        bad = bytearray(sk.data)
+        bad[lo + 12] ^= 0x80  # the payload's first bit
+        with pytest.raises(DecodeError, match=f"section {name} CRC"):
+            decode(SketchBits(bytes(bad)))
+    bad = bytearray(sk.data)
+    bad[12] ^= 1  # n
+    with pytest.raises(DecodeError, match="header CRC"):
+        decode(SketchBits(bytes(bad)))
+
+
+def test_encode_rejects_trees_whose_derived_fields_differ():
+    # the file drops what decode derives, so encode refuses a tree where a
+    # derivation would not give the field back
+    ps = random_pointset(np.random.default_rng(3), 40, 3, 2)
+    t = decode(build_lp_sketch(ps, 0.25))
+    breaks = {
+        "ingress": lambda u: u.ingress.__setitem__(1, 1),  # a first child's is its parent
+        "landmark_units": lambda u: u.landmark_units.__setitem__((0, 0), 1.0),  # the root's
+        "eta": lambda u: u.eta.__setitem__((0, 0), 1),  # the root has none
+        "eta_eps": lambda u: u.eta_eps.__setitem__((0, 0), 1),  # nor a fine one
+    }
+    for name, edit in breaks.items():
+        u = decode(encode(t))
+        edit(u)
+        with pytest.raises(ValueError, match=rf"^{name} differs"):
+            encode(u)
+
+
+def test_euclidean_trees_hold_no_fine_etas():
+    ps = random_pointset(np.random.default_rng(13), 14, 4, 2)
+    dec = decode(build_euclidean_sketch(ps, 0.3, seed=1))
+    assert not dec.eta_eps.any()
+    assert size_report(encode(dec, dec.augmentations))["sections"]["leaf_etas"]["data_bits"] == 0
+    fine = dec.is_subtree_leaf & (dec.subtree_root != np.arange(dec.node_count))
+    leaf = int(np.flatnonzero(fine)[0])
+    with pytest.raises(ValueError, match="fine"):
+        QueryContext(dec).shifted_surrogate(leaf, fine=True)
+    dec.eta_eps[leaf, 0] = 1
+    with pytest.raises(ValueError, match="eta_eps"):
+        encode(dec, dec.augmentations)
+
+
+def test_lp_leaf_etas_are_stored_as_residuals():
+    # at non-root subtree leaves, coarse eta - floor(eta_eps * eps) is 0 or 1
+    ps = random_pointset(np.random.default_rng(19), 60, 4, 2)
+    for eps in (0.5, 0.1):
+        t = build_tree(ps, eps)
+        fine = t.is_subtree_leaf & (t.subtree_root != np.arange(t.node_count))
+        residual = t.eta[fine] - np.floor(t.eta_eps[fine] * t.eps).astype(np.int64)
+        assert set(np.unique(residual)) <= {0, 1}
+        fields = size_report(encode(t))["sections"]["etas"]["fields"]
+        width = int(residual.max() - residual.min()).bit_length()
+        assert fields["residual"] == 70 + residual.size * width
+
+
+def test_trailing_bits_in_a_section_are_rejected():
+    sk = build_lp_sketch(random_pointset(np.random.default_rng(23), 20, 2, 2), 0.25)
+    lo, hi = _section_span(sk.data, "centers")
+    bit_len = int.from_bytes(sk.data[lo:lo + 8], "little")
+    bad = bytearray(sk.data)
+    bad[lo:lo + 8] = (bit_len + 1).to_bytes(8, "little")  # one more bit, read as 0
+    if bit_len % 8 == 0:
+        bad[hi:hi] = b"\x00"
+    with pytest.raises(DecodeError, match="unread"):
+        decode(SketchBits(reseal(bytes(bad))))
+
+
+def _small_sketches() -> dict:
+    rng = np.random.default_rng(29)
+    clusters = np.concatenate([c + rng.uniform(0, 1, size=(4, 2))
+                               for c in rng.uniform(0, 1e5, size=(3, 2))])
+    return {
+        "lp": build_lp_sketch(random_pointset(rng, 12, 2, 2), 0.25).data,
+        "lp-long-edges": build_lp_sketch(scale_points(clusters, 1), 0.25).data,
+        "euclidean": build_euclidean_sketch(random_pointset(rng, 10, 3, 2), 0.5, seed=3).data,
+    }
+
+
+SMALL_SKETCHES = _small_sketches()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SMALL_SKETCHES)),
+       st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=4),
+       st.one_of(st.none(), st.integers(0, 1 << 16)))
+def test_decoder_is_total_under_mutation_and_truncation(name, edits, cut):
+    # whatever bytes a file holds, with checksums made to match: decode
+    # raises DecodeError or gives a tree whose every estimate is finite
+    data = bytearray(SMALL_SKETCHES[name])
+    for pos, byte in edits:
+        data[pos % len(data)] = byte
+    if cut is not None:
+        del data[cut % len(data):]
+    try:
+        t = decode(SketchBits(reseal(bytes(data))))
+    except DecodeError:
+        return
+    ctx = QueryContext(t)
+    if t.n >= 2:
+        assert math.isfinite(ctx.estimate(0, t.n - 1))
+    assert np.isfinite(ctx.all_pairs()).all()

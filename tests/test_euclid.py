@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rltsketch.codec import EUCLIDEAN_TREE_EPS, decode, size_report
+from rltsketch.codec import EUCLIDEAN_TREE_EPS, decode, encode, size_report
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import (
     JlConfig,
@@ -13,7 +13,7 @@ from rltsketch.euclid import (
     target_dimension,
 )
 from rltsketch.metric import pairwise_distances, scale_points
-from rltsketch.tree import build_tree, surrogate_units
+from rltsketch.tree import build_coarse_tree, surrogate_units
 
 
 def random_pointset(rng, n, d, spread=100.0):
@@ -95,7 +95,7 @@ def _fixed_tree(seed=0, n=14, d=6, dprime=40):
     rng = np.random.default_rng(seed)
     ps = random_pointset(rng, n, d)
     proj = jl_transform(ps, JlConfig(dprime, 7))
-    return build_tree(proj, EUCLIDEAN_TREE_EPS), proj
+    return build_coarse_tree(proj, EUCLIDEAN_TREE_EPS)[0], proj
 
 
 def _clustered_tree(seed=2, clusters=4, size=6, d=6, dprime=40):
@@ -106,7 +106,7 @@ def _clustered_tree(seed=2, clusters=4, size=6, d=6, dprime=40):
     centers = np.arange(clusters)[:, None] * np.full(d, 6.0 / math.sqrt(d))
     pts = np.concatenate([c + rng.uniform(0, 1, size=(size, d)) for c in centers])
     proj = jl_transform(scale_points(pts, 2), JlConfig(dprime, 7))
-    tree = build_tree(proj, EUCLIDEAN_TREE_EPS)
+    tree, _ = build_coarse_tree(proj, EUCLIDEAN_TREE_EPS)
     assert tree.edge_long.any()
     return tree, proj
 
@@ -278,3 +278,27 @@ def test_bit_growth_scales_with_inverse_eps_squared():
     for a, b in zip(bits, bits[1:]):
         ratio = b / a
         assert 4 * 0.8 <= ratio <= 4 * 1.2, ratio
+
+
+def test_first_long_edge_corner_row_of_each_subtree_is_derived():
+    # a subtree's first leaf holds the subtree's center, which is the long
+    # edge's top center too: its long-edge displacement, and so its corner
+    # rows, are zero, and the file does not store them
+    tree, proj = _clustered_tree(seed=4)
+    rng = np.random.default_rng(7)
+    tree.augmentations = build_augmentations(tree, proj.points, rng.random(tree.d),
+                                             rng.random(tree.d))
+    sk = encode(tree)
+    dec = decode(sk)
+    corners = np.flatnonzero(dec.corner_row >= 0)
+    _, first = np.unique(dec.subtree_root[corners], return_index=True)
+    assert len(first) >= 2  # non-root subtrees
+    fields = size_report(sk)["sections"]["augmentations"]["fields"]
+    for name in ("b1", "b2"):
+        built, back = getattr(tree.augmentations, name), getattr(dec.augmentations, name)
+        assert np.array_equal(built, back)
+        assert not back[first].any()
+        stored = np.delete(back, first, axis=0)
+        width = int(stored.max() - stored.min()).bit_length()
+        # d' values of this width fewer per non-root subtree, per copy
+        assert fields[name] == 70 + (len(back) - len(first)) * dec.d * width

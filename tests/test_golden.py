@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rltsketch import bits, metric
-from rltsketch.codec import build_lp_sketch, decode
+from rltsketch.codec import build_lp_sketch, decode, encode, size_report
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.metric import INF, scale_points
@@ -65,13 +65,13 @@ CASES = {
         scale_points(np.random.default_rng(105).normal(size=(40, 10)), 2), 0.3, seed=7),
 }
 SKETCH_DIGESTS = {
-    "lp-p1": "c1af1ab06171f6525ee24395482cf7e0e4d85b153aa8fc9eb726910b60ca8c56",
-    "lp-p2": "c06ed28464d6e615a3eb32d9d63588deb3d95e70cdba6fda3a9e4f4e0eb7feb0",
-    "lp-pinf": "ce73b821a73410f8530ff334a5458f9387b899fd3221173731a1da873f9df429",
-    "lp-multiscale": "d66b38ddfab6c4010a9993670bfd5ebd5390ec6fd5eca147ad56280f446b0c49",
-    "lp-int-grid": "c34cf73c8c6c214b5d4c761ce9792a6fdfa1cef9916b714696726d2b5aef4ff0",
-    "lp-deep-ingress": "58c27f9d42027524ef58d1f860f7fc9de278808e42f843409430e3ce4aa4c7ee",
-    "euclidean": "06f4739bca624fd3f243cb3c7736e6974e19394071bb64d5cab7d4f3eea3ef91",
+    "lp-p1": "7fac80ff55451d870a9004fd2acb28b7388514770bcddee363f0fb152d386cba",
+    "lp-p2": "4b9c4ed145bb3f9d36e994dd3878ce257627f7181566a75db81496e1dcc3c352",
+    "lp-pinf": "9bca644d93efee85e88f73600eb7d442a2b0cca3db1d2e6e9332c8025e0938cd",
+    "lp-multiscale": "c5193f466c6b5ed3e2e97c708a26334e0f85442a08d908d4da227dad2faf8619",
+    "lp-int-grid": "cc7b9abd1185a8f0ea930085a792314686ffdc19e8978028d1d18f5e7d5af9d8",
+    "lp-deep-ingress": "cf329d5e0ad2f229925af5e07031583d2e5c53c6d325c7c51ef1516a34365fc0",
+    "euclidean": "d4086e88e82ca8dbaf7e13e9a00a1c00f015e80fcaed9eeb7b0ecbb3bb1fe6d5",
 }
 
 
@@ -142,6 +142,15 @@ def test_no_subtree_holds_a_single_point(name):
     for v in range(t.node_count - 1, 0, -1):  # preorder: children after parents
         points[t.parent[v]] += points[v]
     assert (points[t.subtree_roots()[1:]] >= 2).all()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_file_reencodes_and_its_fields_sum_to_its_sections(name):
+    sketch = CASES[name]()
+    t = decode(sketch)
+    assert encode(t, t.augmentations).data == sketch.data
+    for section in size_report(sketch)["sections"].values():
+        assert sum(section["fields"].values()) == section["data_bits"]
 
 
 def _current_digests() -> dict:

@@ -341,6 +341,37 @@ def test_cli_end_to_end(tmp_path, capsys):
                      "--band", "1e-9"]) == 1
 
 
+def test_cli_info_prints_bits_per_field(tmp_path, capsys):
+    out = tmp_path / "s.rlts"
+    out.write_bytes(build_lp_sketch(ingest_array(np.arange(12.0).reshape(-1, 2), 2), 0.25).data)
+    assert cli.main(["info", "--sketch", str(out)]) == 0
+    sections = json.loads(capsys.readouterr().out)["sections"]
+    assert sections["etas"]["fields"].keys() == {"coarse", "residual"}
+    for section in sections.values():
+        assert sum(section["fields"].values()) == section["data_bits"]
+
+
+@pytest.mark.parametrize("kind", ["version-1", "truncated", "crc-mismatch"])
+def test_cli_rejects_a_corrupt_sketch(tmp_path, capsys, kind):
+    from test_codec import V1_SKETCH
+
+    pts = np.array([[0.0], [1.0], [10.0]])
+    inp = tmp_path / "pts.txt"
+    save_points_text(str(inp), pts)
+    good = build_lp_sketch(ingest_array(pts, 2), 0.5).data
+    bad = {
+        "version-1": V1_SKETCH,
+        "truncated": good[:len(good) - 3],
+        "crc-mismatch": good[:-1] + bytes([good[-1] ^ 0x80]),
+    }[kind]
+    sketch = tmp_path / "bad.rlts"
+    sketch.write_bytes(bad)
+    for argv in (["info"], ["estimate", "--i", "0", "--j", "1"],
+                 ["evaluate", "--input", str(inp)]):
+        assert cli.main([argv[0], "--sketch", str(sketch), *argv[1:]]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_strict_eps(tmp_path, capsys):
     rng = np.random.default_rng(13)
     pts = rng.normal(size=(20, 3)) * 30
