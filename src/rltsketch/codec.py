@@ -72,10 +72,6 @@ class SketchBits:
 
     data: bytes
 
-    @property
-    def bit_length(self) -> int:
-        return 8 * len(self.data)
-
 
 def _p_code(p) -> int:
     return 0 if p == INF else int(p)
@@ -379,7 +375,8 @@ def _write_field(w: BitWriter, field: Field, values: np.ndarray, f: _Fields):
         width = (int(values.max()) - lo).bit_length()
         if width > 63:
             raise ValueError(f"{field.key} spans more than 2^63 values")
-        w.write_uint_array(np.array([lo, width]).view(np.uint64), [64, 6])
+        w.write_uint_array(np.array([lo]).view(np.uint64), 64)
+        w.write_uint_array([width], 6)
         values = values - lo
     else:
         width = field.width(f)
@@ -392,7 +389,7 @@ def _read_field(r: BitReader, field: Field, f: _Fields) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)
     if field.width is not RANGE:
         return r.read_uint_array(shape, field.width(f))
-    lo, width = r.read_uint_array(2, [64, 6]).tolist()
+    lo, width = int(r.read_uint_array(1, 64)[0]), int(r.read_uint_array(1, 6)[0])
     if lo + (1 << width) > 1 << 63:
         raise DecodeError(f"{field.key}: range beyond int64")
     return r.read_uint_array(shape, width) + lo

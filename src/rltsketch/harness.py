@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -58,11 +59,11 @@ def load_points_binary(path: str) -> np.ndarray:
                 raise InputError(f"truncated binary header in {path}")
             n = int.from_bytes(head[:8], "little")
             d = int.from_bytes(head[8:], "little")
+            if 8 * n * d > os.fstat(fh.fileno()).st_size - len(head):
+                raise InputError(f"truncated binary point data in {path}")
             body = np.fromfile(fh, dtype="<f8", count=n * d)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    if body.size != n * d:
-        raise InputError(f"truncated binary point data in {path}")
     return body.reshape(n, d)
 
 
@@ -239,9 +240,7 @@ class DistortionReport:
     p99_rel_err: float = 0.0
     fraction_in_band: float = 0.0
     size: dict = field(default_factory=dict)
-    build_seconds: float | None = None
     query_seconds: float = 0.0
-    seed: int | None = None
 
     def summary(self) -> dict:
         return {
@@ -258,9 +257,7 @@ class DistortionReport:
             "total_data_bits": self.size.get("total_data_bits"),
             "section_data_bits": {
                 k: v["data_bits"] for k, v in self.size.get("sections", {}).items()},
-            "build_seconds": self.build_seconds,
             "query_seconds": self.query_seconds,
-            "seed": self.seed,
         }
 
     def pair_records(self):
@@ -288,8 +285,6 @@ def evaluate(
     sketch: SketchBits,
     exact: np.ndarray,
     band: float | None = None,
-    build_seconds: float | None = None,
-    seed: int | None = None,
 ) -> DistortionReport:
     """Compare every pairwise estimate against the exact distance matrix
     (original units). Raises InputError on a header/data mismatch."""
@@ -333,7 +328,5 @@ def evaluate(
         max_rel_err=max_rel, mean_rel_err=mean_rel, p99_rel_err=p99_rel,
         fraction_in_band=float(in_band / vals.size) if vals.size else 1.0,
         size=size_report(sketch),
-        build_seconds=build_seconds,
         query_seconds=query_seconds,
-        seed=seed,
     )

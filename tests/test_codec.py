@@ -41,23 +41,6 @@ def _gamma_width(v: int) -> int:
     return 2 * v.bit_length() - 1
 
 
-def test_bit_roundtrip_scalar_and_array():
-    w = BitWriter()
-    w.write_uint_array([5], 3)
-    w.write_uint_array([1], 1)
-    w.write_uint_array(np.array([0, 7, 3, 4]), 3)
-    w.write_uint_array([1, 13], [_gamma_width(1), _gamma_width(13)])
-    payload = w.getvalue()
-    r = BitReader(payload, w.bit_length)
-    assert r.read_uint(3) == 5
-    assert r.read_bit() == 1
-    assert r.read_uint_array(4, 3).tolist() == [0, 7, 3, 4]
-    assert r.read_gamma() == 1
-    assert r.read_gamma() == 13
-    with pytest.raises(EOFError):
-        r.read_uint(64)
-
-
 def test_gamma_lengths():
     # value v costs 2*floor(log2 v) + 1 bits
     for v in (1, 2, 3, 4, 7, 8, 255, 256, 12345):
@@ -73,27 +56,26 @@ def _packed(bitstring: str) -> bytes:
                  for i in range(0, len(bitstring), 8))
 
 
-_width_and_value = st.integers(0, 64).flatmap(
-    lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1)))
+_width_and_values = st.integers(0, 64).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=5)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_width_and_value, max_size=40))
-def test_array_write_with_per_value_widths(pairs):
-    # one array write equals the per-value writes and the plain binary
-    # strings, and one array read gives the values back
-    widths = np.array([w for w, _ in pairs], dtype=np.int64)
-    values = np.array([v for _, v in pairs], dtype=np.uint64)
-    scalar = BitWriter()
-    for w, v in pairs:
-        scalar.write_uint_array(np.array([v], dtype=np.uint64), w)
-    array = BitWriter()
-    array.write_uint_array(values, widths)
-    expect = "".join(format(v, "b").zfill(w) if w else "" for w, v in pairs)
-    assert array.bit_length == scalar.bit_length == len(expect)
-    assert array.getvalue() == scalar.getvalue() == _packed(expect)
-    back = BitReader(array.getvalue(), array.bit_length).read_uint_array(len(pairs), widths)
-    assert back.view(np.uint64).tolist() == [v for _, v in pairs]
+@given(st.lists(_width_and_values, max_size=12))
+def test_one_write_and_one_read_per_width(calls):
+    # a call per (width, values) entry writes the values' binary strings
+    # back to back, and a read call per entry gives each array back
+    w = BitWriter()
+    for width, values in calls:
+        w.write_uint_array(np.array(values, dtype=np.uint64), width)
+    expect = "".join(format(v, "b").zfill(width) if width else ""
+                     for width, values in calls for v in values)
+    assert w.bit_length == len(expect)
+    assert w.getvalue() == _packed(expect)
+    r = BitReader(w.getvalue(), w.bit_length)
+    for width, values in calls:
+        assert r.read_uint_array(len(values), width).view(np.uint64).tolist() == values
+    assert r.pos == r.bit_length
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,26 +88,36 @@ def test_gamma_code_is_its_fixed_width_write(v):
     assert BitReader(fixed.getvalue(), fixed.bit_length).read_gamma() == v
 
 
-def test_array_calls_span_chunks_and_broadcast_row_widths():
-    # more values than one chunk, widths broadcast per row, and a write that
-    # starts mid-byte
-    rng = np.random.default_rng(7)
-    row_w = rng.integers(0, 65, size=(3 * CHUNK // 100 + 7, 1))
-    vals = rng.integers(0, 1 << 63, size=(len(row_w), 100), dtype=np.uint64)
-    vals = np.where(row_w < 64, vals & ((np.uint64(1) << row_w.astype(np.uint64)) - 1), vals)
-    vals[row_w[:, 0] == 0] = 0
+@pytest.mark.parametrize("width", [13, 61])
+def test_array_calls_span_chunks(width):
+    # a 2-D array of more values than one chunk, written after 3 bits so it
+    # starts mid-byte; at 61 bits a value can reach into a ninth byte
+    rng = np.random.default_rng(width)
+    vals = rng.integers(0, 1 << width, size=(CHUNK // 100 + 7, 100), dtype=np.uint64)
     w = BitWriter()
     w.write_uint_array([5], 3)
-    w.write_uint_array(vals, row_w)
+    w.write_uint_array(vals, width)
     one_by_one = BitWriter()
     one_by_one.write_uint_array([5], 3)
-    for row, wd in zip(vals, row_w[:, 0]):
-        one_by_one.write_uint_array(row, wd)
+    for row in vals:
+        one_by_one.write_uint_array(row, width)
     assert w.getvalue() == one_by_one.getvalue()
     r = BitReader(w.getvalue(), w.bit_length)
-    assert r.read_uint(3) == 5
-    assert np.array_equal(r.read_uint_array(vals.shape, row_w).view(np.uint64), vals)
+    assert r.read_uint_array(1, 3).tolist() == [5]
+    assert np.array_equal(r.read_uint_array(vals.shape, width).view(np.uint64), vals)
     assert r.pos == r.bit_length
+
+
+def test_read_past_the_end_raises_before_allocating():
+    r = BitReader(b"\xab\xcd", 16)
+    with pytest.raises(EOFError):
+        r.read_uint_array((1 << 40,), 8)  # 8 TiB of output, were it allocated
+    assert r.pos == 0
+    assert r.read_uint_array(2, 8).tolist() == [0xAB, 0xCD]
+    with pytest.raises(EOFError):
+        r.read_uint_array(1, 1)
+    with pytest.raises(EOFError):
+        r.read_gamma()
 
 
 def test_width_helpers():

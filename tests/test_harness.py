@@ -432,3 +432,13 @@ def test_cli_input_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "x")]) == 2
     assert cli.main(["gen-lb-euclidean", "--n", "4", "--eps", "0.3",
                      "--seed", "0", "--out", str(tmp_path / "y")]) == 2
+
+
+def test_cli_rejects_binary_points_shorter_than_their_header(tmp_path, capsys):
+    # the header claims 2^40 points of one coordinate (8 TiB), the file
+    # holds one: rejected before any buffer is sized from the header
+    inp = tmp_path / "pts.bin"
+    inp.write_bytes((1 << 40).to_bytes(8, "little") + (1).to_bytes(8, "little") + bytes(8))
+    assert cli.main(["sketch", "--input", str(inp), "--format", "binary", "--eps", "0.1",
+                     "--out", str(tmp_path / "s.rlts")]) == 2
+    assert capsys.readouterr().err.startswith("error: truncated binary point data")
