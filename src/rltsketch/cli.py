@@ -26,7 +26,8 @@ def _parse_p(text: str):
         return INF
     p = int(text)
     if p < 1:
-        raise InputError(f"p must be >= 1 or inf, got {text}")
+        # argparse reports this error (naming --p) and exits 2
+        raise argparse.ArgumentTypeError(f"p must be >= 1 or inf, got {text}")
     return p
 
 

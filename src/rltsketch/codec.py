@@ -31,7 +31,7 @@ import numpy as np
 from .bits import BitReader, BitWriter, width_for_count
 from .metric import INF, PointSet
 from .tree import (EPS_EXPONENT, Augmentations, RelativeLocationTree, build_tree, check_finite,
-                   first_leaves, tree_structure)
+                   first_leaves, later_children, tree_structure)
 
 MAGIC = b"RLTS"
 VERSION = 2
@@ -180,10 +180,7 @@ class _Fields:
 
     @cached_property
     def later_children(self) -> np.ndarray:
-        """Short children after their parent's first one: the nodes whose
-        ingress is stored. Every non-root is a short child."""
-        _, first = np.unique(self.parent[self.non_root], return_index=True)
-        return np.delete(self.non_root, first)
+        return later_children(self.parent, self.shape["subtree_root"])
 
     @cached_property
     def stored_corners(self) -> np.ndarray:

@@ -174,6 +174,8 @@ class QueryContext:
             raise ValueError("probabilistic surrogates require a Euclidean sketch")
         if copy not in (1, 2):
             raise ValueError("copy must be 1 or 2")
+        if not 0 <= i < t.n:
+            raise IndexError("point index out of range")
         chain = self._chain(i)
         for idx, (root, _) in enumerate(chain):
             if root == r:

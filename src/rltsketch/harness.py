@@ -139,6 +139,8 @@ class GeneralMetric:
 
 def embed_general_metric(metric: GeneralMetric) -> PointSet:
     """Isometric embedding into l_inf^n: x_i = (d(i,1), ..., d(i,n))."""
+    if metric.n < 2:
+        raise InputError("need at least two points")
     metric.validate()
     ps = scale_points(metric.matrix, INF)
     # the max coordinate difference of rows i, j is attained at column j.

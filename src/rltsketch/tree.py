@@ -15,9 +15,10 @@ weight < 2^l, and the merges of one level form one node each. A cluster
 that merges with nothing at a level gets no node there: its chain is made
 when the tree is emitted. When clusters merge, one read of each cross-child
 block of the distance matrix gives both the merged diameter and the
-children's neighbor graph (children within 2^l), on which the ingresses'
-spanning trees are built; no per-node copy of the members' distances is
-made.
+children's neighbor graph (children within 2^l), whose spanning tree
+fixes, right there, the point each later child's ingress enters by. No
+per-node copy of the members' distances is made, and a cluster's members
+are dropped when it merges.
 
 Layout: a tree is a set of flat arrays indexed by node id in preorder (root
 0), the same for built and decoded trees. Its shape is `parent`, `edge_long`
@@ -231,11 +232,10 @@ class Merges(NamedTuple):
 
     level: list[int]
     children: list[list[int]]  # ascending min member
-    members: list[np.ndarray]  # sorted point indices
     delta: list[float]  # exact cluster diameter
-    # (k, k) bool per merge node: children i, j have points within
-    # 2^level of each other; None at the leaves
-    child_graph: list[np.ndarray | None]
+    # the point of c's spanning-tree parent sibling nearest to c, for each
+    # child c after the first of its merge; -1 elsewhere
+    near: list[int]
 
 
 def build_hierarchy(ps: PointSet) -> Merges:
@@ -253,8 +253,9 @@ def build_hierarchy(ps: PointSet) -> Merges:
     each point pair is read once, at the level where its two points first
     share a cluster. The same read of the block between one child and the
     later children fills that child's row of the neighbor graph (child pairs
-    with some points within 2^level, `<=`), kept in child_graph for
-    assign_ingresses.
+    with some points within 2^level, `<=`). A BFS of it from the first child
+    gives each later child a parent sibling, whose point nearest to the
+    child (ties: smallest index) is the child's `near`.
     """
     n = ps.n
     dm = ps.distance_matrix()
@@ -264,9 +265,10 @@ def build_hierarchy(ps: PointSet) -> Merges:
 
     level = [0] * n
     children: list[list[int]] = [[] for _ in range(n)]
-    members: list[np.ndarray] = [np.array([i], dtype=np.int64) for i in range(n)]
     delta: list[float] = [0.0] * n
-    child_graph: list[np.ndarray | None] = [None] * n
+    near = [-1] * n
+    # sorted point indices of each cluster not merged yet
+    members = {i: np.array([i], dtype=np.int64) for i in range(n)}
 
     # union-find over points; a set's root is its min point index, which is
     # also the min member of node_of[root], the set's current cluster node
@@ -294,7 +296,7 @@ def build_hierarchy(ps: PointSet) -> Merges:
 
         for r, grp in groups.items():
             node_of[r] = len(level)
-            parts = [members[ch] for ch in grp]
+            parts = [members.pop(ch) for ch in grp]
             mem = np.concatenate(parts)
             ends = np.cumsum([len(part) for part in parts])
             k = len(grp)
@@ -306,15 +308,32 @@ def build_hierarchy(ps: PointSet) -> Merges:
                 start = ends[i]
                 block = dm[part[:, None], mem[start:]]
                 diam = max(diam, float(block.max()))
-                near = (block <= thr).any(axis=0)
-                adj[i, i + 1:] = np.logical_or.reduceat(near, ends[i:-1] - start)
+                close = (block <= thr).any(axis=0)
+                adj[i, i + 1:] = np.logical_or.reduceat(close, ends[i:-1] - start)
+            adj |= adj.T
+            del block, close  # before the BFS reads its blocks
+
+            # BFS spanning tree from the first child (it holds the center),
+            # neighbors in ascending child index
+            seen = np.arange(k) == 0
+            queue = [0]
+            for a in queue:
+                nb = np.flatnonzero(adj[a] & ~seen).tolist()
+                seen[nb] = True
+                queue += nb
+                for b in nb:
+                    dist = dm[parts[b][:, None], parts[a]].min(axis=0)
+                    near[grp[b]] = int(parts[a][dist.argmin()])  # ties: smallest
+            if not seen.all():
+                raise AssertionError("child neighbor graph is disconnected (construction bug)")
+
             level.append(lvl)
             children.append(grp)
-            members.append(np.sort(mem))
             delta.append(diam)
-            child_graph.append(adj | adj.T)
+            near.append(-1)
+            members[node_of[r]] = np.sort(mem)
 
-    return Merges(level, children, members, delta, child_graph)
+    return Merges(level, children, delta, near)
 
 
 def compress_paths(h: Merges, ps: PointSet, eps: float) -> tuple[RelativeLocationTree, np.ndarray]:
@@ -376,66 +395,39 @@ def assign_centers(t: RelativeLocationTree, src: np.ndarray):
     t.center[:] = src[first_leaves(t.parent)]
 
 
-def assign_ingresses(t: RelativeLocationTree, ps: PointSet, h: Merges, src: np.ndarray):
-    """Per subtree: the root is its own ingress; each child holding its
-    parent's center points to the parent; every other child points to the
-    entry leaf (in this subtree) of the nearest point in its spanning-tree
-    parent's cluster.
+def later_children(parent: np.ndarray, subtree_root: np.ndarray) -> np.ndarray:
+    """Short children after their parent's first one (ascending ids): the
+    nodes whose ingress is a subtree leaf, picked at their merge and stored.
+    Every node but a subtree root is a short child."""
+    short = np.flatnonzero(subtree_root != np.arange(len(parent)))
+    _, first = np.unique(parent[short], return_index=True)
+    return np.delete(short, first)
 
-    The spanning tree is a BFS of the children's neighbor graph (clusters
-    within 2^level), which build_hierarchy filled in its one read of the
-    cross-child blocks; only the block of each child against its
-    spanning-tree parent is read again here. A node with two or more short
-    children is the bottom of its merge node's chain, so its children are
-    that merge's, in order.
+
+def assign_ingresses(t: RelativeLocationTree, h: Merges, src: np.ndarray):
+    """Subtree roots are their own ingress; each first short child, which
+    holds its parent's center, points to the parent. A later child u stands
+    for a child of the merge at its parent, the bottom of that merge's
+    chain, and points to the entry leaf of h.near[src[u]] in its subtree:
+    the first ancestor of that point's leaf inside the subtree, found by
+    climbing from subtree root to subtree root, all later children at once.
     """
-    dm = ps.distance_matrix()
-    leaf_of = t.leaf_of_point()
+    ids = np.arange(t.node_count)
+    t.ingress[:] = np.where(t.subtree_root == ids, ids, t.parent)
+    later = later_children(t.parent, t.subtree_root)
+    first = np.delete(ids, later)  # and the subtree roots
+    if np.any(t.center[t.ingress[first]] != t.center[first]):
+        raise AssertionError("first child must hold the parent's center")
 
-    roots = t.subtree_roots()
-    t.ingress[roots] = roots
-
-    short = np.flatnonzero(~t.edge_long[1:]) + 1
-    short = short[np.argsort(t.parent[short], kind="stable")]
-    for v, us in groupby(short.tolist(), key=t.parent.tolist().__getitem__):
-        us = list(us)
-        if t.center[us[0]] != t.center[v]:
-            raise AssertionError("first child must hold the parent's center")
-        k = len(us)
-        if k == 1:
-            t.ingress[us[0]] = v
-            continue
-        adj = h.child_graph[src[v]]
-        blocks = [h.members[src[u]] for u in us]
-
-        # BFS spanning tree rooted at the center-holding child, neighbors in
-        # ascending child index for determinism
-        tau_parent = np.full(k, -1, dtype=np.int64)
-        seen = np.zeros(k, dtype=bool)
-        seen[0] = True
-        queue = [0]
-        for a in queue:
-            nb = np.flatnonzero(adj[a] & ~seen)
-            seen[nb] = True
-            tau_parent[nb] = a
-            queue.extend(nb.tolist())
-        if not seen.all():
-            raise AssertionError("child neighbor graph is disconnected (construction bug)")
-
-        t.ingress[us[0]] = v
-        for i in range(1, k):
-            j = int(tau_parent[i])
-            near = dm[np.ix_(blocks[i], blocks[j])].min(axis=0)
-            x = int(blocks[j][int(np.argmin(near))])  # ties: smallest point index
-            # entry leaf of this subtree over x: first ancestor of leaf(x)
-            # inside the subtree of v
-            target = t.subtree_root[v]
-            u_x = int(leaf_of[x])
-            while t.subtree_root[u_x] != target:
-                u_x = int(t.parent[t.subtree_root[u_x]])
-            if not t.is_subtree_leaf[u_x]:
-                raise AssertionError("ingress target is not a subtree leaf")
-            t.ingress[us[i]] = u_x
+    u = t.leaf_of_point()[np.array(h.near)[src[later]]]
+    target = t.subtree_root[later]
+    out = np.flatnonzero(t.subtree_root[u] != target)
+    while len(out):
+        u[out] = t.parent[t.subtree_root[u[out]]]
+        out = out[t.subtree_root[u[out]] != target[out]]
+    if not t.is_subtree_leaf[u].all():
+        raise AssertionError("ingress target is not a subtree leaf")
+    t.ingress[later] = u
 
 
 def ingress_layers(t: RelativeLocationTree) -> list[np.ndarray]:
@@ -598,7 +590,7 @@ def build_coarse_tree(ps: PointSet, eps: float) -> tuple[RelativeLocationTree, n
     h = build_hierarchy(ps)
     t, src = compress_paths(h, ps, quantize_eps(eps))
     assign_centers(t, src)
-    assign_ingresses(t, ps, h, src)
+    assign_ingresses(t, h, src)
     s = compute_surrogates(t, ps, h, src)
     select_landmarks(t, landmark_step_budget(ps.phi, ps.d, ps.p), s)
     return t, s

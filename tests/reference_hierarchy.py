@@ -10,8 +10,9 @@ walks each non-branching path of that per-level hierarchy and folds it into
 one leaf over a single point, or into a long edge where it qualifies, where
 the library makes each chain when it emits the merge node below it.
 `reference_ingresses` copies the rows and columns of each branching node's
-points to get its children's neighbor graph, where the library fills that
-graph while it reads the cross-child blocks for the diameters.
+points to get its children's neighbor graph and nearest points, where the
+library fills that graph while it reads the cross-child blocks for the
+diameters and picks the nearest points at the merge.
 `reference_landmarks` runs the greedy landmark rule node by node, where the
 library makes one bottom-up pass over the ingress layers. The tests use this
 module to check that both give identical results.
@@ -37,17 +38,14 @@ def cluster_min_matrix(dm: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def reference_hierarchy(dm: np.ndarray):
-    """(level, parent, children, members, delta, root, child_graph) of the
-    per-level hierarchy: nodes by level, then by ascending min member.
-    child_graph holds, at each node with two or more children, which
-    children have points within 2^level of each other; None elsewhere."""
+    """(level, parent, children, members, delta, root) of the per-level
+    hierarchy: nodes by level, then by ascending min member."""
     n = dm.shape[0]
     level = [0] * n
     parent = [-1] * n
     children: list[list[int]] = [[] for _ in range(n)]
     members = [np.array([i], dtype=np.int64) for i in range(n)]
     delta = [0.0] * n
-    child_graph: list = [None] * n
 
     current = list(range(n))
     lvl = 0
@@ -58,10 +56,8 @@ def reference_hierarchy(dm: np.ndarray):
         for ci, node in enumerate(current):
             labels[members[node]] = ci
         cm = cluster_min_matrix(dm, labels)
-        thr = math.pow(2.0, lvl)
-        adj = (cm < thr) & ~np.eye(k, dtype=bool)
+        adj = (cm < math.pow(2.0, lvl)) & ~np.eye(k, dtype=bool)
         ncomp, comp = connected_components(csr_matrix(adj), directed=False)
-        index = {node: ci for ci, node in enumerate(current)}
 
         # canonical component order: ascending min member index
         groups: list[list[int]] = [[] for _ in range(ncomp)]
@@ -81,27 +77,23 @@ def reference_hierarchy(dm: np.ndarray):
             if len(grp) == 1:
                 members.append(members[grp[0]])
                 delta.append(delta[grp[0]])
-                child_graph.append(None)
             else:
                 mem = np.sort(np.concatenate([members[ch] for ch in grp]))
                 members.append(mem)
                 delta.append(float(dm[np.ix_(mem, mem)].max()))
-                ci = [index[ch] for ch in grp]
-                child_graph.append((cm[np.ix_(ci, ci)] <= thr) & ~np.eye(len(grp), dtype=bool))
             nxt.append(node)
         current = nxt
-    return level, parent, children, members, delta, current[0], child_graph
+    return level, parent, children, members, delta, current[0]
 
 
-def reference_compress(level, parent, children, members, delta, root, child_graph,
-                       eps: float) -> dict:
+def reference_compress(level, parent, children, members, delta, root, eps: float) -> dict:
     """Fold each maximal non-branching path v_0..v_k (interior nodes of one
     child) of a per-level hierarchy into one leaf v_0 where v_k is a point,
     else into a long edge v_0 -> v_k annotated with the length k, where
     k >= 2 and delta(v_k) <= 2^level(v_0) * eps; otherwise keep the path.
     Returns the compressed tree's parent, edge_len (0 for short edges),
-    level, members, delta and child_graph in preorder, children in
-    ascending min member."""
+    level, members and delta in preorder, children in ascending min
+    member."""
     out_parent: list[int] = []
     edge_len: list[int] = []
     raw_id: list[int] = []
@@ -137,16 +129,17 @@ def reference_compress(level, parent, children, members, delta, root, child_grap
         level=np.array([level[r] for r in raw_id], dtype=np.int64),
         members=[members[r] for r in raw_id],
         delta=np.array(delta, dtype=np.float64)[raw_id],
-        child_graph=[child_graph[r] for r in raw_id],
     )
 
 
 def reference_ingresses(t, dm: np.ndarray):
-    """(graphs, ingress) of a built tree, from its shape and leaf centers alone:
-    graphs maps every node with two or more short children to their neighbor
-    graph (min distance between child clusters <= 2^level), and ingress
-    follows `rltsketch.tree.assign_ingresses`."""
-    graphs = {}
+    """(near, ingress) of a built tree, from its shape and leaf centers alone.
+    At every node with two or more short children, a BFS of their neighbor
+    graph (min distance between child clusters <= 2^level) gives each later
+    child a parent sibling; near maps the later child to that sibling's
+    point nearest to it (ties: smallest point index), and ingress follows
+    `rltsketch.tree.assign_ingresses`."""
+    near = {}
     ingress = np.full(t.node_count, -1, dtype=np.int64)
     roots = t.subtree_roots()
     ingress[roots] = roots
@@ -167,7 +160,6 @@ def reference_ingresses(t, dm: np.ndarray):
         sub = dm[np.ix_(order_pts, order_pts)]
         cm = cluster_min_matrix(sub, np.repeat(np.arange(k), np.diff(starts)))
         adj = (cm <= math.pow(2.0, int(t.level[v]))) & ~np.eye(k, dtype=bool)
-        graphs[v] = adj
 
         # BFS from the center-holding child, neighbors in ascending index
         tau_parent = [-1] * k
@@ -182,12 +174,12 @@ def reference_ingresses(t, dm: np.ndarray):
         for i in range(1, k):
             j = tau_parent[i]
             block = sub[starts[j]:starts[j + 1], starts[i]:starts[i + 1]]
-            x = int(blocks[j][int(np.argmin(block.min(axis=1)))])
+            near[us[i]] = x = int(blocks[j][int(np.argmin(block.min(axis=1)))])
             u_x = int(leaf_of[x])
             while t.subtree_root[u_x] != t.subtree_root[v]:
                 u_x = int(t.parent[t.subtree_root[u_x]])
             ingress[us[i]] = u_x
-    return graphs, ingress
+    return near, ingress
 
 
 def reference_landmarks(t, K: int) -> np.ndarray:

@@ -264,6 +264,10 @@ def test_probabilistic_surrogate_requires_membership():
         ctx.probabilistic_surrogate(0, other, copy=1)
     with pytest.raises(ValueError):
         ctx.probabilistic_surrogate(0, 0, copy=3)
+    # -1 must not wrap around to the last point
+    for i in (-1, tree.n):
+        with pytest.raises(IndexError, match="point index out of range"):
+            ctx.probabilistic_surrogate(i, 0, copy=1)
 
 
 def test_bit_growth_scales_with_inverse_eps_squared():

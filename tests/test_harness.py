@@ -432,6 +432,22 @@ def test_cli_input_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "x")]) == 2
     assert cli.main(["gen-lb-euclidean", "--n", "4", "--eps", "0.3",
                      "--seed", "0", "--out", str(tmp_path / "y")]) == 2
+    # argparse rejects a p below 1, naming --p, with its own exit code 2
+    for p in ("0", "-3"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sketch", "--input", str(inp), "--p", p, "--eps", "0.1",
+                      "--out", str(tmp_path / "z")])
+        assert exc.value.code == 2
+        assert "--p" in capsys.readouterr().err
+    # a one-point metric is rejected as a one-point text file is: its sketch
+    # would answer no query
+    mfile = tmp_path / "m.txt"
+    mfile.write_text("1\n0\n")
+    assert cli.main(["sketch", "--input", str(mfile), "--format", "metric",
+                     "--eps", "0.1", "--out", str(tmp_path / "m.rlts")]) == 2
+    assert capsys.readouterr().err.startswith("error: need at least two points")
+    assert not (tmp_path / "m.rlts").exists()
 
 
 def test_cli_rejects_binary_points_shorter_than_their_header(tmp_path, capsys):

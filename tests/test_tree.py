@@ -16,7 +16,7 @@ from rltsketch.tree import (
     surrogate_units,
 )
 
-from invariants import check_pair_floor, check_tree_invariants, tree_children
+from invariants import check_pair_floor, check_tree_invariants, node_members, tree_children
 from reference_hierarchy import (
     reference_compress,
     reference_hierarchy,
@@ -43,20 +43,14 @@ def _built(ps, eps):
     return t, h, src
 
 
-def _child_graphs(t, h, src):
-    """The neighbor graph of each node's children where it has two or more
-    (the bottom node of its merge chain), None elsewhere."""
-    wide = np.bincount(t.parent[1:], minlength=t.node_count) >= 2
-    return [h.child_graph[v] if w else None for v, w in zip(src.tolist(), wide)]
-
-
 def test_hierarchy_merge_schedule():
     # {0,1,10}: level 1 merges {0},{1}; {10} joins only at level 4, so the
-    # merge nodes after the three leaves are {0,1} and the root
+    # merge nodes after the three leaves are {0,1} and the root; the later
+    # children's nearest points in their first sibling are 0 and 1
     h = build_hierarchy(pointset_1d([0, 1, 10]))
-    merges = [(h.level[v], h.members[v].tolist()) for v in range(len(h.level))]
-    assert merges == [(0, [0]), (0, [1]), (0, [2]), (1, [0, 1]), (4, [0, 1, 2])]
+    assert h.level == [0, 0, 0, 1, 4]
     assert h.children[3:] == [[0, 1], [3, 2]]
+    assert h.near == [-1, 0, 1, -1, -1]
 
 
 def test_hierarchy_strict_inequality_at_power_of_two():
@@ -101,15 +95,14 @@ def test_hierarchy_matches_per_level_reference(name, ps):
     for eps in (quantize_eps(0.1), 0.5):
         want = reference_compress(*raw, eps)
         t, src = compress_paths(h, ps, eps)
+        assign_centers(t, src)
         for field in ("parent", "edge_len", "level"):
             assert np.array_equal(getattr(t, field), want[field])
         assert np.array_equal(np.array(h.delta)[src], want["delta"])  # exact float equality
-        members = [h.members[v] for v in src]
+        members = node_members(t)
         assert len(members) == len(want["members"])
         for got, exp in zip(members, want["members"]):
             assert np.array_equal(got, exp) and got.dtype == exp.dtype
-        for got, exp in zip(_child_graphs(t, h, src), want["child_graph"]):
-            assert (got is None and exp is None) or np.array_equal(got, exp)
 
 
 @pytest.mark.parametrize("name,ps", [c for c in _reference_inputs() if "clustered" in c[0]])
@@ -123,13 +116,8 @@ def test_hierarchy_has_a_node_per_merge_only(name, ps):
 @pytest.mark.parametrize("name,ps", list(_reference_inputs()))
 def test_ingresses_match_dense_reference(name, ps):
     t, h, src = _built(ps, 0.1)
-    child_graph = _child_graphs(t, h, src)
-    graphs, ingress = reference_ingresses(t, ps.distance_matrix())
-    for v in range(t.node_count):
-        if v in graphs:
-            assert np.array_equal(child_graph[v], graphs[v])
-        else:
-            assert child_graph[v] is None
+    near, ingress = reference_ingresses(t, ps.distance_matrix())
+    assert {u: h.near[src[u]] for u in near} == near
     assert np.array_equal(t.ingress, ingress)
 
 
@@ -186,9 +174,9 @@ def test_compression_boundary_preserves_leaf_diameter_bound():
     # chain still folds, into one leaf at level 4.
     coords = list(range(13)) + [28]
     ps = pointset_1d(coords)
-    t, h, src = _built(ps, 0.5)
-    chain_nodes = [v for v in range(t.node_count)
-                   if len(h.members[src[v]]) == 13 and 1 <= t.level[v] <= 4]
+    t = build_tree(ps, 0.5)
+    chain_nodes = [v for v, mem in enumerate(node_members(t))
+                   if len(mem) == 13 and 1 <= t.level[v] <= 4]
     assert len(chain_nodes) == 4
     assert not t.edge_long.any()
     assert _leaf_levels(t) == [(1, 0)] * 13 + [(5, 4)]
@@ -238,7 +226,7 @@ def test_centers():
     assert int(t.center[0]) == 0  # root holds the global minimum index
     for v in range(t.node_count):
         if not children[v]:
-            assert t.center[v] == h.members[src[v]][0]
+            assert t.center[v] == src[v]  # a leaf's merge node is its point
         else:
             assert t.center[v] == min(int(t.center[c]) for c in children[v])
 
@@ -285,9 +273,8 @@ def test_gamma_examples():
         if t.subtree_root[v] != v and h.delta[src[v]] == 0.0:
             assert t.g[v] == 5
     # a unit chain {0..5} merges at level 1 with diameter 5: ceil(5/2) = 3 -> 1/8
-    t, h, src = _built(pointset_1d([0, 1, 2, 3, 4, 5, 40]), 0.5)
-    tight = [v for v in range(t.node_count)
-             if t.level[v] == 1 and len(h.members[src[v]]) == 6]
+    t = build_tree(pointset_1d([0, 1, 2, 3, 4, 5, 40]), 0.5)
+    tight = [v for v, mem in enumerate(node_members(t)) if t.level[v] == 1 and len(mem) == 6]
     assert tight and all(t.g[v] == 8 for v in tight if t.subtree_root[v] != v)
 
 
@@ -297,7 +284,7 @@ def test_surrogate_roots_exact():
     h = build_hierarchy(ps)
     t, src = compress_paths(h, ps, 0.25)
     assign_centers(t, src)
-    assign_ingresses(t, ps, h, src)
+    assign_ingresses(t, h, src)
     s = compute_surrogates(t, ps, h, src)
     assert np.array_equal(s, surrogate_units(t))  # the replay from the tree alone
     for r in t.subtree_roots():
