@@ -1,8 +1,12 @@
 """MSB-first bit streams. An array of values is written and read with one
 call at one width (0 to 64 bits per value); the codec writes and reads
 nothing else. Both directions work in chunks of CHUNK values, so a stream is
-never held whole as one byte per bit. BitReader.read_gamma reads one
-Elias-gamma code (v written in 2*bitlen(v) - 1 bits).
+never held whole as one byte per bit. A chunk is read residue by residue:
+value 8q + r of a run of width w that starts at bit s sits at bit
+s + w*r + 8w*q, so the values of one residue r (0 to 7) sit at one bit
+offset in bytes w apart, and each residue is one strided load of 64-bit
+words shifted by a constant. BitReader.read_gamma reads one Elias-gamma code
+(v written in 2*bitlen(v) - 1 bits).
 """
 from __future__ import annotations
 
@@ -11,7 +15,6 @@ import math
 import numpy as np
 
 CHUNK = 1 << 16  # values per vectorized step: bounds the temporaries
-_U8 = np.uint64(8)
 
 
 class BitWriter:
@@ -53,7 +56,8 @@ class BitReader:
     """MSB-first reader over a byte payload with a known bit length."""
 
     def __init__(self, payload: bytes, bit_length: int):
-        self._data = bytes(payload) + bytes(9)  # zero pad: 9-byte windows never run off
+        # the payload's one copy, zero padded so 9-byte windows never run off
+        self._data = b"".join((payload, bytes(9)))
         self._bytes = np.frombuffer(self._data, dtype=np.uint8)
         # the big-endian 64-bit word starting at every byte
         self._words = np.ndarray((len(self._data) - 8,), dtype=">u8", buffer=self._data,
@@ -75,21 +79,29 @@ class BitReader:
     def read_uint_array(self, shape, width: int) -> np.ndarray:
         """Read an array of the given shape, each value in `width` bits (0 to
         64), in row-major order. 64-bit values come back as their int64 bit
-        pattern."""
+        pattern. Each residue of a chunk is one slice of stride `width` of
+        the word view, shifted by its bit offset, and one of the byte view
+        where offset + width > 64."""
         if not 0 <= width <= 64:
             raise ValueError(f"width {width} outside 0..64")
         size = math.prod(np.atleast_1d(shape).tolist())
         if width * size > self.bit_length - self.pos:
             raise EOFError("truncated bit stream")  # checked before allocating
-        out = np.zeros(size, dtype=np.int64)
-        for lo in range(0, size if width else 0, CHUNK):  # zero width: zeros, no bits
-            starts = self.pos + width * np.arange(lo, min(lo + CHUNK, size), dtype=np.int64)
-            byte = starts >> 3
-            off = (starts & 7).astype(np.uint64)
-            word = self._words[byte].astype(np.uint64) << off
-            if width > 57:  # value bits may reach into a ninth byte
-                word |= self._bytes[byte + 8].astype(np.uint64) >> (_U8 - off)
-            out[lo:lo + len(starts)] = (word >> np.uint64(64 - width)).view(np.int64)
+        if not width:
+            return np.zeros(shape, dtype=np.int64)
+        out = np.empty(size, dtype=np.int64)  # the residues write every entry
+        right = np.uint64(64 - width)
+        for lo in range(0, size, CHUNK):
+            hi = min(lo + CHUNK, size)
+            for r in range(lo, min(lo + 8, hi)):
+                start = self.pos + width * r
+                byte, off = start >> 3, start & 7
+                stop = byte + width * ((hi - r + 7) >> 3)
+                word = np.left_shift(self._words[byte:stop:width], np.uint64(off),
+                                     dtype=np.uint64)
+                if off + width > 64:  # the last bits are in a ninth byte
+                    word |= self._bytes[byte + 8:stop + 8:width] >> (8 - off)
+                np.right_shift(word, right, out=out[r:hi:8].view(np.uint64))
         self.pos += width * size
         return out.reshape(shape)
 

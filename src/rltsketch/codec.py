@@ -82,11 +82,13 @@ def _p_from_code(code: int):
 
 
 def _crc(payload: bytes, bit_len: int) -> int:
-    """CRC-32 of a payload, its pad bits (after bit_len) read as zero."""
+    """CRC-32 of a payload, its pad bits (after bit_len) read as zero: the
+    CRC of all but the last byte, continued over the masked last byte."""
+    view = memoryview(payload)
     pad = -bit_len % 8
-    if pad and payload:
-        payload = payload[:-1] + bytes([payload[-1] & (0xFF << pad) & 0xFF])
-    return zlib.crc32(payload)
+    if not (pad and len(view)):
+        return zlib.crc32(view)
+    return zlib.crc32(bytes([view[-1] & (0xFF << pad) & 0xFF]), zlib.crc32(view[:-1]))
 
 
 def _floor_eps(e: np.ndarray, num: int) -> np.ndarray:
@@ -389,7 +391,9 @@ def _read_field(r: BitReader, field: Field, f: _Fields) -> np.ndarray:
     lo, width = int(r.read_uint_array(1, 64)[0]), int(r.read_uint_array(1, 6)[0])
     if lo + (1 << width) > 1 << 63:
         raise DecodeError(f"{field.key}: range beyond int64")
-    return r.read_uint_array(shape, width) + lo
+    values = r.read_uint_array(shape, width)
+    values += lo
+    return values
 
 
 def encode(t: RelativeLocationTree, aug: Augmentations | None = None) -> SketchBits:
@@ -471,7 +475,9 @@ def _parse_header(data: bytes) -> tuple:
 
 
 def _sections(data: bytes) -> dict[str, BitReader]:
-    """A reader over each section's payload, its CRC checked."""
+    """A reader over each section's payload, its CRC checked; the reader
+    holds the payload's only copy."""
+    view = memoryview(data)
     pos = _HEADER.size + _CRC.size
     readers = {}
     for name in SECTION_NAMES:
@@ -479,7 +485,7 @@ def _sections(data: bytes) -> dict[str, BitReader]:
             raise DecodeError(f"truncated stream before section {name}")
         bit_len, crc = _FRAME.unpack_from(data, pos)
         pos += _FRAME.size
-        payload = data[pos:pos + (bit_len + 7) // 8]
+        payload = view[pos:pos + (bit_len + 7) // 8]
         if 8 * len(payload) < bit_len:
             raise DecodeError(f"truncated stream inside section {name}")
         if _crc(payload, bit_len) != crc:
@@ -491,9 +497,8 @@ def _sections(data: bytes) -> dict[str, BitReader]:
     return readers
 
 
-def _read(data: bytes) -> tuple[_Fields, dict[str, BitReader], dict[str, int]]:
-    """Walk FIELDS over a file: the fields, the section readers and each
-    field's bits."""
+def _read(data: bytes) -> tuple[_Fields, dict]:
+    """Walk FIELDS over a file once: the fields and the size report."""
     f = _Fields(*_parse_header(data), 8 * len(data))
     readers = _sections(data)
     bits = {}
@@ -505,35 +510,6 @@ def _read(data: bytes) -> tuple[_Fields, dict[str, BitReader], dict[str, int]]:
     for name, r in readers.items():
         if r.pos != r.bit_length:
             raise DecodeError(f"{r.bit_length - r.pos} bits of section {name} unread")
-    return f, readers, bits
-
-
-def decode(sketch: SketchBits) -> RelativeLocationTree:
-    """Reconstruct topology, levels, and all annotations (no raw points).
-
-    Raises DecodeError unless both checksums hold and the file describes one
-    tree whose leaves hold each point once, whose ingress links stay inside
-    their subtree and lead, without cycles, to its root, and whose estimates
-    are all finite (check_finite): the structure every query relies on.
-    """
-    try:
-        f, _, _ = _read(sketch.data)
-        t = f.tree()
-        check_finite(t)
-        return t
-    except (EOFError, ValueError, OverflowError) as exc:
-        raise DecodeError(f"corrupt stream: {exc}")
-
-
-def size_report(sketch: SketchBits) -> dict:
-    """Exact bit counts. Per section: data_bits is the payload before
-    padding, stored_bits adds the 64-bit length, the 32-bit CRC and the
-    padding, and fields gives each field's data_bits (its range header
-    included). The header's stored_bits include its CRC."""
-    try:
-        _, readers, bits = _read(sketch.data)
-    except (EOFError, ValueError) as exc:
-        raise DecodeError(f"corrupt stream: {exc}")
     header = 8 * _HEADER.size
     report = {
         "header": {"data_bits": header, "stored_bits": header + 8 * _CRC.size},
@@ -549,8 +525,41 @@ def size_report(sketch: SketchBits) -> dict:
     report["total_data_bits"] = header + sum(s["data_bits"] for s in sections)
     report["total_stored_bits"] = report["header"]["stored_bits"] + sum(
         s["stored_bits"] for s in sections)
-    report["file_bytes"] = len(sketch.data)
-    return report
+    report["file_bytes"] = len(data)
+    return f, report
+
+
+def decode_with_report(sketch: SketchBits) -> tuple[RelativeLocationTree, dict]:
+    """decode and size_report from one walk of the file."""
+    try:
+        f, report = _read(sketch.data)
+        t = f.tree()
+        check_finite(t)
+        return t, report
+    except (EOFError, ValueError, OverflowError) as exc:
+        raise DecodeError(f"corrupt stream: {exc}")
+
+
+def decode(sketch: SketchBits) -> RelativeLocationTree:
+    """Reconstruct topology, levels, and all annotations (no raw points).
+
+    Raises DecodeError unless both checksums hold and the file describes one
+    tree whose leaves hold each point once, whose ingress links stay inside
+    their subtree and lead, without cycles, to its root, and whose estimates
+    are all finite (check_finite): the structure every query relies on.
+    """
+    return decode_with_report(sketch)[0]
+
+
+def size_report(sketch: SketchBits) -> dict:
+    """Exact bit counts. Per section: data_bits is the payload before
+    padding, stored_bits adds the 64-bit length, the 32-bit CRC and the
+    padding, and fields gives each field's data_bits (its range header
+    included). The header's stored_bits include its CRC."""
+    try:
+        return _read(sketch.data)[1]
+    except (EOFError, ValueError) as exc:
+        raise DecodeError(f"corrupt stream: {exc}")
 
 
 def build_lp_sketch(ps: PointSet, eps: float) -> SketchBits:

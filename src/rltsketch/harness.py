@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import SketchBits, decode, size_report
+from .codec import SketchBits, decode_with_report
 from .estimator import QueryContext
 from .metric import INF, PointSet, scale_points
 
@@ -290,7 +290,7 @@ def evaluate(
 ) -> DistortionReport:
     """Compare every pairwise estimate against the exact distance matrix
     (original units). Raises InputError on a header/data mismatch."""
-    tree = decode(sketch)
+    tree, size = decode_with_report(sketch)
     n = tree.n
     exact = np.asarray(exact, dtype=np.float64)
     if exact.shape != (n, n):
@@ -329,6 +329,6 @@ def evaluate(
         exact=exact, estimates=est, rel_err=rel, band_err=band_err,
         max_rel_err=max_rel, mean_rel_err=mean_rel, p99_rel_err=p99_rel,
         fraction_in_band=float(in_band / vals.size) if vals.size else 1.0,
-        size=size_report(sketch),
+        size=size,
         query_seconds=query_seconds,
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rltsketch import bits
 from rltsketch.bits import CHUNK, BitReader, BitWriter, width_for_count
 from rltsketch.codec import (
     _HEADER,
@@ -118,6 +119,70 @@ def test_read_past_the_end_raises_before_allocating():
         r.read_uint_array(1, 1)
     with pytest.raises(EOFError):
         r.read_gamma()
+
+
+# value 8q + r of a run of width w from bit s sits at bit s + w*r + 8w*q: the
+# reader loads each residue r = 0..7 as one strided slice, so these runs reach
+# every residue, several periods and every start offset within a byte
+
+def _runs_round_trip(lead: int, runs):
+    """Write `lead` zero bits and then each (width, values, cols) run; read
+    them back at 1-D shape (cols 0) or (len // cols, cols), checking the
+    bytes, each array's values, dtype and shape, and the position after it."""
+    shaped = []
+    for width, values, cols in runs:
+        vals = np.array(values, dtype=np.uint64)
+        if cols:
+            vals = vals[:len(vals) - len(vals) % cols].reshape(-1, cols)
+        shaped.append((width, vals))
+    w = BitWriter()
+    w.write_uint_array([0], lead)
+    for width, vals in shaped:
+        w.write_uint_array(vals, width)
+    expect = "0" * lead + "".join(format(int(v), "b").zfill(width) if width else ""
+                                  for width, vals in shaped for v in vals.ravel())
+    assert w.getvalue() == _packed(expect)
+    r = BitReader(w.getvalue(), w.bit_length)
+    assert r.read_uint_array(1, lead).tolist() == [0]
+    for width, vals in shaped:
+        start = r.pos
+        got = r.read_uint_array(vals.shape, width)
+        assert got.dtype == np.int64 and got.shape == vals.shape
+        assert np.array_equal(got.view(np.uint64), vals)
+        assert r.pos == start + width * vals.size
+    assert r.pos == r.bit_length
+
+
+_residue_run = st.integers(0, 64).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=40), st.integers(0, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7), st.lists(_residue_run, max_size=6))
+def test_runs_of_up_to_40_values_at_any_offset(lead, runs):
+    _runs_round_trip(lead, runs)
+
+
+@pytest.mark.parametrize("width", range(57, 65))
+def test_wide_values_reach_a_ninth_byte_at_every_offset(width):
+    # all-ones values between zero bits: a value whose bits reach a ninth
+    # byte must read its last bits from there and nothing of its neighbours
+    ones = [(1 << width) - 1] * 17
+    for lead in range(8):
+        _runs_round_trip(lead, [(width, ones, 0), (width, [0] * 9, 0), (width, ones, 3)])
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 9])
+def test_chunks_not_a_multiple_of_eight_read_the_same(monkeypatch, chunk):
+    monkeypatch.setattr(bits, "CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for lead in range(8):
+        runs = []
+        for width in (0, 1, 3, 5, 8, 13, 31, 57, 63, 64):
+            for count in (0, 1, 7, 8, 9, 17, 40):
+                values = rng.integers(0, 1 << width, size=count, dtype=np.uint64).tolist()
+                runs += [(width, values, 0), (width, values, 4)]
+        _runs_round_trip(lead, runs)
 
 
 def test_width_helpers():

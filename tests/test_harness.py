@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rltsketch import cli
-from rltsketch.codec import build_lp_sketch, decode
+from rltsketch.codec import build_lp_sketch, decode, size_report
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.harness import (
@@ -216,20 +216,26 @@ def test_evaluate_report_lp():
 
 
 def test_evaluate_decodes_once(monkeypatch):
+    # one walk of the file gives both the tree and the size report, and the
+    # query context reuses that tree
+    import rltsketch.codec
     import rltsketch.estimator
-    import rltsketch.harness
 
-    calls = []
-
-    def counting(sketch):
-        calls.append(1)
-        return decode(sketch)
-
-    monkeypatch.setattr(rltsketch.harness, "decode", counting)
-    monkeypatch.setattr(rltsketch.estimator, "decode", counting)
     pts = np.random.default_rng(4).normal(size=(12, 3))
-    evaluate(build_lp_sketch(ingest_array(pts, 2), 0.2), pairwise_distances(pts, 2))
-    assert len(calls) == 1
+    sk = build_lp_sketch(ingest_array(pts, 2), 0.2)
+    want = size_report(sk)
+    walks = []
+    read = rltsketch.codec._read
+
+    def counting(data):
+        walks.append(1)
+        return read(data)
+
+    monkeypatch.setattr(rltsketch.codec, "_read", counting)
+    monkeypatch.setattr(rltsketch.estimator, "decode", None)  # no second decode
+    rep = evaluate(sk, pairwise_distances(pts, 2))
+    assert len(walks) == 1
+    assert rep.size == want
 
 
 @pytest.mark.parametrize("flavor", ["lp", "euclidean"])
