@@ -204,7 +204,8 @@ class _Fields:
 
     def ingress(self) -> np.ndarray:
         """Roots point to themselves, first short children to their parent,
-        the other short children to a stored subtree leaf."""
+        the other short children to a stored subtree leaf. check_finite
+        rejects cycles."""
         subtree_root = self.shape["subtree_root"]
         leaf_nodes = np.flatnonzero(self.shape["is_subtree_leaf"])
         k = self.values["ingresses.leaf_index"]
@@ -215,11 +216,6 @@ class _Fields:
         ingress[self.later_children] = leaf_nodes[k]
         if np.any(subtree_root[ingress] != subtree_root):
             raise DecodeError("ingress target outside its node's subtree")
-        hops = ingress
-        for _ in range(max(self.m - 1, 1).bit_length()):  # 2^k >= m hops
-            hops = hops[hops]
-        if np.any(hops != subtree_root):
-            raise DecodeError("ingress links form a cycle")
         return ingress
 
     def g(self) -> np.ndarray:
@@ -546,7 +542,8 @@ def decode(sketch: SketchBits) -> RelativeLocationTree:
     Raises DecodeError unless both checksums hold and the file describes one
     tree whose leaves hold each point once, whose ingress links stay inside
     their subtree and lead, without cycles, to its root, and whose estimates
-    are all finite (check_finite): the structure every query relies on.
+    are all finite: the structure every query relies on. check_finite checks
+    the last two.
     """
     return decode_with_report(sketch)[0]
 

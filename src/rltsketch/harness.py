@@ -83,6 +83,8 @@ def load_metric_text(path: str) -> "GeneralMetric":
         raise InputError(f"cannot parse metric file {path}: {exc}")
     if vals.size < 1:
         raise InputError("empty metric file")
+    if not (vals[0] >= 0 and float(vals[0]).is_integer()):
+        raise InputError(f"metric file declares n = {vals[0]:g}, not a non-negative integer")
     n = int(vals[0])
     if vals.size != 1 + n * n:
         raise InputError(f"metric file should hold n then n^2 entries, got {vals.size - 1}")

@@ -36,7 +36,8 @@ Order: the builder's one order is the ingress layers (`ingress_layers`).
 Layer 0 holds the subtree roots and layer k the nodes whose ingress is in
 layer k - 1. Surrogates and landmarks depend on the ingress forest only, not
 on a visiting order of children, so their stages take one array step per
-layer.
+layer. One pointer-doubling routine, `_chain_sums`, walks the parent and
+ingress forests for the tree's shape, the layers and check_finite.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metric import PointSet, lp_norms, norm_root, round_to_net
+from .metric import PointSet, norm_root, round_to_net
 
 # Quantized eps denominators: eps is a dyadic rational num/2^32 so encoder and
 # decoder reproduce fine-net cell widths exactly.
@@ -88,6 +89,20 @@ def _rank(mask: np.ndarray) -> np.ndarray:
     return row
 
 
+def _chain_sums(up: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer doubling (Wyllie 1979) over pointers up whose chain ends
+    point to themselves: each node's sum of value (last axis by node, 0 at
+    the chain ends) up its chain, and the node its chain ends at. Rounds add
+    to each sum the one its pointer reaches and double the pointer, until no
+    pointer moves (at most ceil(log2 m)); a chain into a cycle ends on it."""
+    for _ in range(max(len(up) - 1, 1).bit_length()):
+        value = value + value[..., up]
+        up, prev = up[up], up
+        if np.array_equal(up, prev):
+            break
+    return value, up
+
+
 def tree_structure(parent: np.ndarray, edge_long: np.ndarray, edge_len: np.ndarray,
                    root_level: int) -> dict:
     """Every field derived from the shape of a tree (root 0): depth, level
@@ -95,24 +110,17 @@ def tree_structure(parent: np.ndarray, edge_long: np.ndarray, edge_len: np.ndarr
     root and long-edge bottoms start subtrees), is_subtree_leaf (no
     short-edge children: L(T)), and the rows of the subtree leaves and of the
     long-edge corner nodes (subtree leaves outside the root's subtree), -1
-    elsewhere.
-
-    Depth, level and subtree root come from pointer doubling over parent:
-    each of ceil(log2 m) rounds adds to every node's sums those of the node
-    its pointer reaches, then doubles the pointer, until every pointer is at
-    the root (for the subtree root, at the nearest subtree top).
+    elsewhere. Depth and level sum up the parent chains (_chain_sums), and
+    subtree_root ends them at the subtree tops.
     """
     m = len(parent)
     ids = np.arange(m)
     up = np.where(ids > 0, parent, 0)
     # per node: one edge and the levels it drops, summed up to the root
-    sums = np.stack([ids > 0, np.where(edge_long, edge_len - 1, 1)]).astype(np.int64)
-    sums[:, 0] = 0
-    top = np.where(edge_long | (ids == 0), ids, up)
-    for _ in range(max(m - 1, 1).bit_length()):
-        sums += sums[:, up]
-        up = up[up]
-        top = top[top]
+    drops = np.stack([ids > 0, np.where(edge_long, edge_len - 1, 1)]).astype(np.int64)
+    drops[:, 0] = 0
+    sums, _ = _chain_sums(up, drops)
+    _, top = _chain_sums(np.where(edge_long | (ids == 0), ids, up), np.zeros(m, dtype=np.int64))
     is_leaf = np.ones(m, dtype=bool)
     is_leaf[parent[1:][~edge_long[1:]]] = False
     return dict(
@@ -432,18 +440,14 @@ def assign_ingresses(t: RelativeLocationTree, h: Merges, src: np.ndarray):
 
 def ingress_layers(t: RelativeLocationTree) -> list[np.ndarray]:
     """The ingress forest by depth: layer 0 holds the subtree roots, layer k
-    the nodes whose ingress is in layer k - 1 (ascending node ids). Every
+    the nodes whose ingress is in layer k - 1 (ascending node ids): the nodes
+    sorted stably by ingress depth (_chain_sums), cut where it changes. Every
     stage that needs a node's ingress handled first walks these layers."""
-    depth = np.full(t.node_count, -1, dtype=np.int64)
-    layer = t.subtree_roots()
-    layers = []
-    while len(layer):
-        depth[layer] = len(layers)
-        layers.append(layer)
-        layer = np.flatnonzero((depth < 0) & (depth[t.ingress] >= 0))
-    if np.any(depth < 0):
+    depth, end = _chain_sums(t.ingress, (t.ingress != np.arange(t.node_count)).astype(np.int64))
+    if np.any(t.subtree_root[end] != end):
         raise AssertionError("ingress cycle: some node never reaches a subtree root")
-    return layers
+    order = np.argsort(depth, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)
 
 
 def surrogate_units(t: RelativeLocationTree) -> np.ndarray:
@@ -482,11 +486,6 @@ def compute_surrogates(t: RelativeLocationTree, ps: PointSet, h: Merges,
         t.g[vs] = g
         gamma = 1.0 / g
         eta_star = _displacement(t, ps, s, vs, gamma / two_l)
-        nrm = lp_norms(eta_star, t.p)
-        if np.any(nrm > 1.0 + 1e-9):
-            bad = int(np.argmax(nrm))
-            raise AssertionError(
-                f"displacement norm {nrm[bad]} > 1 at node {vs[bad]} (ingress/level bug)")
         t.eta[vs] = round_to_net(eta_star, gamma, t.p)
         s[vs] = s[t.ingress[vs]] + two_l[:, None] * t.eta[vs].astype(np.float64)
     check_finite(t)
@@ -511,27 +510,28 @@ def _abs_row_max(a: np.ndarray) -> np.ndarray:
 
 
 def check_finite(t: RelativeLocationTree):
-    """Raise OverflowError unless every shifted surrogate a query replays is
-    an exact float64 integer and every estimate read from t is finite.
+    """Raise ValueError on an ingress cycle, and OverflowError unless every
+    shifted surrogate a query replays is an exact float64 integer and every
+    estimate read from t is finite.
 
-    One pointer-doubling pass over the ingress forest bounds |s(v)| by
-    b(v) = b(ingress v) + 2^level(v) max|eta[v]| (0 at the subtree roots),
-    and a fine surrogate by b(ingress v) + 2^level(v) eps max|eta_eps[v]|.
-    Both, and the stored landmark units, must stay below 2^53. A replay
-    from a landmark stays below their sum X, plus, on the Euclidean flavor,
-    the largest surrogate corner term and the sum of all long-edge corner
-    terms. Coordinate differences stay below 2X; their p-th powers (products,
-    Euclidean) summed over d coordinates, and the estimate scaled by
-    2^scale_exponent (squared, Euclidean), must stay far from 2^1024.
+    One _chain_sums pass over the ingress forest checks that each chain ends
+    at its node's subtree root and bounds |s(v)| by b(v) = b(ingress v) +
+    2^level(v) max|eta[v]| (0 at the subtree roots), and a fine surrogate by
+    b(ingress v) + 2^level(v) eps max|eta_eps[v]|. Both, and the stored
+    landmark units, must stay below 2^53. A replay from a landmark stays below
+    their sum X, plus, on the Euclidean flavor, the largest surrogate corner
+    term and the sum of all long-edge corner terms. Coordinate differences
+    stay below 2X; their p-th powers (products, Euclidean) summed over d
+    coordinates, and the estimate scaled by 2^scale_exponent (squared,
+    Euclidean), must stay far from 2^1024.
     """
     ids = np.arange(t.node_count)
     with np.errstate(over="ignore", invalid="ignore"):
         two_l = np.ldexp(1.0, t.level)
-        b = np.where(t.subtree_root == ids, 0.0, two_l * _abs_row_max(t.eta))
-        hop = t.ingress
-        for _ in range(max(t.node_count - 1, 1).bit_length()):
-            b = b + b[hop]
-            hop = hop[hop]
+        b, end = _chain_sums(t.ingress, np.where(t.subtree_root == ids, 0.0,
+                                                 two_l * _abs_row_max(t.eta)))
+        if np.any(end != t.subtree_root):
+            raise ValueError("ingress links form a cycle")
         fine = b[t.ingress] + two_l * t.eps * _abs_row_max(t.eta_eps)
         coarse = max(b.max(initial=0.0), fine.max(initial=0.0))
         landmark = _abs_row_max(t.landmark_units).max(initial=0.0)

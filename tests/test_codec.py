@@ -24,7 +24,7 @@ from rltsketch.codec import (
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.metric import INF, PointSet, scale_points
-from rltsketch.tree import build_coarse_tree, build_tree
+from rltsketch.tree import build_coarse_tree, build_tree, first_leaves, later_children
 
 
 def pointset_1d(coords, p=2):
@@ -459,6 +459,26 @@ def test_decode_rejects_a_range_beyond_int64():
     bad[lo + 12:lo + 20] = b"\x7f" + b"\xff" * 7  # the g field's min: 2^63 - 1
     with pytest.raises(DecodeError, match="int64"):
         decode(SketchBits(reseal(bytes(bad))))
+
+
+def test_decode_rejects_an_ingress_cycle():
+    # a later child's stored ingress moved to the first subtree leaf below
+    # it: that leaf's chain of first children climbs back to the child
+    sk = build_lp_sketch(random_pointset(np.random.default_rng(5), 20, 2, 2), 0.25)
+    t = decode(sk)
+    later = later_children(t.parent, t.subtree_root)
+    i = int(np.flatnonzero(np.isin(later, t.parent))[0])  # a later child with children
+    leaf = first_leaves(t.parent)[later[i]]
+    assert t.subtree_root[leaf] == t.subtree_root[later[i]]
+    stored = t.leaf_row[t.ingress[later]]
+    stored[i] = t.leaf_row[leaf]
+    w = BitWriter()
+    w.write_uint_array(stored, width_for_count(np.count_nonzero(t.is_subtree_leaf)))
+    lo, hi = _section_span(sk.data, "ingresses")
+    assert w.bit_length == int.from_bytes(sk.data[lo:lo + 8], "little")
+    bad = sk.data[:lo + 12] + w.getvalue() + sk.data[hi:]
+    with pytest.raises(DecodeError, match="cycle"):
+        decode(SketchBits(reseal(bad)))
 
 
 def test_decode_single_bit_flips_of_header_and_ingresses():

@@ -347,6 +347,26 @@ def test_cli_end_to_end(tmp_path, capsys):
                      "--band", "1e-9"]) == 1
 
 
+def test_cli_evaluate_walks_the_file_once(tmp_path, monkeypatch):
+    # the CLI checks the input against the header alone; harness.evaluate
+    # makes the only walk of the file
+    import rltsketch.codec
+
+    inp, out = tmp_path / "pts.txt", tmp_path / "s.rlts"
+    save_points_text(str(inp), np.random.default_rng(6).normal(size=(12, 3)))
+    assert cli.main(["sketch", "--input", str(inp), "--eps", "0.2", "--out", str(out)]) == 0
+    walks = []
+    read = rltsketch.codec._read
+
+    def counting(data):
+        walks.append(1)
+        return read(data)
+
+    monkeypatch.setattr(rltsketch.codec, "_read", counting)
+    assert cli.main(["evaluate", "--sketch", str(out), "--input", str(inp)]) == 0
+    assert len(walks) == 1
+
+
 def test_cli_info_prints_bits_per_field(tmp_path, capsys):
     out = tmp_path / "s.rlts"
     out.write_bytes(build_lp_sketch(ingest_array(np.arange(12.0).reshape(-1, 2), 2), 0.25).data)
@@ -454,6 +474,12 @@ def test_cli_input_errors(tmp_path, capsys):
                      "--eps", "0.1", "--out", str(tmp_path / "m.rlts")]) == 2
     assert capsys.readouterr().err.startswith("error: need at least two points")
     assert not (tmp_path / "m.rlts").exists()
+    # n must be a count: 2.5 with 4 entries is not n = 2, -3 with 9 is not n = 3
+    for n, entries in (("2.5", "0 1 1 0"), ("-3", "0 1 1 1 0 1 1 1 0")):
+        mfile.write_text(f"{n}\n{entries}\n")
+        assert cli.main(["sketch", "--input", str(mfile), "--format", "metric",
+                         "--eps", "0.1", "--out", str(tmp_path / "m.rlts")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: metric file declares n = {n},")
 
 
 def test_cli_rejects_binary_points_shorter_than_their_header(tmp_path, capsys):

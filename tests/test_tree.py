@@ -7,6 +7,7 @@ from rltsketch.tree import (
     assign_ingresses,
     build_hierarchy,
     build_tree,
+    check_finite,
     compress_paths,
     compute_surrogates,
     ingress_layers,
@@ -341,6 +342,40 @@ def test_ingress_layers_reject_a_cycle():
     t.ingress[2] = 4  # 2 -> 4 -> 3 -> 2 never reaches the root
     with pytest.raises(AssertionError, match="ingress cycle"):
         ingress_layers(t)
+
+
+@pytest.mark.parametrize("links", [{2: 4}, {3: 4, 4: 3}, {4: 4}])
+def test_ingress_cycles_are_rejected_by_layers_and_check_finite(links):
+    # a 3-cycle, a 2-cycle (doubled pointers stand still on it) and a
+    # non-root that is its own ingress
+    t = _chain_tree(5)
+    check_finite(t)
+    for v, w in links.items():
+        t.ingress[v] = w
+    with pytest.raises(AssertionError, match="ingress cycle"):
+        ingress_layers(t)
+    with pytest.raises(ValueError, match="ingress links form a cycle"):
+        check_finite(t)
+
+
+def _layers_by_walk(t):
+    """ingress_layers by definition: each node's ingress chain walked to its
+    subtree root, the nodes grouped by its length in ascending id."""
+    ingress, root = t.ingress.tolist(), t.subtree_root.tolist()
+    layers = {}
+    for v in range(t.node_count):
+        u, k = v, 0
+        while u != root[u]:
+            u, k = ingress[u], k + 1
+        layers.setdefault(k, []).append(v)
+    return [layers[k] for k in sorted(layers)]
+
+
+@pytest.mark.parametrize("name,ps", [*_reference_inputs(),
+                                     ("line-3000", pointset_1d(np.arange(3000.0)))])
+def test_ingress_layers_match_a_walk_per_node(name, ps):
+    t = build_tree(ps, 0.1)
+    assert [layer.tolist() for layer in ingress_layers(t)] == _layers_by_walk(t)
 
 
 def test_landmark_chain_of_exactly_k_plus_one():
