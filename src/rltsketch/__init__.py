@@ -8,7 +8,7 @@ pipeline (random projection + dithered grid quantization).
 
 from .codec import DecodeError, SketchBits, build_lp_sketch, decode, encode, size_report
 from .estimator import QueryContext
-from .euclid import JlConfig, build_augmentations, build_euclidean_sketch, jl_transform
+from .euclid import build_augmentations, build_euclidean_sketch, jl_transform
 from .harness import (
     DistortionReport,
     GeneralMetric,
@@ -38,7 +38,6 @@ __all__ = [
     "DistortionReport",
     "GeneralMetric",
     "InputError",
-    "JlConfig",
     "PointSet",
     "QueryContext",
     "RelativeLocationTree",

@@ -38,7 +38,6 @@ VERSION = 2
 FLAG_EUCLIDEAN = 0x01
 # largest binary exponent of a finite double: bounds levels and the scale
 MAX_EXPONENT = 1023
-EUCLIDEAN_TREE_EPS = 0.5  # fixed tree precision for the Euclidean flavor
 # coordinates (nodes x d) a file may describe beyond 64 per stored bit: a
 # field of equal values takes no bits, so a small file could ask for any
 # number of them
@@ -260,12 +259,10 @@ class _Fields:
         return Augmentations(a1, a2, b1, b2)
 
     def tree(self) -> RelativeLocationTree:
-        header_eps = self.eps_num / float(1 << EPS_EXPONENT)
         landmarks, landmark_units = self.landmarks()
         return RelativeLocationTree(
-            n=self.n, d=self.d, p=self.p,
-            eps=EUCLIDEAN_TREE_EPS if self.euclidean else header_eps,
-            header_eps=header_eps, scale_exponent=self.scale_exp,
+            n=self.n, d=self.d, p=self.p, eps=self.eps_num / float(1 << EPS_EXPONENT),
+            scale_exponent=self.scale_exp,
             parent=self.parent, **self.shape, center=self.center(), ingress=self.ingress(),
             g=self.g(), eta=self.eta(), eta_eps=self.eta_eps, landmarks=landmarks,
             landmark_units=landmark_units, K=self.count("landmarks.K"),
@@ -403,11 +400,9 @@ def encode(t: RelativeLocationTree, aug: Augmentations | None = None) -> SketchB
     if aug is not None:
         t = dataclasses.replace(t, augmentations=aug)
     flags = FLAG_EUCLIDEAN if t.flags_euclidean else 0
-    if flags and t.eps != EUCLIDEAN_TREE_EPS:
-        raise ValueError("euclidean sketches require a tree built at eps = 1/2")
-    eps_num = int(math.floor(t.header_eps * (1 << EPS_EXPONENT)))
+    eps_num = int(math.floor(t.eps * (1 << EPS_EXPONENT)))
     if not 0 < eps_num < (1 << 32):
-        raise ValueError(f"eps {t.header_eps} not representable")
+        raise ValueError(f"eps {t.eps} not representable")
     header = _HEADER.pack(MAGIC, VERSION, flags, t.n, t.d, _p_code(t.p), eps_num, EPS_EXPONENT,
                           int(t.scale_exponent), int(t.phi_exponent))
 

@@ -8,20 +8,15 @@ structurally independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import EUCLIDEAN_TREE_EPS, SketchBits, encode
+from .codec import SketchBits, encode
 from .metric import PointSet, lp_norms, norm_root, randomized_grid_round, scale_points
 from .tree import (Augmentations, RelativeLocationTree, build_coarse_tree, quantize_eps,
                    surrogate_units)
 
-
-@dataclass
-class JlConfig:
-    target_dim: int
-    seed: object  # int or numpy SeedSequence
+EUCLIDEAN_TREE_EPS = 0.5  # the base tree's precision; the user's eps sets d' and the band
 
 
 def target_dimension(n: int, eps: float) -> int:
@@ -31,17 +26,17 @@ def target_dimension(n: int, eps: float) -> int:
     return max(1, int(math.ceil(3.0 * eps ** -2 * math.log2(n))))
 
 
-def jl_transform(ps: PointSet, cfg: JlConfig) -> PointSet:
-    """Project onto cfg.target_dim dimensions with an i.i.d. Gaussian matrix of
+def jl_transform(ps: PointSet, target_dim: int, seed) -> PointSet:
+    """Project onto target_dim dimensions with an i.i.d. Gaussian matrix of
     entry deviation 1/sqrt(d'), then renormalize the scale so the projected
     minimum distance is in [1, 2). The diameter bound is recomputed from the
     projected points."""
     if ps.p != 2:
         raise ValueError("random projection applies to p = 2 only")
-    if cfg.target_dim < 1:
+    if target_dim < 1:
         raise ValueError("target dimension must be >= 1")
-    rng = np.random.default_rng(cfg.seed)
-    mat = rng.normal(0.0, 1.0, size=(cfg.target_dim, ps.d)) / math.sqrt(cfg.target_dim)
+    rng = np.random.default_rng(seed)  # seed: an int or a numpy SeedSequence
+    mat = rng.normal(0.0, 1.0, size=(target_dim, ps.d)) / math.sqrt(target_dim)
     projected = ps.points @ mat.T
     try:
         return scale_points(projected, 2, base_exponent=ps.scale_exponent)
@@ -89,9 +84,9 @@ def build_augmentations(
 
 def build_euclidean_sketch(ps: PointSet, eps: float, seed: int) -> SketchBits:
     """Randomized Euclidean pipeline: project to d' = ceil(3 eps^-2 log2 n)
-    dimensions, build the tree at the fixed constant precision 1/2 (no fine
-    etas: the Euclidean estimator never reads them), attach two
-    independently shifted augmentation copies, and serialize. The shift
+    dimensions, build the tree at EUCLIDEAN_TREE_EPS (no fine etas: the
+    Euclidean estimator never reads them), attach two independently shifted
+    augmentation copies, and serialize with eps as the tree's eps. The shift
     vectors are discarded; only data derived from them is stored."""
     if ps.p != 2:
         raise ValueError("euclidean sketches require p = 2")
@@ -99,11 +94,10 @@ def build_euclidean_sketch(ps: PointSet, eps: float, seed: int) -> SketchBits:
     dprime = target_dimension(ps.n, eps_d)
     seq = np.random.SeedSequence(seed)
     seed_mat, seed_s1, seed_s2 = seq.spawn(3)
-    proj = jl_transform(ps, JlConfig(target_dim=dprime, seed=seed_mat))
+    proj = jl_transform(ps, dprime, seed_mat)
     tree, _ = build_coarse_tree(proj, EUCLIDEAN_TREE_EPS)
-    tree.header_eps = eps_d
     sigma1 = np.random.default_rng(seed_s1).random(dprime)
     sigma2 = np.random.default_rng(seed_s2).random(dprime)
-    aug = build_augmentations(tree, proj.points, sigma1, sigma2)
-    tree.augmentations = aug
-    return encode(tree, aug)
+    tree.augmentations = build_augmentations(tree, proj.points, sigma1, sigma2)
+    tree.eps = eps_d
+    return encode(tree)

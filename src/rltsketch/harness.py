@@ -297,7 +297,7 @@ def evaluate(
     exact = np.asarray(exact, dtype=np.float64)
     if exact.shape != (n, n):
         raise InputError(f"exact matrix is {exact.shape}, sketch holds n = {n}")
-    eps = tree.header_eps
+    eps = tree.eps
     flavor = "euclidean" if tree.flags_euclidean else "lp"
     if band is None:
         band = 48.0 * eps if flavor == "euclidean" else 4.0 * eps

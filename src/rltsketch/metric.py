@@ -131,7 +131,8 @@ def scale_points(points: np.ndarray, p, base_exponent: int = 0) -> PointSet:
     [1, 2) exactly; the cached distance matrix is scaled alongside.
 
     base_exponent is added to the recorded scale exponent (used when a
-    projection stage rescales already-scaled points).
+    projection stage rescales already-scaled points). Raises ValueError on
+    duplicates and on non-finite points, distances or scaled coordinates.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
@@ -148,10 +149,13 @@ def scale_points(points: np.ndarray, p, base_exponent: int = 0) -> PointSet:
         raise ValueError("duplicate points (pairwise distance 0)")
     e = math.frexp(m)[1] - 1  # 2^e in (m/2, m]
     scale = math.ldexp(1.0, e)
-    scaled = points / scale
-    dmat /= scale
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        scaled = points / scale
+        dmat /= scale
     np.fill_diagonal(dmat, 0.0)
     phi = float(dmat.max())
+    if not (math.isfinite(phi) and np.isfinite(scaled).all()):
+        raise ValueError("distances or scaled coordinates overflow float64")
     return PointSet(scaled, p, base_exponent + e, phi, dist=dmat)
 
 

@@ -152,10 +152,7 @@ class RelativeLocationTree:
     n: int
     d: int
     p: object
-    eps: float  # dyadic
-    # query-time eps from the header; equals eps for the lp flavor, the user's
-    # eps (not the fixed tree constant) for the Euclidean flavor
-    header_eps: float
+    eps: float  # dyadic: the sketch's eps, the header's
     scale_exponent: int
 
     parent: np.ndarray  # int64, -1 at root
@@ -382,7 +379,7 @@ def compress_paths(h: Merges, ps: PointSet, eps: float) -> tuple[RelativeLocatio
     edge_len_a = np.array(edge_len, dtype=np.int64)
     edge_long = edge_len_a > 0
     t = RelativeLocationTree(
-        n=ps.n, d=ps.d, p=ps.p, eps=eps, header_eps=eps, scale_exponent=ps.scale_exponent,
+        n=ps.n, d=ps.d, p=ps.p, eps=eps, scale_exponent=ps.scale_exponent,
         parent=parent_a, edge_long=edge_long, edge_len=edge_len_a,
         **tree_structure(parent_a, edge_long, edge_len_a, h.level[root]),
         center=np.full(m, -1, dtype=np.int64),
@@ -469,8 +466,8 @@ def _displacement(t: RelativeLocationTree, ps: PointSet, s: np.ndarray, vs: np.n
     return (ps.points[t.center[vs]] - s_in) * scale[:, None]
 
 
-def compute_surrogates(t: RelativeLocationTree, ps: PointSet, h: Merges,
-                       src: np.ndarray) -> np.ndarray:
+def compute_surrogates(t: RelativeLocationTree, ps: PointSet, h: Merges, src: np.ndarray,
+                       layers: list[np.ndarray]) -> np.ndarray:
     """Layer by layer over the ingress forest: quantize each center's
     displacement from its ingress surrogate onto the coarse grid net and
     accumulate shifted surrogates in exact grid units. The roots' surrogates
@@ -480,7 +477,7 @@ def compute_surrogates(t: RelativeLocationTree, ps: PointSet, h: Merges,
     """
     delta = np.array(h.delta)[src]
     s = np.zeros((t.node_count, t.d))
-    for vs in ingress_layers(t)[1:]:
+    for vs in layers[1:]:
         two_l = np.ldexp(1.0, t.level[vs])
         g = 5 + np.ceil(delta[vs] / two_l).astype(np.int64)
         t.g[vs] = g
@@ -555,7 +552,7 @@ def check_finite(t: RelativeLocationTree):
         raise OverflowError("estimates exceed the float64 range")
 
 
-def select_landmarks(t: RelativeLocationTree, K: int, s: np.ndarray):
+def select_landmarks(t: RelativeLocationTree, K: int, s: np.ndarray, layers: list[np.ndarray]):
     """Bottom-up over the ingress layers: reach[v] counts the ingress hops
     down to the farthest node below v that no stored node covers yet. Store
     v when that reaches K, or when v is a subtree root; otherwise pass
@@ -565,7 +562,6 @@ def select_landmarks(t: RelativeLocationTree, K: int, s: np.ndarray):
     ingress descendants" stores. s holds every node's shifted surrogate.
     """
     t.K = K
-    layers = ingress_layers(t)
     reach = np.zeros(t.node_count, dtype=np.int64)
     store = np.zeros(t.node_count, dtype=bool)
     store[layers[0]] = True
@@ -591,8 +587,9 @@ def build_coarse_tree(ps: PointSet, eps: float) -> tuple[RelativeLocationTree, n
     t, src = compress_paths(h, ps, quantize_eps(eps))
     assign_centers(t, src)
     assign_ingresses(t, h, src)
-    s = compute_surrogates(t, ps, h, src)
-    select_landmarks(t, landmark_step_budget(ps.phi, ps.d, ps.p), s)
+    layers = ingress_layers(t)
+    s = compute_surrogates(t, ps, h, src, layers)
+    select_landmarks(t, landmark_step_budget(ps.phi, ps.d, ps.p), s, layers)
     return t, s
 
 

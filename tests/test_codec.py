@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import zlib
 
 import numpy as np
@@ -244,15 +245,14 @@ def test_roundtrip_euclidean():
         sk = build_euclidean_sketch(ps, 0.3, seed=trial)
         dec = decode(sk)
         assert dec.flags_euclidean and dec.augmentations is not None
-        assert dec.eps == 0.5                        # fixed tree precision
-        assert dec.header_eps <= 0.3                 # quantized user eps
-        assert 0.3 - dec.header_eps < 2.0 ** -31
+        assert dec.eps <= 0.3                        # quantized user eps
+        assert 0.3 - dec.eps < 2.0 ** -31
 
 
 def test_roundtrip_euclidean_field_exact_vs_builder():
     # drive the pipeline stages by hand so the builder tree is available
-    from rltsketch.codec import EUCLIDEAN_TREE_EPS
-    from rltsketch.euclid import JlConfig, build_augmentations, jl_transform, target_dimension
+    from rltsketch.euclid import (EUCLIDEAN_TREE_EPS, build_augmentations, jl_transform,
+                                  target_dimension)
     from rltsketch.tree import quantize_eps
 
     rng = np.random.default_rng(29)
@@ -261,14 +261,13 @@ def test_roundtrip_euclidean_field_exact_vs_builder():
     seq = np.random.SeedSequence(11)
     seed_mat, seed_s1, seed_s2 = seq.spawn(3)
     dprime = target_dimension(ps.n, eps_d)
-    proj = jl_transform(ps, JlConfig(dprime, seed_mat))
+    proj = jl_transform(ps, dprime, seed_mat)
     tree, _ = build_coarse_tree(proj, EUCLIDEAN_TREE_EPS)
-    tree.header_eps = eps_d
     sig1 = np.random.default_rng(seed_s1).random(dprime)
     sig2 = np.random.default_rng(seed_s2).random(dprime)
-    aug = build_augmentations(tree, proj.points, sig1, sig2)
-    tree.augmentations = aug
-    sk = encode(tree, aug)
+    tree.augmentations = build_augmentations(tree, proj.points, sig1, sig2)
+    tree.eps = eps_d
+    sk = encode(tree)
     assert sk.data == build_euclidean_sketch(ps, 0.3, seed=11).data
     assert_trees_equal(tree, decode(sk))
 
@@ -647,3 +646,69 @@ def test_decoder_is_total_under_mutation_and_truncation(name, edits, cut):
     if t.n >= 2:
         assert math.isfinite(ctx.estimate(0, t.n - 1))
     assert np.isfinite(ctx.all_pairs()).all()
+
+
+def _set_header(data: bytes, name: str, value: int) -> bytes:
+    """The file with one header field set to value."""
+    names = ("magic", "version", "flags", "n", "d", "p", "eps_num", "eps_exp", "scale_exp",
+             "phi_exp")
+    fields = list(_HEADER.unpack_from(data))
+    fields[names.index(name)] = value
+    return _HEADER.pack(*fields) + data[_HEADER.size:]
+
+
+def _set_value(data: bytes, section: str, bit: int, width: int, value: int) -> bytes:
+    """The file with the width-bit value at a bit offset of a section's
+    payload set to value."""
+    lo, hi = _section_span(data, section)
+    payload = int.from_bytes(data[lo + 12:hi], "big")
+    shift = 8 * (hi - lo - 12) - bit - width
+    payload ^= (((payload >> shift) & ((1 << width) - 1)) ^ value) << shift
+    return data[:lo + 12] + payload.to_bytes(hi - lo - 12, "big") + data[hi:]
+
+
+def _node_width(t) -> int:
+    return width_for_count(t.node_count)
+
+
+def _ingress_into_another_subtree(data: bytes, t) -> bytes:
+    # a later child's stored leaf index set to 0: the first subtree leaf,
+    # which lies in another subtree
+    later = later_children(t.parent, t.subtree_root)
+    first_leaf = np.flatnonzero(t.is_subtree_leaf)[0]
+    i = int(np.flatnonzero(t.subtree_root[later] != t.subtree_root[first_leaf])[0])
+    width = width_for_count(np.count_nonzero(t.is_subtree_leaf))
+    return _set_value(data, "ingresses", i * width, width, 0)
+
+
+# each decoder check, the small sketch it is reached from, and one rewritten
+# header field or fixed-width value that reaches it
+DECODER_CHECKS = {
+    "long-edge nodes are not ascending non-root ids": (
+        "lp-long-edges",  # the first long-edge node, after the count, set to the root
+        lambda data, t: _set_value(data, "long_edges", _node_width(t), _node_width(t), 0)),
+    "level below 0": ("lp", lambda data, t: _set_header(data, "phi_exp", 0)),
+    "ingress leaf index 15 >= 15": (
+        "lp-long-edges", lambda data, t: _set_value(data, "ingresses", 0, 4, 15)),
+    "ingress target outside its node's subtree": ("lp-long-edges", _ingress_into_another_subtree),
+    "precision code outside [5, 2^53)": (
+        "lp", lambda data, t: _set_value(data, "gammas", 0, 64, 0)),  # the range's min
+    "landmarks are not ascending ids of non-root nodes": (
+        "lp",  # the stored landmark, after K and the count, set to the root
+        lambda data, t: _set_value(data, "landmarks", 16 + _node_width(t), _node_width(t), 0)),
+    "unknown flags": ("lp", lambda data, t: _set_header(data, "flags", 2)),
+    "a euclidean sketch with p != 2": ("euclidean", lambda data, t: _set_header(data, "p", 1)),
+    "dimension 0": ("lp", lambda data, t: _set_header(data, "d", 0)),
+    "estimates exceed the float64 range": (
+        "lp", lambda data, t: _set_header(data, "scale_exp", 1023)),
+}
+
+
+@pytest.mark.parametrize("message", list(DECODER_CHECKS))
+def test_every_decoder_check_is_reached(message):
+    name, edit = DECODER_CHECKS[message]
+    data = SMALL_SKETCHES[name]
+    bad = edit(data, decode(SketchBits(data)))
+    assert bad != data and len(bad) == len(data)
+    with pytest.raises(DecodeError, match=re.escape(message)):
+        decode(SketchBits(reseal(bad)))

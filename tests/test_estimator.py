@@ -213,6 +213,9 @@ def test_shifted_surrogate_root_and_identity():
         x_root = ps.points[t.center[int(t.subtree_root[v])]]
         s_star = x_root + s[v] * t.unit()
         assert np.allclose(ctx.shifted_surrogate(v) + x_root, s_star, rtol=0, atol=0)
+        if t.is_subtree_leaf[v] and t.subtree_root[v] != v:
+            assert np.array_equal(ctx.shifted_surrogate(v, fine=True),
+                                  fine_surrogate_units(t, s, v) * t.unit())
 
 
 def test_fine_surrogate_requires_subtree_leaf():

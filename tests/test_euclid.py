@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rltsketch.codec import EUCLIDEAN_TREE_EPS, decode, encode, size_report
+from rltsketch.codec import decode, encode, size_report
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import (
-    JlConfig,
+    EUCLIDEAN_TREE_EPS,
     build_augmentations,
     build_euclidean_sketch,
     jl_transform,
@@ -30,7 +30,7 @@ def test_target_dimension():
 def test_jl_requires_p2():
     ps = scale_points(np.array([[0.0], [1.0]]), 1)
     with pytest.raises(ValueError):
-        jl_transform(ps, JlConfig(4, 0))
+        jl_transform(ps, 4, 0)
 
 
 def test_projection_is_linear_on_duplicates():
@@ -41,15 +41,14 @@ def test_projection_is_linear_on_duplicates():
     proj = pts @ mat.T
     assert np.array_equal(proj[0], proj[1])
     with pytest.raises(ValueError):
-        jl_transform(scale_points(np.array([[0.0], [1.0]]), 2),
-                     JlConfig(0, 1))  # target dimension must be >= 1
+        jl_transform(scale_points(np.array([[0.0], [1.0]]), 2), 0, 1)  # target dimension >= 1
 
 
 def test_jl_deterministic_given_seed():
     rng = np.random.default_rng(1)
     ps = random_pointset(rng, 10, 8)
-    a = jl_transform(ps, JlConfig(16, 42))
-    b = jl_transform(ps, JlConfig(16, 42))
+    a = jl_transform(ps, 16, 42)
+    b = jl_transform(ps, 16, 42)
     assert np.array_equal(a.points, b.points)
     assert a.scale_exponent == b.scale_exponent
 
@@ -67,7 +66,7 @@ def test_jl_distortion_at_prescribed_dimension():
     good = 0
     seeds = 100
     for seed in range(seeds):
-        proj = jl_transform(ps, JlConfig(dprime, seed))
+        proj = jl_transform(ps, dprime, seed)
         dm = proj.distance_matrix() * math.ldexp(1.0, proj.scale_exponent - ps.scale_exponent)
         ratio = dm[off] / exact[off]
         if ratio.max() <= 1 + eps and ratio.min() >= 1 - eps:
@@ -94,7 +93,7 @@ def test_jl_norm_scaling_unbiased():
 def _fixed_tree(seed=0, n=14, d=6, dprime=40):
     rng = np.random.default_rng(seed)
     ps = random_pointset(rng, n, d)
-    proj = jl_transform(ps, JlConfig(dprime, 7))
+    proj = jl_transform(ps, dprime, 7)
     return build_coarse_tree(proj, EUCLIDEAN_TREE_EPS)[0], proj
 
 
@@ -105,7 +104,7 @@ def _clustered_tree(seed=2, clusters=4, size=6, d=6, dprime=40):
     rng = np.random.default_rng(seed)
     centers = np.arange(clusters)[:, None] * np.full(d, 6.0 / math.sqrt(d))
     pts = np.concatenate([c + rng.uniform(0, 1, size=(size, d)) for c in centers])
-    proj = jl_transform(scale_points(pts, 2), JlConfig(dprime, 7))
+    proj = jl_transform(scale_points(pts, 2), dprime, 7)
     tree, _ = build_coarse_tree(proj, EUCLIDEAN_TREE_EPS)
     assert tree.edge_long.any()
     return tree, proj

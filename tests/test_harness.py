@@ -44,6 +44,20 @@ def test_ingest_scaling_examples():
         ingest_array(np.array([[1.0]]), 2)
 
 
+# a distance overflows float64; a squared difference overflows inside cdist
+@pytest.mark.parametrize("coords", [[-1e308, 1e308, 0.0], [0.0, 1.0, 1e200]],
+                         ids=["distance", "square"])
+def test_inputs_whose_distances_overflow_are_input_errors(tmp_path, capsys, coords):
+    pts = np.array(coords)[:, None]
+    with pytest.raises(InputError, match="overflow"):
+        ingest_array(pts, 2)
+    inp = tmp_path / "pts.txt"
+    save_points_text(str(inp), pts)
+    assert cli.main(["sketch", "--input", str(inp), "--eps", "0.1",
+                     "--out", str(tmp_path / "s.rlts")]) == 2
+    assert capsys.readouterr().err.startswith("error: distances or scaled coordinates overflow")
+
+
 def test_point_file_round_trips(tmp_path):
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(9, 4))
@@ -296,7 +310,7 @@ def test_evaluate_euclidean_band_is_squared():
     sk = build_euclidean_sketch(ingest_array(pts, 2), 0.2, seed=11)
     rep = evaluate(sk, pairwise_distances(pts, 2))
     assert rep.flavor == "euclidean"
-    assert rep.band == pytest.approx(48 * decode(sk).header_eps)
+    assert rep.band == pytest.approx(48 * decode(sk).eps)
     assert rep.fraction_in_band == 1.0
 
 
@@ -439,6 +453,10 @@ def test_cli_recover_pipeline(tmp_path, capsys):
     got = np.loadtxt(bits_file, dtype=int)
     want = planted_bits(load_points_text(str(pfile)))
     assert np.array_equal(got, want)
+    capsys.readouterr()
+    assert cli.main(["recover", "--sketch", str(out), "--n", "16", "--eps", "0.5"]) == 0
+    rows = capsys.readouterr().out.split()
+    assert np.array_equal([[int(b) for b in row] for row in rows], want)
 
 
 def test_cli_input_errors(tmp_path, capsys):
@@ -452,6 +470,16 @@ def test_cli_input_errors(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["estimate", "--sketch", str(sk), "--i", i, "--j", j]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    # an input whose n or d is not the sketch's
+    other = tmp_path / "other.txt"
+    for pts, what in ((np.arange(19.0).reshape(-1, 1), "sketch holds 20 points"),
+                      (np.arange(40.0).reshape(-1, 2), "sketch dimension 1")):
+        save_points_text(str(other), pts)
+        assert cli.main(["evaluate", "--sketch", str(sk), "--input", str(other)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {what}")
+    assert cli.main(["sketch", "--input", str(inp), "--euclidean", "--p", "1", "--eps", "0.1",
+                     "--out", str(tmp_path / "e.rlts")]) == 2
+    assert capsys.readouterr().err.startswith("error: --euclidean requires p = 2")
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n1 2\n")  # duplicates
     assert cli.main(["sketch", "--input", str(bad), "--eps", "0.1",

@@ -129,7 +129,7 @@ def test_landmarks_match_greedy_reference(name, ps):
     s = surrogate_units(t)
     # small budgets store landmarks below the subtree roots on these inputs
     for K in (1, 2, 3):
-        select_landmarks(t, K, s)
+        select_landmarks(t, K, s, ingress_layers(t))
         assert np.array_equal(t.landmarks, reference_landmarks(t, K))
         assert np.array_equal(t.landmark_units, s[t.landmarks])
 
@@ -286,7 +286,7 @@ def test_surrogate_roots_exact():
     t, src = compress_paths(h, ps, 0.25)
     assign_centers(t, src)
     assign_ingresses(t, h, src)
-    s = compute_surrogates(t, ps, h, src)
+    s = compute_surrogates(t, ps, h, src, ingress_layers(t))
     assert np.array_equal(s, surrogate_units(t))  # the replay from the tree alone
     for r in t.subtree_roots():
         assert np.all(s[int(r)] == 0.0)
@@ -325,7 +325,7 @@ def _chain_tree(length):
     parent = np.arange(-1, m - 1)
     edge_long, edge_len = np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64)
     return RelativeLocationTree(
-        n=m, d=1, p=2, eps=0.5, header_eps=0.5, scale_exponent=0,
+        n=m, d=1, p=2, eps=0.5, scale_exponent=0,
         parent=parent, edge_long=edge_long, edge_len=edge_len,
         **tree_structure(parent, edge_long, edge_len, m - 1),
         center=np.zeros(m, dtype=np.int64),
@@ -383,12 +383,12 @@ def test_landmark_chain_of_exactly_k_plus_one():
     # reaches the root, which becomes the single landmark
     K = 6
     t = _chain_tree(K + 1)
-    select_landmarks(t, K, surrogate_units(t))
+    select_landmarks(t, K, surrogate_units(t), ingress_layers(t))
     assert sorted(t.landmarks) == [0]
     # one node longer: the first landmark sits one step below the root, and a
     # second round covers the root itself
     t = _chain_tree(K + 2)
-    select_landmarks(t, K, surrogate_units(t))
+    select_landmarks(t, K, surrogate_units(t), ingress_layers(t))
     assert sorted(t.landmarks) == [0, 1]
 
 
