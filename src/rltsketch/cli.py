@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -29,6 +30,20 @@ def _parse_p(text: str):
         # argparse reports this error (naming --p) and exits 2
         raise argparse.ArgumentTypeError(f"p must be >= 1 or inf, got {text}")
     return p
+
+
+def _parse_band(text: str) -> float:
+    band = float(text)
+    if not (math.isfinite(band) and band > 0):
+        raise argparse.ArgumentTypeError(f"band must be positive and finite, got {text}")
+    return band
+
+
+def _parse_fraction(text: str) -> float:
+    fraction = float(text)
+    if not 0.0 <= fraction <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"min-fraction must be in [0, 1], got {text}")
+    return fraction
 
 
 def _read_sketch(path: str) -> SketchBits:
@@ -166,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--sketch", required=True)
     ev.add_argument("--input", required=True)
     ev.add_argument("--format", default="text", choices=["text", "binary", "metric"])
-    ev.add_argument("--band", type=float, default=None,
+    ev.add_argument("--band", type=_parse_band, default=None,
                     help="relative error band (default 4*eps, squared 48*eps for euclidean)")
-    ev.add_argument("--min-fraction", type=float, default=None)
+    ev.add_argument("--min-fraction", type=_parse_fraction, default=None)
     ev.add_argument("--report", default=None, help="write JSON summary here")
     ev.add_argument("--pairs", default=None, help="write per-pair JSONL here")
     ev.set_defaults(func=cmd_evaluate)

@@ -156,10 +156,16 @@ def embed_general_metric(metric: GeneralMetric) -> PointSet:
 
 # -- lower-bound instance generators -------------------------------------------
 
+def _check_eps(eps: float):
+    if not 0.0 < eps < 1.0:  # NaN fails too
+        raise InputError(f"eps must be in (0, 1), got {eps}")
+
+
 def gen_lowerbound_euclidean(n: int, eps: float, seed: int) -> np.ndarray:
     """2n unit vectors in R^n: n vectors with exactly k = 1/eps^2 coordinates
     set to 1 (scaled by 1/sqrt(k)) plus the n standard basis vectors. Squared
     distances obey ||a_i/sqrt(k) - e_j||^2 = 2 - 2*eps*a_i(j)."""
+    _check_eps(eps)
     k_real = 1.0 / (eps * eps)
     k = int(round(k_real))
     if abs(k_real - k) > 1e-9:
@@ -205,6 +211,7 @@ def recover_bits(sketch: SketchBits, n: int, eps: float) -> np.ndarray:
 def gen_lowerbound_general(n: int, eps: float, seed: int) -> GeneralMetric:
     """Random metric with entries 1 + k*eps, k uniform in {0..1/eps - 1}:
     distances lie in [1, 2), so the triangle inequality is automatic."""
+    _check_eps(eps)
     inv = 1.0 / eps
     levels = int(round(inv))
     if abs(inv - levels) > 1e-9:

@@ -132,7 +132,8 @@ def scale_points(points: np.ndarray, p, base_exponent: int = 0) -> PointSet:
 
     base_exponent is added to the recorded scale exponent (used when a
     projection stage rescales already-scaled points). Raises ValueError on
-    duplicates and on non-finite points, distances or scaled coordinates.
+    duplicates, on distinct points whose distance underflows to 0, and on
+    non-finite points, distances or scaled coordinates.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
@@ -146,7 +147,11 @@ def scale_points(points: np.ndarray, p, base_exponent: int = 0) -> PointSet:
     np.fill_diagonal(dmat, np.inf)  # in place: no n^2 copies
     m = float(dmat.min())
     if m <= 0.0:
-        raise ValueError("duplicate points (pairwise distance 0)")
+        i, j = divmod(int(dmat.argmin()), n)
+        if np.array_equal(points[i], points[j]):
+            raise ValueError(f"duplicate points (pairwise distance 0): rows {i} and {j}")
+        raise ValueError(f"points {i} and {j} are distinct, but their distance "
+                         f"underflows to 0 in float64")
     e = math.frexp(m)[1] - 1  # 2^e in (m/2, m]
     scale = math.ldexp(1.0, e)
     with np.errstate(over="ignore"):  # an overflow is rejected below

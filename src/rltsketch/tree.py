@@ -14,11 +14,13 @@ connected components of the minimum spanning tree's edges lighter than 2^l
 weight < 2^l, and the merges of one level form one node each. A cluster
 that merges with nothing at a level gets no node there: its chain is made
 when the tree is emitted. When clusters merge, one read of each cross-child
-block of the distance matrix gives both the merged diameter and the
-children's neighbor graph (children within 2^l), whose spanning tree
-fixes, right there, the point each later child's ingress enters by. No
-per-node copy of the members' distances is made, and a cluster's members
-are dropped when it merges.
+pair of the distance matrix gives both the merged diameter and the
+children's neighbor graph (children within 2^l), whose BFS spanning tree
+fixes, right there, the point each later child's ingress enters by. The
+read takes a run of single-point children as row blocks of at most
+metric.ROW_BLOCK rows, and each larger child as one block. No per-node
+copy of the members' distances is made, and a cluster's members are
+dropped when it merges.
 
 Layout: a tree is a set of flat arrays indexed by node id in preorder (root
 0), the same for built and decoded trees. Its shape is `parent`, `edge_long`
@@ -48,6 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import metric
 from .metric import PointSet, norm_root, round_to_net
 
 # Quantized eps denominators: eps is a dyadic rational num/2^32 so encoder and
@@ -256,11 +259,11 @@ def build_hierarchy(ps: PointSet) -> Merges:
     compress_paths makes its chain. A merged cluster's diameter is the max
     of its children's diameters and of the distances across children, so
     each point pair is read once, at the level where its two points first
-    share a cluster. The same read of the block between one child and the
-    later children fills that child's row of the neighbor graph (child pairs
-    with some points within 2^level, `<=`). A BFS of it from the first child
-    gives each later child a parent sibling, whose point nearest to the
-    child (ties: smallest index) is the child's `near`.
+    share a cluster (_read_merge). The same read fills the children's
+    neighbor graph (child pairs with some points within 2^level, `<=`). A
+    BFS of it from the first child gives each later child a parent sibling,
+    whose point nearest to the child (ties: smallest index) is the child's
+    `near` (_spanning_near).
     """
     n = ps.n
     dm = ps.distance_matrix()
@@ -303,42 +306,106 @@ def build_hierarchy(ps: PointSet) -> Merges:
             node_of[r] = len(level)
             parts = [members.pop(ch) for ch in grp]
             mem = np.concatenate(parts)
-            ends = np.cumsum([len(part) for part in parts])
-            k = len(grp)
-            adj = np.zeros((k, k), dtype=bool)
-            diam = max(delta[ch] for ch in grp)
-            # block: child i against all later children, one read for
-            # the diameter and for row i of the neighbor graph
-            for i, part in enumerate(parts[:-1]):
-                start = ends[i]
-                block = dm[part[:, None], mem[start:]]
-                diam = max(diam, float(block.max()))
-                close = (block <= thr).any(axis=0)
-                adj[i, i + 1:] = np.logical_or.reduceat(close, ends[i:-1] - start)
-            adj |= adj.T
-            del block, close  # before the BFS reads its blocks
-
-            # BFS spanning tree from the first child (it holds the center),
-            # neighbors in ascending child index
-            seen = np.arange(k) == 0
-            queue = [0]
-            for a in queue:
-                nb = np.flatnonzero(adj[a] & ~seen).tolist()
-                seen[nb] = True
-                queue += nb
-                for b in nb:
-                    dist = dm[parts[b][:, None], parts[a]].min(axis=0)
-                    near[grp[b]] = int(parts[a][dist.argmin()])  # ties: smallest
-            if not seen.all():
-                raise AssertionError("child neighbor graph is disconnected (construction bug)")
-
+            cross, adj = _read_merge(dm, parts, mem, thr)
+            for ch, x in zip(grp[1:], _spanning_near(dm, parts, adj)):
+                near[ch] = x
             level.append(lvl)
             children.append(grp)
-            delta.append(diam)
+            delta.append(max(cross, *(delta[ch] for ch in grp)))
             near.append(-1)
             members[node_of[r]] = np.sort(mem)
 
     return Merges(level, children, delta, near)
+
+
+def _read_merge(dm: np.ndarray, parts: list[np.ndarray], mem: np.ndarray,
+                thr: float) -> tuple[float, np.ndarray]:
+    """One read of each cross-child pair of a merge with members mem,
+    child by child: the largest cross-child distance, and the children's
+    neighbor graph (child pairs with some points within thr, `<=`).
+
+    Each row group is read against the later children. A group is one
+    multi-point child, read with one 2-D gather, or a run of up to
+    metric.ROW_BLOCK single-point children, read with one row gather and
+    one column take into buffers reused across groups. The columns are
+    each later child's first point, one per child, then the other points
+    of the later multi-point children, or-reduced onto their child's
+    column. Both triangles of the graph are filled as each group is read;
+    its diagonal may be set too.
+    """
+    k = len(parts)
+    sizes = np.array([len(part) for part in parts])
+    starts = sizes.cumsum() - sizes
+    first = mem[starts]
+    other = np.ones(len(mem), dtype=bool)
+    other[starts] = False
+    rest = mem[other]  # the other points, child by child
+    multi = (sizes > 1).nonzero()[0]
+    rest_at = starts[multi] - multi  # each multi-point child's first row in rest
+    sizes, starts = sizes.tolist(), starts.tolist()
+    n, row_block = dm.shape[0], metric.ROW_BLOCK
+    row_buf, block_buf = np.empty((min(row_block, k), n)), np.empty(min(row_block, k) * len(mem))
+    adj = np.zeros((k, k), dtype=bool)
+    cross = 0.0
+    i = m = 0  # a group's first child; multi[m:] are the later multi-point children
+    while i < k - 1:
+        skip = starts[i] + sizes[i] - i - 1  # rest of the children up to i
+        cols = np.concatenate([first[i + 1:], rest[skip:]])
+        j = i + 1
+        if sizes[i] > 1:
+            m += 1
+            block = dm[parts[i][:, None], cols]
+        else:
+            while j < min(i + row_block, k - 1) and sizes[j] == 1:
+                j += 1
+            # mode="clip" takes straight into out; "raise" would buffer it
+            rows = dm.take(first[i:j], axis=0, mode="clip", out=row_buf[:j - i])
+            block = rows.take(cols, axis=1, mode="clip",
+                              out=block_buf[:(j - i) * len(cols)].reshape(j - i, len(cols)))
+        cross = max(cross, float(block.max()))
+        close = block <= thr
+        if sizes[i] > 1:
+            close = close.any(axis=0, keepdims=True)
+        hit = close[:, :k - i - 1]  # one column per later child
+        if m < len(multi):
+            hit[:, multi[m:] - i - 1] |= np.logical_or.reduceat(
+                close[:, k - i - 1:], rest_at[m:] - skip, axis=1)
+        adj[i:j, i + 1:] = hit
+        adj[i + 1:, i:j] = hit.T
+        i = j
+    return cross, adj
+
+
+def _spanning_near(dm: np.ndarray, parts: list[np.ndarray], adj: np.ndarray) -> list[int]:
+    """For each child after the first, the point of its parent sibling in
+    the BFS spanning tree of adj from the first child, which holds the
+    center (neighbors in ascending child index), nearest to it, ties to the
+    smallest index. The BFS goes level by level: a child's parent is its
+    first neighbor, in queue order, in the level above, and the next
+    level's queue order is by parent, then by child index. A parent of one
+    point needs no read.
+    """
+    k = len(parts)
+    parent = np.zeros(k, dtype=np.int64)
+    seen = np.arange(k) == 0
+    front = parent[:1]
+    while not seen.all():
+        hit = adj[front] & ~seen
+        new = hit.any(axis=0).nonzero()[0]
+        if not len(new):
+            raise AssertionError("child neighbor graph is disconnected (construction bug)")
+        by = hit[:, new].argmax(axis=0)
+        parent[new] = front[by]
+        seen[new] = True
+        front = new[by.argsort(kind="stable")]
+    out = []
+    for b, a in enumerate(parent[1:].tolist(), 1):
+        if len(parts[a]) == 1:
+            out.append(int(parts[a][0]))
+        else:
+            dist = dm[parts[b][:, None], parts[a]].min(axis=0)
+            out.append(int(parts[a][dist.argmin()]))
+    return out
 
 
 def compress_paths(h: Merges, ps: PointSet, eps: float) -> tuple[RelativeLocationTree, np.ndarray]:

@@ -58,6 +58,15 @@ def test_inputs_whose_distances_overflow_are_input_errors(tmp_path, capsys, coor
     assert capsys.readouterr().err.startswith("error: distances or scaled coordinates overflow")
 
 
+def test_an_underflowed_distance_is_an_input_error_of_its_own(tmp_path, capsys):
+    inp = tmp_path / "pts.txt"
+    save_points_text(str(inp), np.array([[0.0], [1e-300], [1e300]]))
+    assert cli.main(["sketch", "--input", str(inp), "--eps", "0.1",
+                     "--out", str(tmp_path / "s.rlts")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: points 0 and 1 are distinct, but their distance underflows")
+
+
 def test_point_file_round_trips(tmp_path):
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(9, 4))
@@ -190,6 +199,18 @@ def test_gen_lowerbound_general_contract():
     assert np.array_equal(m.matrix, again.matrix)
     with pytest.raises(InputError):
         gen_lowerbound_general(4, 0.3, seed=0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, -0.5, 1.0, 2.0, math.nan])
+def test_gen_lowerbound_rejects_eps_outside_the_unit_interval(tmp_path, eps):
+    with pytest.raises(InputError, match=r"eps must be in \(0, 1\)"):
+        gen_lowerbound_euclidean(16, eps, seed=0)
+    with pytest.raises(InputError, match=r"eps must be in \(0, 1\)"):
+        gen_lowerbound_general(4, eps, seed=0)
+    for command in ("gen-lb-euclidean", "gen-lb-general"):
+        out = tmp_path / f"{command}.txt"
+        assert cli.main([command, "--n", "16", "--eps", str(eps), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_recover_threshold_logic(monkeypatch):
@@ -508,6 +529,25 @@ def test_cli_input_errors(tmp_path, capsys):
         assert cli.main(["sketch", "--input", str(mfile), "--format", "metric",
                          "--eps", "0.1", "--out", str(tmp_path / "m.rlts")]) == 2
         assert capsys.readouterr().err.startswith(f"error: metric file declares n = {n},")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--band", "-1"), ("--band", "0"), ("--band", "nan"), ("--band", "inf"),
+    ("--min-fraction", "nan"), ("--min-fraction", "-0.5"), ("--min-fraction", "1.5"),
+])
+def test_cli_evaluate_rejects_a_bad_band_or_fraction(tmp_path, capsys, flag, value):
+    # argparse rejects these, naming the flag, with exit 2: no vacuous pass
+    # and no contract violation
+    inp, sk = tmp_path / "pts.txt", tmp_path / "s.rlts"
+    save_points_text(str(inp), np.arange(12.0).reshape(-1, 1))
+    assert cli.main(["sketch", "--input", str(inp), "--eps", "0.1", "--out", str(sk)]) == 0
+    args = ["evaluate", "--sketch", str(sk), "--input", str(inp)]
+    assert cli.main(args + ["--band", "0.5", "--min-fraction", "1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + [flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_rejects_binary_points_shorter_than_their_header(tmp_path, capsys):

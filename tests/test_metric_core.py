@@ -195,6 +195,18 @@ def test_scale_points_powers_of_two():
         scale_points(np.array([[np.nan], [1.0]]), 2)
 
 
+def test_scale_points_tells_an_underflow_from_duplicates():
+    # distinct points whose p=2 distance squares to 0 inside cdist are named
+    # as such; p=1 reads the same points without squaring
+    pts = np.array([[0.0, 0.0], [1e-170, 0.0], [5.0, 1.0]])
+    with pytest.raises(ValueError, match="points 0 and 1 are distinct, but their distance"):
+        scale_points(pts, 2)
+    assert scale_points(pts, 1).n == 3
+    for dup in ([[0.0, 0.0], [3.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [3.0, 1.0], [-0.0, 0.0]]):
+        with pytest.raises(ValueError, match=r"^duplicate points \(.*\): rows 0 and 2$"):
+            scale_points(np.array(dup), 2)
+
+
 def test_scale_points_min_distance_exact():
     rng = np.random.default_rng(5)
     for p in (1, 2, INF):

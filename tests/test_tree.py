@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rltsketch import metric
 from rltsketch.metric import INF, PointSet, scale_points
 from rltsketch.tree import (
     assign_centers,
@@ -116,6 +117,48 @@ def test_hierarchy_has_a_node_per_merge_only(name, ps):
 
 @pytest.mark.parametrize("name,ps", list(_reference_inputs()))
 def test_ingresses_match_dense_reference(name, ps):
+    t, h, src = _built(ps, 0.1)
+    near, ingress = reference_ingresses(t, ps.distance_matrix())
+    assert {u: h.near[src[u]] for u in near} == near
+    assert np.array_equal(t.ingress, ingress)
+
+
+def _line_of_mixed_children():
+    """225 clusters on a line, in a shuffled line order: triples (points 1
+    apart) as children 0, 22, 44 and 210, pairs as the other children
+    3 mod 7 outside 60..199, single points elsewhere, so the root merge
+    (level 4) holds a run of 140 single-point children, longer than
+    metric.ROW_BLOCK, between runs that interleave with multi-point ones.
+    Gaps are 10, or 15.5 before a multi-point cluster, whose min-index
+    point is its rightmost: its left neighbor is within 2^4 of its other
+    points only, and the child graph is a path, so a single missed
+    neighbor pair disconnects it."""
+    kinds = [3 if c in (0, 22, 44, 210) else 2 if c % 7 == 3 and not 60 <= c < 200 else 1
+             for c in range(225)]
+    coords, x = {}, 0.0
+    for c in np.random.default_rng(3).permutation(225):
+        x += 15.5 if kinds[c] > 1 else 10.0
+        coords[c] = [x + kinds[c] - 1 - o for o in range(kinds[c])]
+        x += kinds[c] - 1
+    return np.array([v for c in range(225) for v in coords[c]])[:, None]
+
+
+@pytest.mark.parametrize("row_block", [metric.ROW_BLOCK, 3])
+def test_a_merge_of_singleton_runs_and_larger_children_matches_the_references(
+        monkeypatch, row_block):
+    monkeypatch.setattr(metric, "ROW_BLOCK", row_block)
+    ps = scale_points(_line_of_mixed_children(), 2)
+    h = build_hierarchy(ps)
+    single = [c < ps.n for c in h.children[-1]]
+    assert len(single) == 225 and not all(single[:60]) and not all(single[200:])
+    assert all(single[60:200]) and 140 > metric.ROW_BLOCK
+
+    raw = reference_hierarchy(ps.distance_matrix())
+    want = reference_compress(*raw, 0.5)
+    t, src = compress_paths(h, ps, 0.5)
+    for field in ("parent", "edge_len", "level"):
+        assert np.array_equal(getattr(t, field), want[field])
+    assert np.array_equal(np.array(h.delta)[src], want["delta"])  # exact float equality
     t, h, src = _built(ps, 0.1)
     near, ingress = reference_ingresses(t, ps.distance_matrix())
     assert {u: h.near[src[u]] for u in near} == near
