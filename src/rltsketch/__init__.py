@@ -6,7 +6,8 @@ bitstring alone. Deterministic lp pipeline plus a randomized Euclidean
 pipeline (random projection + dithered grid quantization).
 """
 
-from .codec import DecodeError, SketchBits, build_lp_sketch, decode, encode, size_report
+from .codec import (DecodeError, SketchBits, build_lp_sketch, decode, encode, read_header,
+                    size_report)
 from .estimator import QueryContext
 from .euclid import build_augmentations, build_euclidean_sketch, jl_transform
 from .harness import (
@@ -58,6 +59,7 @@ __all__ = [
     "lp_distance",
     "pairwise_distances",
     "randomized_grid_round",
+    "read_header",
     "recover_bits",
     "round_to_net",
     "scale_points",

@@ -14,8 +14,8 @@ import time
 
 import numpy as np
 
-from . import codec, harness
-from .codec import DecodeError, SketchBits, build_lp_sketch, size_report
+from . import harness
+from .codec import DecodeError, SketchBits, build_lp_sketch, read_header, size_report
 from .estimator import QueryContext
 from .euclid import build_euclidean_sketch
 from .harness import InputError
@@ -93,12 +93,13 @@ def cmd_estimate(args) -> int:
 def cmd_evaluate(args) -> int:
     sketch = _read_sketch(args.sketch)
     # the header alone, checked; harness.evaluate decodes the rest
-    flags, n, d, args.p = codec._parse_header(sketch.data)[:4]
+    header = read_header(sketch.data)
+    args.p = header.p
     ps, exact = _load_input(args)
-    if not flags & codec.FLAG_EUCLIDEAN and d != ps.d:
-        raise InputError(f"sketch dimension {d} does not match input {ps.d}")
-    if n != ps.n:
-        raise InputError(f"sketch holds {n} points, input has {ps.n}")
+    if not header.euclidean and header.d != ps.d:
+        raise InputError(f"sketch dimension {header.d} does not match input {ps.d}")
+    if header.n != ps.n:
+        raise InputError(f"sketch holds {header.n} points, input has {ps.n}")
     if exact is None:
         # ps.dist is cdist of the raw points divided by 2^scale_exponent, so
         # this is their exact distance matrix bit for bit

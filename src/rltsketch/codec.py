@@ -103,9 +103,9 @@ class _Fields:
     each derived once, when a count or the tree first needs it. Derivations
     raise DecodeError on values no tree can hold."""
 
-    def __init__(self, flags: int, n: int, d: int, p, eps_num: int, scale_exp: int,
+    def __init__(self, euclidean: bool, n: int, d: int, p, eps_num: int, scale_exp: int,
                  phi_exp: int, file_bits: float):
-        self.euclidean = bool(flags & FLAG_EUCLIDEAN)
+        self.euclidean = euclidean
         self.n, self.d, self.p, self.eps_num = n, d, p, eps_num
         self.scale_exp, self.phi_exp, self.file_bits = scale_exp, phi_exp, file_bits
         self.values: dict[str, np.ndarray] = {}
@@ -384,9 +384,7 @@ def _read_field(r: BitReader, field: Field, f: _Fields) -> np.ndarray:
     lo, width = int(r.read_uint_array(1, 64)[0]), int(r.read_uint_array(1, 6)[0])
     if lo + (1 << width) > 1 << 63:
         raise DecodeError(f"{field.key}: range beyond int64")
-    values = r.read_uint_array(shape, width)
-    values += lo
-    return values
+    return r.read_uint_array(shape, width, lo)
 
 
 def encode(t: RelativeLocationTree, aug: Augmentations | None = None) -> SketchBits:
@@ -406,8 +404,8 @@ def encode(t: RelativeLocationTree, aug: Augmentations | None = None) -> SketchB
     header = _HEADER.pack(MAGIC, VERSION, flags, t.n, t.d, _p_code(t.p), eps_num, EPS_EXPONENT,
                           int(t.scale_exponent), int(t.phi_exponent))
 
-    f = _Fields(flags, t.n, t.d, t.p, eps_num, int(t.scale_exponent), int(t.phi_exponent),
-                math.inf)
+    f = _Fields(t.flags_euclidean, t.n, t.d, t.p, eps_num, int(t.scale_exponent),
+                int(t.phi_exponent), math.inf)
     writers = {name: BitWriter() for name in SECTION_NAMES}
     try:
         for field in FIELDS:
@@ -435,9 +433,21 @@ def encode(t: RelativeLocationTree, aug: Augmentations | None = None) -> SketchB
     return SketchBits(bytes(out))
 
 
-def _parse_header(data: bytes) -> tuple:
-    """The header's fields, checked. Returns (flags, n, d, p, eps_num,
-    scale_exp, phi_exp)."""
+class Header(NamedTuple):
+    """A file's header, as read_header checks it."""
+
+    euclidean: bool
+    n: int
+    d: int
+    p: int | float  # INF for the max norm
+    eps_num: int  # eps = eps_num / 2^EPS_EXPONENT
+    scale_exp: int
+    phi_exp: int  # the root's level
+
+
+def read_header(data: bytes) -> Header:
+    """The header of a file's bytes, checked: its CRC, magic, version, flags,
+    p, d, eps and exponents. Raises DecodeError; reads no section."""
     if len(data) < _HEADER.size:
         raise DecodeError("truncated header")
     magic, version, flags, n, d, p_code, eps_num, eps_exp, scale_exp, phi_exp = \
@@ -462,7 +472,7 @@ def _parse_header(data: bytes) -> tuple:
         raise DecodeError(f"root level {phi_exp} above {MAX_EXPONENT}")
     if scale_exp > MAX_EXPONENT:
         raise DecodeError(f"scale 2^{scale_exp} overflows a double")
-    return flags, n, d, _p_from_code(p_code), eps_num, scale_exp, phi_exp
+    return Header(bool(flags), n, d, _p_from_code(p_code), eps_num, scale_exp, phi_exp)
 
 
 def _sections(data: bytes) -> dict[str, BitReader]:
@@ -490,7 +500,7 @@ def _sections(data: bytes) -> dict[str, BitReader]:
 
 def _read(data: bytes) -> tuple[_Fields, dict]:
     """Walk FIELDS over a file once: the fields and the size report."""
-    f = _Fields(*_parse_header(data), 8 * len(data))
+    f = _Fields(*read_header(data), 8 * len(data))
     readers = _sections(data)
     bits = {}
     for field in FIELDS:

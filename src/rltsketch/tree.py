@@ -580,29 +580,33 @@ def check_finite(t: RelativeLocationTree):
 
     One _chain_sums pass over the ingress forest checks that each chain ends
     at its node's subtree root and bounds |s(v)| by b(v) = b(ingress v) +
-    2^level(v) max|eta[v]| (0 at the subtree roots), and a fine surrogate by
-    b(ingress v) + 2^level(v) eps max|eta_eps[v]|. Both, and the stored
-    landmark units, must stay below 2^53. A replay from a landmark stays below
-    their sum X, plus, on the Euclidean flavor, the largest surrogate corner
-    term and the sum of all long-edge corner terms. Coordinate differences
-    stay below 2X; their p-th powers (products, Euclidean) summed over d
-    coordinates, and the estimate scaled by 2^scale_exponent (squared,
-    Euclidean), must stay far from 2^1024.
+    2^level(v) max|eta[v]| (0 at the subtree roots), and, on the lp flavor, a
+    fine surrogate by b(ingress v) + 2^level(v) eps max|eta_eps[v]|. The
+    Euclidean flavor has no fine etas (encode rejects them, decode reads
+    none), so there that bound is b(ingress v) and adds nothing. Both, and
+    the stored landmark units, must stay below 2^53. A replay from a landmark
+    stays below their sum X, plus, on the Euclidean flavor, the largest
+    surrogate corner term and the sum of all long-edge corner terms.
+    Coordinate differences stay below 2X; their p-th powers (products,
+    Euclidean) summed over d coordinates, and the estimate scaled by
+    2^scale_exponent (squared, Euclidean), must stay far from 2^1024.
     """
     ids = np.arange(t.node_count)
+    squares = t.augmentations is not None
     with np.errstate(over="ignore", invalid="ignore"):
         two_l = np.ldexp(1.0, t.level)
         b, end = _chain_sums(t.ingress, np.where(t.subtree_root == ids, 0.0,
                                                  two_l * _abs_row_max(t.eta)))
         if np.any(end != t.subtree_root):
             raise ValueError("ingress links form a cycle")
-        fine = b[t.ingress] + two_l * t.eps * _abs_row_max(t.eta_eps)
-        coarse = max(b.max(initial=0.0), fine.max(initial=0.0))
+        coarse = b.max(initial=0.0)
+        if not squares:
+            fine = b[t.ingress] + two_l * t.eps * _abs_row_max(t.eta_eps)
+            coarse = max(coarse, fine.max(initial=0.0))
         landmark = _abs_row_max(t.landmark_units).max(initial=0.0)
         if not max(coarse, landmark) < 2.0**53:
             raise OverflowError("surrogate units exceed exact float64 integer range")
         x = coarse + landmark
-        squares = t.augmentations is not None
         if squares:
             aug = t.augmentations
             leaf = np.flatnonzero(t.is_subtree_leaf)

@@ -20,12 +20,14 @@ from rltsketch.codec import (
     build_lp_sketch,
     decode,
     encode,
+    read_header,
     size_report,
 )
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.metric import INF, PointSet, scale_points
-from rltsketch.tree import build_coarse_tree, build_tree, first_leaves, later_children
+from rltsketch.tree import (EPS_EXPONENT, build_coarse_tree, build_tree, first_leaves,
+                            later_children)
 
 
 def pointset_1d(coords, p=2):
@@ -186,6 +188,48 @@ def test_chunks_not_a_multiple_of_eight_read_the_same(monkeypatch, chunk):
         _runs_round_trip(lead, runs)
 
 
+@pytest.mark.parametrize("lead", range(8))
+def test_one_bit_runs_at_every_offset_and_across_a_chunk(lead):
+    # a 1-bit chunk is one unpackbits of its bytes: runs whose lengths are
+    # not multiples of 8 start at every bit offset, and one crosses a chunk
+    rng = np.random.default_rng(lead)
+    runs = [(1, rng.integers(0, 2, size=count).tolist(), cols)
+            for count, cols in ((1, 0), (7, 0), (13, 0), (CHUNK + 13, 3), (45, 5), (9, 0))]
+    _runs_round_trip(lead, runs)
+
+
+def test_one_bit_read_past_the_end_raises_before_allocating():
+    r = BitReader(b"\xab\xcd", 16)
+    assert r.read_uint_array(3, 1).tolist() == [1, 0, 1]
+    with pytest.raises(EOFError):
+        r.read_uint_array((1 << 40,), 1)  # 8 TiB of int64 output, were it allocated
+    with pytest.raises(EOFError):
+        r.read_uint_array(14, 1)
+    assert r.pos == 3
+    assert r.read_uint_array(13, 1).tolist() == [0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1]
+
+
+@pytest.mark.parametrize("width", [0, 1, 5, 13])
+@pytest.mark.parametrize("add", [0, -7, 1 << 40])
+def test_read_adds_to_every_value(monkeypatch, width, add):
+    monkeypatch.setattr(bits, "CHUNK", 9)
+    values = np.random.default_rng(width).integers(0, 1 << width, size=(5, 7))
+    w = BitWriter()
+    w.write_uint_array([1], 3)
+    w.write_uint_array(values, width)
+    r = BitReader(w.getvalue(), w.bit_length)
+    r.pos = 3
+    got = r.read_uint_array(values.shape, width, add)
+    assert got.dtype == np.int64 and np.array_equal(got, values + add)
+    assert r.pos == r.bit_length
+
+
+def test_writes_of_values_outside_the_width_raise():
+    for values, width in (([0, 2], 1), ([1, 8], 3), ([-1], 5), ([3], 0)):
+        with pytest.raises(ValueError):
+            BitWriter().write_uint_array(np.array(values), width)
+
+
 def test_width_helpers():
     assert width_for_count(1) == 0
     assert width_for_count(2) == 1
@@ -206,6 +250,22 @@ def assert_trees_equal(a, b):
             assert np.array_equal(x, y), field.name
         else:
             assert x == y, field.name
+
+
+def test_read_header_gives_the_checked_header():
+    rng = np.random.default_rng(31)
+    for sk, euclidean, p in ((build_lp_sketch(random_pointset(rng, 12, 3, 1), 0.25), False, 1),
+                             (build_euclidean_sketch(random_pointset(rng, 10, 3, 2), 0.5, seed=3),
+                              True, 2)):
+        t = decode(sk)
+        header = read_header(sk.data)
+        assert header == (euclidean, t.n, t.d, p, int(t.eps * (1 << EPS_EXPONENT)),
+                          t.scale_exponent, t.phi_exponent)
+        assert header.euclidean is euclidean and header.p == p
+        with pytest.raises(DecodeError, match="truncated header"):
+            read_header(sk.data[:_HEADER.size - 1])
+        with pytest.raises(DecodeError, match="header CRC mismatch"):
+            read_header(_set_header(sk.data, "n", t.n + 1))
 
 
 def test_roundtrip_three_points():

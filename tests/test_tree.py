@@ -401,6 +401,15 @@ def test_ingress_cycles_are_rejected_by_layers_and_check_finite(links):
         check_finite(t)
 
 
+def test_check_finite_bounds_fine_etas_on_the_lp_flavor():
+    # the only overflow is a fine eta: 2^level(4) * eps * 2^60 = 2^59 units
+    t = _chain_tree(5)
+    check_finite(t)
+    t.eta_eps[4] = 1 << 60
+    with pytest.raises(OverflowError, match="surrogate units"):
+        check_finite(t)
+
+
 def _layers_by_walk(t):
     """ingress_layers by definition: each node's ingress chain walked to its
     subtree root, the nodes grouped by its length in ascending id."""
