@@ -4,6 +4,9 @@ Each case is generated from a fixed seed, built, and hashed. A change that
 alters any byte of any of these files changes the format or the construction
 and has to say so; a pure refactor or speed-up must leave every digest as is.
 
+The hierarchy each golden sketch's tree is built from (`tree.Merges`) is
+hashed too, so a change to how the merges are read shows there first.
+
 The estimates read from each sketch (`all_pairs`, and for the Euclidean case
 the unclamped squared estimates as well) are hashed separately: they depend
 on the tree only, not on its file layout, so they must hold across a format
@@ -11,11 +14,13 @@ change that leaves the tree as it is. The `all_pairs` estimates of the tree
 tests' reference inputs are pinned the same way.
 """
 import hashlib
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from rltsketch import bits, metric
+from rltsketch import bits, metric, tree
 from rltsketch.codec import build_lp_sketch, decode, encode, size_report
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
@@ -153,9 +158,45 @@ def test_golden_file_reencodes_and_its_fields_sum_to_its_sections(name):
         assert sum(section["fields"].values()) == section["data_bits"]
 
 
+def _built_with_merges(name):
+    """The case's sketch and the Merges its tree was built from."""
+    merges = []
+    build_hierarchy = tree.build_hierarchy
+
+    def recorded(ps):
+        merges.append(build_hierarchy(ps))
+        return merges[-1]
+
+    with mock.patch.object(tree, "build_hierarchy", recorded):
+        sketch = CASES[name]()
+    return sketch, merges[0]
+
+
+def _merges_sha(h: tree.Merges) -> str:
+    """Level, children, delta as float hex and near, as one JSON string."""
+    return _sha(json.dumps([h.level, h.children, [x.hex() for x in h.delta], h.near]).encode())
+
+
+MERGES_DIGESTS = {
+    "lp-p1": "c626c8d4da667f819772c4393968466e2ee5ea4d28227f3102479a849f632605",
+    "lp-p2": "af4eb1ea311f7e65ebf78a0270ce655130bf8bafd2039c30910561dcc5b40a5e",
+    "lp-pinf": "05cab0b6e409c8666b6db2c156e71ac6cfe7090e775ccab0e3b037ab5c5670e8",
+    "lp-multiscale": "2ad31c73eec2322898b5e91d0a4da635d9e2c0df2b3faf9266a6cd564baef70b",
+    "lp-int-grid": "93f707cc9b38d2493b1326c2a49bcb101f37455f5247eb80c2091d1225523c90",
+    "lp-deep-ingress": "c9223ce5acbde6b1732aab24d2810a8b8868c35815807bb5138dcd96f7fb4c3a",
+    "euclidean": "54e5f286fa13df0ecee95b1cd2f1b78a8dabf053286657474bcf31bf96bef09f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_merges_digest(name):
+    assert _merges_sha(_built_with_merges(name)[1]) == MERGES_DIGESTS[name]
+
+
 def _current_digests() -> dict:
     """Every digest above as the code now computes it, by dict name."""
-    sketches = {name: build() for name, build in CASES.items()}
+    built = {name: _built_with_merges(name) for name in CASES}
+    sketches = {name: sk for name, (sk, _) in built.items()}
     contexts = {name: QueryContext(decode(sk)) for name, sk in sketches.items()}
     return {
         "SKETCH_DIGESTS": {name: _sha(sk.data) for name, sk in sketches.items()},
@@ -165,6 +206,7 @@ def _current_digests() -> dict:
         "REFERENCE_ESTIMATE_DIGESTS": {
             name: _sha(QueryContext(build_lp_sketch(ps, 0.1)).all_pairs())
             for name, ps in REFERENCE_INPUTS.items()},
+        "MERGES_DIGESTS": {name: _merges_sha(h) for name, (_, h) in built.items()},
     }
 
 
