@@ -17,10 +17,13 @@ when the tree is emitted. When clusters merge, one read of each cross-child
 pair of the distance matrix gives both the merged diameter and the
 children's neighbor graph (children within 2^l), whose BFS spanning tree
 fixes, right there, the point each later child's ingress enters by. The
-read takes a run of single-point children as row blocks of at most
-metric.ROW_BLOCK rows, and each larger child as one block. No per-node
-copy of the members' distances is made, and a cluster's members are
-dropped when it merges.
+merges of one level whose members fit metric.ROW_BLOCK are read together,
+with one gather of all their cross-child pairs and one BFS over the
+disjoint union of their child graphs. Each larger merge is read on its
+own, a run of single-point children as row blocks of at most
+metric.ROW_BLOCK rows and each larger child as one block. The members of
+the clusters not merged yet are one array, cluster by cluster, and no copy
+of the members' distances is made.
 
 Layout: a tree is a set of flat arrays indexed by node id in preorder (root
 0), the same for built and decoded trees. Its shape is `parent`, `edge_long`
@@ -259,11 +262,13 @@ def build_hierarchy(ps: PointSet) -> Merges:
     compress_paths makes its chain. A merged cluster's diameter is the max
     of its children's diameters and of the distances across children, so
     each point pair is read once, at the level where its two points first
-    share a cluster (_read_merge). The same read fills the children's
-    neighbor graph (child pairs with some points within 2^level, `<=`). A
-    BFS of it from the first child gives each later child a parent sibling,
-    whose point nearest to the child (ties: smallest index) is the child's
-    `near` (_spanning_near).
+    share a cluster. The same read gives the children's neighbor graph
+    (child pairs with some points within 2^level, `<=`). A BFS of it from
+    the first child gives each later child a parent sibling, whose point
+    nearest to the child (ties: smallest index) is the child's `near`.
+    _read_level reads a level's small merges (members within
+    metric.ROW_BLOCK) together, with a fixed number of array calls per
+    level, and each larger merge on its own.
     """
     n = ps.n
     dm = ps.distance_matrix()
@@ -275,8 +280,10 @@ def build_hierarchy(ps: PointSet) -> Merges:
     children: list[list[int]] = [[] for _ in range(n)]
     delta: list[float] = [0.0] * n
     near = [-1] * n
-    # sorted point indices of each cluster not merged yet
-    members = {i: np.array([i], dtype=np.int64) for i in range(n)}
+    # the points of the clusters not merged yet, cluster by cluster in
+    # ascending min member, and each position's cluster, by its min member
+    order = np.arange(n)
+    label = np.arange(n)
 
     # union-find over points; a set's root is its min point index, which is
     # also the min member of node_of[root], the set's current cluster node
@@ -290,39 +297,152 @@ def build_hierarchy(ps: PointSet) -> Merges:
         return x
 
     for lvl, run in groupby(edges, key=lambda e: max(1, math.frexp(e[0])[1])):
-        thr = math.pow(2.0, lvl)
         run = list(run)
         roots = sorted({find(x) for _, a, b in run for x in (a, b)})
         for _, a, b in run:
             a, b = find(a), find(b)
             uf[max(a, b)] = min(a, b)
+        tops = [find(r) for r in roots]
         # roots ascend, so first-seen order of the new roots is the
         # canonical order (ascending min member) of groups and children
         groups: dict[int, list[int]] = {}
-        for r in roots:
-            groups.setdefault(find(r), []).append(node_of[r])
+        for r, t in zip(roots, tops):
+            groups.setdefault(t, []).append(node_of[r])
+        # a stable sort by new cluster puts each merge's children side by
+        # side, in ascending min member
+        top = np.arange(n)
+        top[roots] = tops
+        key = top[label]
+        perm = np.argsort(key, kind="stable")
+        order, was, label = order[perm], label[perm], key[perm]
 
-        for r, grp in groups.items():
+        cross, near_of = _read_level(dm, order, was, label, list(groups), math.pow(2.0, lvl))
+        for ch, x in zip((ch for grp in groups.values() for ch in grp), near_of.tolist()):
+            near[ch] = x
+        for (r, grp), x in zip(groups.items(), cross.tolist()):
             node_of[r] = len(level)
-            parts = [members.pop(ch) for ch in grp]
-            mem = np.concatenate(parts)
-            cross, adj = _read_merge(dm, parts, mem, thr)
-            for ch, x in zip(grp[1:], _spanning_near(dm, parts, adj)):
-                near[ch] = x
             level.append(lvl)
             children.append(grp)
-            delta.append(max(cross, *(delta[ch] for ch in grp)))
+            delta.append(max(x, *(delta[ch] for ch in grp)))
             near.append(-1)
-            members[node_of[r]] = np.sort(mem)
 
     return Merges(level, children, delta, near)
 
 
-def _read_merge(dm: np.ndarray, parts: list[np.ndarray], mem: np.ndarray,
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + length), one per entry, concatenated."""
+    return np.repeat(start - length.cumsum() + length, length) + np.arange(length.sum())
+
+
+def _read_level(dm: np.ndarray, order: np.ndarray, was: np.ndarray, label: np.ndarray,
+                tops: list[int], thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """One read of each cross-child pair of one level's merges: the new
+    clusters tops, whose positions in order hold their children side by side
+    (label: each position's new cluster, was: its child). Returns each
+    merge's largest cross-child distance, and for each child, merge by
+    merge, the point of its BFS parent (_bfs_parents over the neighbor
+    graph, pairs within thr, `<=`) nearest to it, ties to the smallest
+    index; -1 at first children.
+
+    The merges whose members fit metric.ROW_BLOCK are read together: one
+    gather of all their cross-child pairs, one reduceat for the diameters,
+    one BFS over the disjoint union of their child graphs, and one gather
+    for the nearest points (_nearest). Each larger merge is read by
+    _read_merge and is a BFS of its own; the later children of each of its
+    multi-point BFS parents read that parent's points with one gather, and
+    a parent of one point needs no read.
+    """
+    cstart = np.flatnonzero(np.diff(was, prepend=-1))  # every child's positions
+    cend = np.append(cstart[1:], len(order))
+    tops = np.array(tops)
+    gs, ge = np.searchsorted(label, tops), np.searchsorted(label, tops, side="right")
+    first = np.searchsorted(cstart, gs)
+    count = np.searchsorted(cstart, ge) - first  # children per merge
+    kid = _ranges(first, count)
+    cs, ce = cstart[kid], cend[kid]
+    k0 = count.cumsum() - count  # each merge's first child
+    cross = np.empty(len(tops))
+    near = np.full(len(kid), -1)
+
+    small = np.flatnonzero(ge - gs <= metric.ROW_BLOCK)
+    batch = _ranges(k0[small], count[small])  # their children
+    size = ge[small] - gs[small]
+    pos = _ranges(gs[small], size)  # their members' positions
+    child = np.searchsorted(cs[batch], pos, side="right") - 1  # in batch
+    # each position against the positions of the later children of its merge
+    span = np.repeat(ge[small], size) - ce[batch][child]
+    rows = np.repeat(pos, span)
+    cols = _ranges(ce[batch][child], span)
+    dist = dm[order[rows], order[cols]]
+    pairs = np.add.reduceat(span, size.cumsum() - size)
+    cross[small] = np.maximum.reduceat(dist, pairs.cumsum() - pairs)
+    close = dist <= thr
+    a = np.repeat(child, span)[close]
+    b = np.searchsorted(cs[batch], cols[close], side="right") - 1
+    adj = np.zeros((len(batch), len(batch)), dtype=bool)
+    adj[a, b] = adj[b, a] = True
+    parent = batch[_bfs_parents(adj, count[small].cumsum() - count[small])]
+    later = parent != batch
+    near[batch[later]] = _nearest(dm, order, cs, ce, batch[later], parent[later])
+
+    for g in np.flatnonzero(ge - gs > metric.ROW_BLOCK).tolist():
+        c = np.arange(k0[g], k0[g] + count[g])
+        cross[g], adj = _read_merge(dm, order[gs[g]:ge[g]], ce[c] - cs[c], thr)
+        b, a = c[1:], c[_bfs_parents(adj, np.zeros(1, dtype=np.int64))[1:]]
+        near[b] = order[cs[a]]
+        for j in np.unique(a[ce[a] - cs[a] > 1]).tolist():
+            bs = b[a == j]
+            nb, xs = ce[bs] - cs[bs], order[cs[j]:ce[j]]
+            d = np.minimum.reduceat(dm[order[_ranges(cs[bs], nb)][:, None], xs], nb.cumsum() - nb)
+            near[bs] = np.where(d == d.min(axis=1, keepdims=True), xs, len(order)).min(axis=1)
+    return cross, near
+
+
+def _bfs_parents(adj: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Each node's parent in the BFS forest of the symmetric graph adj from
+    roots (ascending; a root is its own parent). The BFS goes level by
+    level: a node's parent is its first neighbor, in queue order, in the
+    level above, and the next level's queue order is by parent, then by
+    node. On a disjoint union of graphs, one root each, every graph gets
+    the forest it would get alone."""
+    parent = np.arange(len(adj))
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[roots] = True
+    front = roots
+    while not seen.all():
+        hit = adj[front] & ~seen
+        new = hit.any(axis=0).nonzero()[0]
+        if not len(new):
+            raise AssertionError("child neighbor graph is disconnected (construction bug)")
+        by = hit[:, new].argmax(axis=0)
+        parent[new] = front[by]
+        seen[new] = True
+        front = new[by.argsort(kind="stable")]
+    return parent
+
+
+def _nearest(dm: np.ndarray, order: np.ndarray, cs: np.ndarray, ce: np.ndarray,
+             b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """For each child b[i], the point of child a[i] nearest to it, ties to
+    the smallest index (children: positions [cs, ce) in order): one gather
+    of all their pairs, row by row of b, and the smallest point of a at
+    each block's least distance."""
+    na, nb = ce[a] - cs[a], ce[b] - cs[b]
+    cnt = na * nb
+    off = cnt.cumsum() - cnt
+    span = np.repeat(na, nb)
+    x = order[_ranges(np.repeat(cs[a], nb), span)]
+    dist = dm[np.repeat(order[_ranges(cs[b], nb)], span), x]
+    at = dist == np.repeat(np.minimum.reduceat(dist, off), cnt)
+    return np.minimum.reduceat(np.where(at, x, len(order)), off)
+
+
+def _read_merge(dm: np.ndarray, mem: np.ndarray, sizes: np.ndarray,
                 thr: float) -> tuple[float, np.ndarray]:
-    """One read of each cross-child pair of a merge with members mem,
-    child by child: the largest cross-child distance, and the children's
-    neighbor graph (child pairs with some points within thr, `<=`).
+    """One read of each cross-child pair of a merge with members mem, its
+    children's points side by side (sizes: points per child), child by
+    child: the largest cross-child distance, and the children's neighbor
+    graph (child pairs with some points within thr, `<=`).
 
     Each row group is read against the later children. A group is one
     multi-point child, read with one 2-D gather, or a run of up to
@@ -333,8 +453,7 @@ def _read_merge(dm: np.ndarray, parts: list[np.ndarray], mem: np.ndarray,
     column. Both triangles of the graph are filled as each group is read;
     its diagonal may be set too.
     """
-    k = len(parts)
-    sizes = np.array([len(part) for part in parts])
+    k = len(sizes)
     starts = sizes.cumsum() - sizes
     first = mem[starts]
     other = np.ones(len(mem), dtype=bool)
@@ -354,7 +473,7 @@ def _read_merge(dm: np.ndarray, parts: list[np.ndarray], mem: np.ndarray,
         j = i + 1
         if sizes[i] > 1:
             m += 1
-            block = dm[parts[i][:, None], cols]
+            block = dm[mem[starts[i]:starts[i] + sizes[i], None], cols]
         else:
             while j < min(i + row_block, k - 1) and sizes[j] == 1:
                 j += 1
@@ -374,38 +493,6 @@ def _read_merge(dm: np.ndarray, parts: list[np.ndarray], mem: np.ndarray,
         adj[i + 1:, i:j] = hit.T
         i = j
     return cross, adj
-
-
-def _spanning_near(dm: np.ndarray, parts: list[np.ndarray], adj: np.ndarray) -> list[int]:
-    """For each child after the first, the point of its parent sibling in
-    the BFS spanning tree of adj from the first child, which holds the
-    center (neighbors in ascending child index), nearest to it, ties to the
-    smallest index. The BFS goes level by level: a child's parent is its
-    first neighbor, in queue order, in the level above, and the next
-    level's queue order is by parent, then by child index. A parent of one
-    point needs no read.
-    """
-    k = len(parts)
-    parent = np.zeros(k, dtype=np.int64)
-    seen = np.arange(k) == 0
-    front = parent[:1]
-    while not seen.all():
-        hit = adj[front] & ~seen
-        new = hit.any(axis=0).nonzero()[0]
-        if not len(new):
-            raise AssertionError("child neighbor graph is disconnected (construction bug)")
-        by = hit[:, new].argmax(axis=0)
-        parent[new] = front[by]
-        seen[new] = True
-        front = new[by.argsort(kind="stable")]
-    out = []
-    for b, a in enumerate(parent[1:].tolist(), 1):
-        if len(parts[a]) == 1:
-            out.append(int(parts[a][0]))
-        else:
-            dist = dm[parts[b][:, None], parts[a]].min(axis=0)
-            out.append(int(parts[a][dist.argmin()]))
-    return out
 
 
 def compress_paths(h: Merges, ps: PointSet, eps: float) -> tuple[RelativeLocationTree, np.ndarray]:

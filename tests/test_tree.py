@@ -4,6 +4,7 @@ import pytest
 from rltsketch import metric
 from rltsketch.metric import INF, PointSet, scale_points
 from rltsketch.tree import (
+    _bfs_parents,
     assign_centers,
     assign_ingresses,
     build_hierarchy,
@@ -163,6 +164,114 @@ def test_a_merge_of_singleton_runs_and_larger_children_matches_the_references(
     near, ingress = reference_ingresses(t, ps.distance_matrix())
     assert {u: h.near[src[u]] for u in near} == near
     assert np.array_equal(t.ingress, ingress)
+
+
+def _assert_matches_the_references(ps):
+    """The hierarchy, its compressed tree at eps 0.5, and the nearest points
+    and ingresses at eps 0.1 equal the direct constructions'."""
+    h = build_hierarchy(ps)
+    want = reference_compress(*reference_hierarchy(ps.distance_matrix()), 0.5)
+    t, src = compress_paths(h, ps, 0.5)
+    for field in ("parent", "edge_len", "level"):
+        assert np.array_equal(getattr(t, field), want[field])
+    assert np.array_equal(np.array(h.delta)[src], want["delta"])  # exact float equality
+    t, h, src = _built(ps, 0.1)
+    near, ingress = reference_ingresses(t, ps.distance_matrix())
+    assert {u: h.near[src[u]] for u in near} == near
+    assert np.array_equal(t.ingress, ingress)
+
+
+def _merge_sizes_by_level(h):
+    """Members of each merge, by level."""
+    size, by_level = [], {}
+    for v, ch in enumerate(h.children):
+        size.append(sum(size[c] for c in ch) or 1)
+        if ch:
+            by_level.setdefault(h.level[v], []).append(size[v])
+    return by_level
+
+
+def _multiscale_clusters():
+    """300 points in 20 clusters at scale 2^12, each point's spread 2^k with
+    k in -4..10, like the multiscale benchmark: 18 levels, most with ten or
+    more merges of at most metric.ROW_BLOCK members, and one where a larger
+    merge sits beside small ones."""
+    rng = np.random.default_rng(2)
+    centers = rng.normal(0.0, 2.0**12, size=(20, 3))
+    which = rng.integers(0, 20, size=300)
+    spread = np.ldexp(1.0, rng.integers(-4, 11, size=300))
+    return scale_points(centers[which] + rng.normal(size=(300, 3)) * spread[:, None], 2)
+
+
+@pytest.mark.parametrize("row_block", [metric.ROW_BLOCK, 3])
+def test_batched_levels_match_the_references(monkeypatch, row_block):
+    ps = _multiscale_clusters()
+    by_level = _merge_sizes_by_level(build_hierarchy(ps))
+    small = [sum(size <= metric.ROW_BLOCK for size in sizes) for sizes in by_level.values()]
+    assert sum(k >= 10 for k in small) > len(by_level) / 2
+    assert any(max(sizes) > metric.ROW_BLOCK >= min(sizes) for sizes in by_level.values())
+    monkeypatch.setattr(metric, "ROW_BLOCK", row_block)
+    _assert_matches_the_references(ps)
+
+
+# One copy of an L1 pattern on the integer grid: a cluster A of a0, a1 (1
+# apart) and a2 (3 from a0), and single points B, C and D, each at least 4
+# from the others and within 8 of a neighbor, so each copy is one merge of
+# 6 points at level 3. B is 4 from a1 and from a2 and 5 from a0: its nearest
+# point in A is a tie, and A lists a1 before a2 whichever has the smaller
+# index. D is within 8 of B and of C and more than 8 from A, so the BFS from
+# A has two equal candidates for D's parent.
+_TIE_PATTERN = [(0, 0), (0, 1), (-3, 0), (-2, 3), (-9, -1), (-9, 3)]
+
+
+def _tie_copies(copies=30):
+    """Copies of _TIE_PATTERN 64 apart, each listing its points in its own
+    order, so the child order, the BFS root and the order of A's points
+    vary by copy."""
+    rng = np.random.default_rng(5)
+    pattern = np.array(_TIE_PATTERN, dtype=float)
+    return np.concatenate([pattern[rng.permutation(6)] + [64 * i, 0] for i in range(copies)])
+
+
+@pytest.mark.parametrize("row_block", [metric.ROW_BLOCK, 3])
+def test_ties_on_a_batched_level_match_the_references(monkeypatch, row_block):
+    pts = _tie_copies()
+    ps = scale_points(pts, 1)
+    dm = ps.distance_matrix() * 2.0**ps.scale_exponent
+    a0, a1, a2, b, c, d = (np.flatnonzero((pts == p).all(axis=1))[0] for p in _TIE_PATTERN)
+    assert dm[b, a1] == dm[b, a2] < dm[b, a0]
+    assert max(dm[d, b], dm[d, c]) <= 8 < min(dm[d, a0], dm[d, a1], dm[d, a2])
+    assert _merge_sizes_by_level(build_hierarchy(ps))[3] == [6] * 30
+    monkeypatch.setattr(metric, "ROW_BLOCK", row_block)
+    _assert_matches_the_references(ps)
+
+
+def test_bfs_of_a_disjoint_union_is_each_graph_alone():
+    rng = np.random.default_rng(8)
+    graphs = []
+    for k in (7, 1, 12, 5):
+        adj = rng.random((k, k)) < 0.4
+        adj |= adj.T
+        adj[np.arange(k - 1), np.arange(1, k)] = adj[np.arange(1, k), np.arange(k - 1)] = True
+        graphs.append(adj)
+    k = sum(len(g) for g in graphs)
+    union = np.zeros((k, k), dtype=bool)
+    roots = np.cumsum([0] + [len(g) for g in graphs[:-1]])
+    want = []
+    for r, g in zip(roots, graphs):
+        union[r:r + len(g), r:r + len(g)] = g
+        want.append(r + _bfs_parents(g, np.zeros(1, dtype=np.int64)))
+    assert np.array_equal(_bfs_parents(union, roots), np.concatenate(want))
+
+
+def test_bfs_of_a_disconnected_child_graph_raises():
+    adj = np.zeros((5, 5), dtype=bool)
+    adj[0, 1] = adj[1, 0] = True  # graph 0..1, then 2..4 with 4 cut off
+    adj[2, 3] = adj[3, 2] = True
+    with pytest.raises(AssertionError, match="disconnected"):
+        _bfs_parents(adj, np.array([0, 2]))
+    with pytest.raises(AssertionError, match="disconnected"):
+        _bfs_parents(adj[:2, :2] & False, np.zeros(1, dtype=np.int64))
 
 
 @pytest.mark.parametrize("name,ps", list(_reference_inputs()))
