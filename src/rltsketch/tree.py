@@ -302,16 +302,16 @@ def build_hierarchy(ps: PointSet) -> Merges:
         for _, a, b in run:
             a, b = find(a), find(b)
             uf[max(a, b)] = min(a, b)
-        tops = [find(r) for r in roots]
+        into = [find(r) for r in roots]  # each root's new cluster
         # roots ascend, so first-seen order of the new roots is the
         # canonical order (ascending min member) of groups and children
         groups: dict[int, list[int]] = {}
-        for r, t in zip(roots, tops):
+        for r, t in zip(roots, into):
             groups.setdefault(t, []).append(node_of[r])
         # a stable sort by new cluster puts each merge's children side by
         # side, in ascending min member
         top = np.arange(n)
-        top[roots] = tops
+        top[roots] = into
         key = top[label]
         perm = np.argsort(key, kind="stable")
         order, was, label = order[perm], label[perm], key[perm]
