@@ -168,7 +168,8 @@ def test_a_merge_of_singleton_runs_and_larger_children_matches_the_references(
 
 def _assert_matches_the_references(ps):
     """The hierarchy, its compressed tree at eps 0.5, and the nearest points
-    and ingresses at eps 0.1 equal the direct constructions'."""
+    and ingresses at eps 0.1 match the direct constructions of
+    reference_hierarchy."""
     h = build_hierarchy(ps)
     want = reference_compress(*reference_hierarchy(ps.distance_matrix()), 0.5)
     t, src = compress_paths(h, ps, 0.5)
@@ -218,9 +219,10 @@ def test_batched_levels_match_the_references(monkeypatch, row_block):
 # apart) and a2 (3 from a0), and single points B, C and D, each at least 4
 # from the others and within 8 of a neighbor, so each copy is one merge of
 # 6 points at level 3. B is 4 from a1 and from a2 and 5 from a0: its nearest
-# point in A is a tie, and A lists a1 before a2 whichever has the smaller
-# index. D is within 8 of B and of C and more than 8 from A, so the BFS from
-# A has two equal candidates for D's parent.
+# point in A is a tie. A holds its points child by child, {a0, a1} before a2
+# where that child holds A's smallest index, so the first of a1 and a2 in A
+# need not be the smaller index. D is within 8 of B and of C and more than 8
+# from A, so the BFS from A has two equal candidates for D's parent.
 _TIE_PATTERN = [(0, 0), (0, 1), (-3, 0), (-2, 3), (-9, -1), (-9, 3)]
 
 
@@ -271,7 +273,7 @@ def test_bfs_of_a_disconnected_child_graph_raises():
     with pytest.raises(AssertionError, match="disconnected"):
         _bfs_parents(adj, np.array([0, 2]))
     with pytest.raises(AssertionError, match="disconnected"):
-        _bfs_parents(adj[:2, :2] & False, np.zeros(1, dtype=np.int64))
+        _bfs_parents(np.zeros((2, 2), dtype=bool), np.zeros(1, dtype=np.int64))
 
 
 @pytest.mark.parametrize("name,ps", list(_reference_inputs()))
