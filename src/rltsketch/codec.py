@@ -31,7 +31,7 @@ import numpy as np
 from .bits import BitReader, BitWriter, width_for_count
 from .metric import INF, PointSet
 from .tree import (EPS_EXPONENT, Augmentations, RelativeLocationTree, build_tree, check_finite,
-                   first_leaves, later_children, tree_structure)
+                   first_leaves, later_children, leaves, tree_structure)
 
 MAGIC = b"RLTS"
 VERSION = 2
@@ -140,7 +140,8 @@ class _Fields:
 
     @cached_property
     def shape(self) -> dict:
-        """Long edges and every field tree_structure derives."""
+        """The long-edge lengths, edge_len, and every field tree_structure
+        derives from them."""
         nodes, lengths = self.values["long_edges.nodes"], self.values["long_edges.lengths"]
         if np.any(np.diff(nodes) <= 0) or np.any((nodes < 1) | (nodes >= self.m)):
             raise DecodeError("long-edge nodes are not ascending non-root ids")
@@ -148,11 +149,10 @@ class _Fields:
             raise DecodeError("long edge with invalid length")
         edge_len = np.zeros(self.m, dtype=np.int64)
         edge_len[nodes] = lengths
-        edge_long = edge_len > 0
-        shape = tree_structure(self.parent, edge_long, edge_len, self.phi_exp)
+        shape = tree_structure(self.parent, edge_len, self.phi_exp)
         if shape["level"].min() < 0:
             raise DecodeError("level below 0")
-        return dict(edge_long=edge_long, edge_len=edge_len, **shape)
+        return dict(edge_len=edge_len, **shape)
 
     @cached_property
     def is_root(self) -> np.ndarray:
@@ -174,10 +174,10 @@ class _Fields:
 
     @cached_property
     def leaves(self) -> np.ndarray:
-        leaves = np.flatnonzero(np.bincount(self.parent[1:], minlength=self.m) == 0)
-        if len(leaves) != self.n:
-            raise DecodeError(f"{len(leaves)} leaves for {self.n} points")
-        return leaves
+        leaf = leaves(self.parent)
+        if len(leaf) != self.n:
+            raise DecodeError(f"{len(leaf)} leaves for {self.n} points")
+        return leaf
 
     @cached_property
     def later_children(self) -> np.ndarray:

@@ -72,10 +72,7 @@ def build_augmentations(
                      np.ldexp(1.0, tree.level[leaves]))
 
     nodes = np.flatnonzero(tree.corner_row >= 0)  # in corner_row order
-    top = tree.subtree_root[nodes]
-    if not tree.edge_long[top].all():
-        raise AssertionError("subtree root without a long parent edge")
-    u = tree.parent[top]
+    u = tree.parent[tree.subtree_root[nodes]]  # outside the root's subtree: a long edge's top
     b1, b2 = corners("long-edge", nodes, points[tree.center[nodes]] - points[tree.center[u]],
                      np.ldexp(1.0, tree.level[u]))
 

@@ -77,6 +77,22 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
     children, members = tree_children(t), node_members(t)
     delta, s = node_diameters(members, dm), surrogate_units(t)
 
+    # the facts the stages rely on unchecked: subtrees start at the root and
+    # at the long-edge bottoms only; a node's first short child holds its
+    # center and enters by it; a later short child enters by a subtree leaf
+    # of its own subtree
+    ids = np.arange(t.node_count)
+    assert np.array_equal(t.subtree_root == ids, (ids == 0) | t.edge_long), \
+        "subtree roots are the root and the long-edge bottoms"
+    for v in range(t.node_count):
+        short = [c for c in children[v] if not t.edge_long[c]]
+        if short:
+            assert t.ingress[short[0]] == v and t.center[short[0]] == t.center[v], \
+                "first child holds the parent's center"
+        for u in t.ingress[short[1:]].tolist():
+            assert t.is_subtree_leaf[u] and t.subtree_root[u] == t.subtree_root[short[0]], \
+                "ingress target is a subtree leaf"
+
     # structure: children partition parents, levels decrease correctly
     for v in range(t.node_count):
         if children[v]:

@@ -5,6 +5,8 @@ from rltsketch import metric
 from rltsketch.metric import INF, PointSet, scale_points
 from rltsketch.tree import (
     _bfs_parents,
+    _chain_sums,
+    _mst_edges,
     assign_centers,
     assign_ingresses,
     build_hierarchy,
@@ -248,6 +250,46 @@ def test_ties_on_a_batched_level_match_the_references(monkeypatch, row_block):
     _assert_matches_the_references(ps)
 
 
+def _line_of_pairs(clusters=300):
+    """Two-point clusters on a line (points 1 apart, clusters 3 apart), in a
+    shuffled index order but with point 0 at one end: the MST is one path
+    from point 0, so the top level's clusters are chain ends of a chain of
+    2 * clusters - 1 edges."""
+    x = np.arange(2 * clusters) // 2 * 3.0 + np.arange(2 * clusters) % 2
+    order = np.concatenate([[0], 1 + np.random.default_rng(6).permutation(2 * clusters - 1)])
+    return scale_points(x[order][:, None], 2)
+
+
+@pytest.mark.parametrize("row_block", [metric.ROW_BLOCK, 3])
+def test_levels_of_a_one_path_mst_match_the_references(monkeypatch, row_block):
+    ps = _line_of_pairs()
+    parent, _ = _mst_edges(ps.distance_matrix())
+    depth, _ = _chain_sums(parent, (np.arange(ps.n) > 0).astype(np.int64))
+    assert depth.max() == ps.n - 1 >= 2**9  # ten doubling rounds
+    assert _merge_sizes_by_level(build_hierarchy(ps)) == {1: [2] * 300, 2: [600]}
+    monkeypatch.setattr(metric, "ROW_BLOCK", row_block)
+    _assert_matches_the_references(ps)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prim_gives_a_minimum_spanning_tree_under_ties(seed):
+    # small integer distances, so many edges tie and sums are exact
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    dm = rng.integers(1, 4, size=(n, n)).astype(float)
+    dm = np.triu(dm, 1) + np.triu(dm, 1).T
+    parent, weight = _mst_edges(dm)
+    ids = np.arange(n)
+    assert parent[0] == 0 and weight[0] == 0.0
+    assert np.count_nonzero(parent != ids) == n - 1
+    assert np.array_equal(weight, dm[parent, ids])
+    _, end = _chain_sums(parent, np.zeros(n, dtype=np.int64))
+    assert np.all(end == 0)  # one tree, no cycle
+    assert weight.sum() == minimum_spanning_tree(dm).sum()
+
+
 def test_bfs_of_a_disjoint_union_is_each_graph_alone():
     rng = np.random.default_rng(8)
     graphs = []
@@ -477,11 +519,11 @@ def _chain_tree(length):
 
     m = length
     parent = np.arange(-1, m - 1)
-    edge_long, edge_len = np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64)
+    edge_len = np.zeros(m, dtype=np.int64)
     return RelativeLocationTree(
         n=m, d=1, p=2, eps=0.5, scale_exponent=0,
-        parent=parent, edge_long=edge_long, edge_len=edge_len,
-        **tree_structure(parent, edge_long, edge_len, m - 1),
+        parent=parent, edge_len=edge_len,
+        **tree_structure(parent, edge_len, m - 1),
         center=np.zeros(m, dtype=np.int64),
         ingress=np.maximum(np.arange(-1, m - 1), 0),
         g=np.zeros(m, dtype=np.int64), eta=np.zeros((m, 1), dtype=np.int64),
