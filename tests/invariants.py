@@ -77,10 +77,10 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
     children, members = tree_children(t), node_members(t)
     delta, s = node_diameters(members, dm), surrogate_units(t)
 
-    # the facts the stages rely on unchecked: subtrees start at the root and
-    # at the long-edge bottoms only; a node's first short child holds its
-    # center and enters by it; a later short child enters by a subtree leaf
-    # of its own subtree
+    # facts the build relies on without checking them: subtrees start at the
+    # root and at the long-edge bottoms only; a node's first short child
+    # holds its center and enters by it; a later short child enters by a
+    # subtree leaf of its own subtree
     ids = np.arange(t.node_count)
     assert np.array_equal(t.subtree_root == ids, (ids == 0) | t.edge_long), \
         "subtree roots are the root and the long-edge bottoms"
