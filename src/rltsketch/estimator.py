@@ -26,16 +26,17 @@ from .tree import RelativeLocationTree, surrogate_units
 class QueryContext:
     """Read-only query state over a decoded sketch.
 
-    use_landmarks: walk ingress links only to the nearest stored landmark
-    (or subtree root). memoize: cache shifted surrogates across queries; an
-    optimization with no observable effect on values, and idempotent (every
-    replay of a node folds the same increments in the same order), so
-    concurrent queries are safe. visits_last counts the chain steps and
-    ingress hops of the most recent single query, the same on both flavors
-    (meaningful with memoize=False; racy under concurrency).
+    Shifted surrogates are replayed along ingress links from the nearest
+    stored one (a landmark or a subtree root) and kept in a memo across
+    queries. The memo has no observable effect, on values or on
+    visits_last, and is idempotent (every replay of a node folds the same
+    increments in the same order), so concurrent queries are safe.
+    visits_last counts the chain steps and the landmark-bounded ingress
+    hops of the most recent single query, the same on both flavors (racy
+    under concurrency).
     """
 
-    def __init__(self, sketch, use_landmarks: bool = True, memoize: bool = True):
+    def __init__(self, sketch):
         if isinstance(sketch, SketchBits):
             self.tree = decode(sketch)
         elif isinstance(sketch, RelativeLocationTree):
@@ -43,8 +44,6 @@ class QueryContext:
         else:
             raise TypeError("expected SketchBits or a decoded tree")
         t = self.tree
-        self.use_landmarks = use_landmarks
-        self.memoize = memoize
         self.scale = math.ldexp(1.0, int(t.scale_exponent))
         self.unit = t.unit()
         self.leaf_of = t.leaf_of_point()
@@ -53,38 +52,28 @@ class QueryContext:
         self._leaf, self._root, self._above, self._ingress, self._level = (
             a.tolist() for a in (self.leaf_of, t.subtree_root, self.entry_above, t.ingress, t.level)
         )
-        row = np.full(t.node_count, -1, dtype=np.int64)
-        row[t.landmarks] = np.arange(len(t.landmarks))
-        self._landmark_row = row.tolist()
-        self._s_memo: dict[int, np.ndarray] = {}
+        # node -> (s units, ingress hops down to its nearest stored surrogate)
+        zero = np.zeros(t.d)
+        self._s_memo = {r: (zero, 0) for r in t.subtree_roots().tolist()}
+        self._s_memo.update((v, (s, 0)) for v, s in zip(t.landmarks.tolist(), t.landmark_units))
         self.visits_last = 0
 
     # -- shifted surrogates ------------------------------------------------
 
     def _s_units(self, v: int) -> np.ndarray:
         """Shifted surrogate of v in grid units (integer-valued float64),
-        replayed along the ingress chain from the nearest cached value,
-        landmark, or subtree root (decode rejects ingress cycles)."""
-        t = self.tree
-        chain = []
-        cur = int(v)
-        while True:
-            if self.memoize and cur in self._s_memo:
-                base = self._s_memo[cur]
-                break
-            if self.use_landmarks and self._landmark_row[cur] >= 0:
-                base = t.landmark_units[self._landmark_row[cur]]
-                break
-            if self._root[cur] == cur:
-                base = np.zeros(t.d, dtype=np.float64)
-                break
+        replayed along the ingress chain from the nearest memo entry (decode
+        rejects ingress cycles)."""
+        chain, cur = [], int(v)
+        while cur not in self._s_memo:
             chain.append(cur)
-            self.visits_last += 1
             cur = self._ingress[cur]
+        base, hops = self._s_memo[cur]
+        self.visits_last += len(chain) + hops
         for w in reversed(chain):
-            base = base + math.pow(2.0, self._level[w]) * t.eta[w].astype(np.float64)
-            if self.memoize:
-                self._s_memo[w] = base
+            base = base + math.pow(2.0, self._level[w]) * self.tree.eta[w].astype(np.float64)
+            hops += 1
+            self._s_memo[w] = (base, hops)
         return base
 
     def _fine_units(self, v: int) -> np.ndarray:

@@ -162,7 +162,7 @@ def check_tree_invariants(t: RelativeLocationTree, ps: PointSet, full_separation
             assert members[v].shape == (1,) and t.center[v] == members[v][0], "leaf center"
 
     # the query path's replay reproduces the layered replay exactly
-    ctx = QueryContext(t, use_landmarks=True, memoize=True)
+    ctx = QueryContext(t)
     for v in range(t.node_count):
         assert np.array_equal(ctx._s_units(v), s[v]), "shifted surrogate replay"
 

@@ -244,7 +244,7 @@ def test_criterion_8_query_cost():
     ps = ingest_array(pts, 2)
     assert ps.phi >= 2.0 ** 40
     sk = build_lp_sketch(ps, 0.25)
-    ctx = QueryContext(sk, use_landmarks=True, memoize=False)
+    ctx = QueryContext(sk)
     K = ctx.tree.K
     rng = np.random.default_rng(88)
     worst = 0

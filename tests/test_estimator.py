@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 from invariants import fine_surrogate_units
 from reference_estimator import reference_all_pairs, reference_lca_entries
-from test_tree import _reference_inputs
+from test_tree import _multiscale_clusters, _reference_inputs
 
-from rltsketch.codec import build_lp_sketch, encode
+from rltsketch.codec import build_lp_sketch, decode, encode
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.metric import INF, pairwise_distances, scale_points
@@ -49,21 +50,50 @@ def test_estimate_symmetric_and_deterministic():
         assert ctx.estimate(i, j) == ctx2.estimate(i, j)
 
 
-def test_landmark_and_memo_paths_agree_exactly():
+def test_a_warm_memo_changes_no_estimate_and_no_visit_count():
     rng = np.random.default_rng(3)
     centers = rng.uniform(0, 1e5, size=(4, 2))
     pts = np.concatenate([c + rng.uniform(0, 30, size=(10, 2)) for c in centers])
     ps = scale_points(pts, 2)
     for sk in (build_lp_sketch(ps, 0.1), build_euclidean_sketch(ps, 0.3, seed=7)):
-        variants = [
-            QueryContext(sk, use_landmarks=True, memoize=True),
-            QueryContext(sk, use_landmarks=True, memoize=False),
-            QueryContext(sk, use_landmarks=False, memoize=True),
-            QueryContext(sk, use_landmarks=False, memoize=False),
-        ]
+        warm = QueryContext(sk)
+        for i, j in itertools.combinations(range(40), 2):
+            warm.estimate(i, j)
         for i, j in ((0, 39), (5, 22), (11, 12), (30, 31)):
-            vals = [c.estimate(i, j) for c in variants]
-            assert all(v == vals[0] for v in vals)
+            fresh = QueryContext(sk)
+            assert warm.estimate(i, j) == fresh.estimate(i, j)
+            assert warm.visits_last == fresh.visits_last
+
+
+def _deep_chain():
+    """The criterion 8 input: a geometric chain up to ~2^40, then a
+    unit-spaced tail, 500 points."""
+    coords = [0.0]
+    for k in range(41):
+        coords.append(coords[-1] + 2.0 ** k)
+    coords += [-float(k) for k in range(len(coords), 500)]
+    return pointset_1d(coords)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_lp_sketch(_deep_chain(), 0.25),
+    lambda: build_lp_sketch(_multiscale_clusters(), 0.05),
+    lambda: build_euclidean_sketch(_multiscale_clusters(), 0.3, seed=7),
+], ids=["deep-chain", "multiscale", "multiscale-euclidean"])
+def test_stored_landmarks_change_no_estimate(build):
+    t = decode(build())
+    assert len(t.landmarks) > 0  # decode admits only non-root landmarks
+    roots = t.subtree_roots()
+    bare = dataclasses.replace(t, landmarks=roots, landmark_units=np.zeros((len(roots), t.d)))
+    stored, replayed = QueryContext(t), QueryContext(bare)
+    rng = np.random.default_rng(9)
+    hops = [0, 0]
+    for _ in range(1000):
+        i, j = (int(k) for k in rng.choice(t.n, size=2, replace=False))
+        assert stored.estimate(i, j) == replayed.estimate(i, j)
+        hops[0] += stored.visits_last
+        hops[1] += replayed.visits_last
+    assert hops[0] < hops[1]
 
 
 def test_bulk_matches_single_queries():
@@ -282,7 +312,7 @@ def test_visit_budget_on_deep_chain():
         coords.append(coords[-1] + 2.0 ** k)
     ps = pointset_1d(coords)
     sk = build_lp_sketch(ps, 0.25)
-    ctx = QueryContext(sk, use_landmarks=True, memoize=False)
+    ctx = QueryContext(sk)
     n = len(coords)
     worst = 0
     for i in range(n):
