@@ -79,9 +79,10 @@ class BitReader:
         zeros = 8 * byte + 8 - bits.bit_length() - self.pos
         return int(self.read_uint_array(1, 2 * zeros + 1)[0])
 
-    def read_uint_array(self, shape, width: int, add: int = 0) -> np.ndarray:
+    def read_uint_array(self, shape, width: int, add: int = 0, out=None) -> np.ndarray:
         """Read an array of the given shape, each value in `width` bits (0 to
-        64), in row-major order, plus `add`. 64-bit values come back as their
+        64), in row-major order, plus `add`; at width > 0, into `out` if given
+        (C-contiguous int64 of that shape). 64-bit values come back as their
         int64 bit pattern; the sum wraps as int64 does. A 1-bit chunk is one
         unpackbits of its bytes, converted to int64 with `add` added in the
         same step. Each residue of a wider chunk is one slice of stride
@@ -94,7 +95,7 @@ class BitReader:
             raise EOFError("truncated bit stream")  # checked before allocating
         if not width:
             return np.full(shape, add, dtype=np.int64)
-        out = np.empty(size, dtype=np.int64)  # the chunks write every entry
+        out = np.empty(size, dtype=np.int64) if out is None else out.reshape(size)
         right = np.uint64(64 - width)
         for lo in range(0, size, CHUNK):
             hi = min(lo + CHUNK, size)

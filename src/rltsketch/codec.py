@@ -230,10 +230,20 @@ class _Fields:
         eta_eps[self.fine] = self.values["leaf_etas.fine"]
         return eta_eps
 
+    @cached_property
+    def eta_rows(self) -> np.ndarray:
+        """The eta matrix; decode reads the coarse etas into its last rows."""
+        return np.empty((self.m, self.d), dtype=np.int64)
+
     def eta(self) -> np.ndarray:
-        """Coarse etas; at fine rows, the residual plus floor(eta_eps * eps)."""
-        eta = np.zeros((self.m, self.d), dtype=np.int64)
-        eta[self.coarse] = self.values["etas.coarse"]
+        """Coarse etas, moved from the last rows to their own where those
+        differ; at fine rows, the residual plus floor(eta_eps * eps); zero at
+        subtree roots."""
+        eta, tail = self.eta_rows, slice(self.m - len(self.coarse), None)
+        eta[tail] = self.values["etas.coarse"]  # no copy where decode read them
+        if len(self.coarse) and self.coarse[0] != tail.start:
+            eta[self.coarse] = eta[tail].copy()
+        eta[self.is_root] = 0
         eta[self.fine] = self.values["etas.residual"] + _floor_eps(self.eta_eps[self.fine],
                                                                    self.eps_num)
         return eta
@@ -375,16 +385,16 @@ def _write_field(w: BitWriter, field: Field, values: np.ndarray, f: _Fields):
     w.write_uint_array(values, width)
 
 
-def _read_field(r: BitReader, field: Field, f: _Fields) -> np.ndarray:
+def _read_field(r: BitReader, field: Field, f: _Fields, out=None) -> np.ndarray:
     shape = (r.bit_length,) if field.count is None else _shape(field.count(f))
     if not math.prod(shape):
         return np.zeros(shape, dtype=np.int64)
     if field.width is not RANGE:
-        return r.read_uint_array(shape, field.width(f))
+        return r.read_uint_array(shape, field.width(f), out=out)
     lo, width = int(r.read_uint_array(1, 64)[0]), int(r.read_uint_array(1, 6)[0])
     if lo + (1 << width) > 1 << 63:
         raise DecodeError(f"{field.key}: range beyond int64")
-    return r.read_uint_array(shape, width, lo)
+    return r.read_uint_array(shape, width, lo, out)
 
 
 def encode(t: RelativeLocationTree, aug: Augmentations | None = None) -> SketchBits:
@@ -506,7 +516,8 @@ def _read(data: bytes) -> tuple[_Fields, dict]:
     for field in FIELDS:
         r = readers[field.section]
         start = r.pos
-        f.values[field.key] = _read_field(r, field, f)
+        out = f.eta_rows[f.m - len(f.coarse):] if field.key == "etas.coarse" else None
+        f.values[field.key] = _read_field(r, field, f, out)
         bits[field.key] = r.pos - start
     for name, r in readers.items():
         if r.pos != r.bit_length:

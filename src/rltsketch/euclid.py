@@ -30,7 +30,9 @@ def jl_transform(ps: PointSet, target_dim: int, seed) -> PointSet:
     """Project onto target_dim dimensions with an i.i.d. Gaussian matrix of
     entry deviation 1/sqrt(d'), then renormalize the scale so the projected
     minimum distance is in [1, 2). The diameter bound is recomputed from the
-    projected points."""
+    projected points. With mat = QR, the rows of points @ R.T (d columns)
+    have the projected distances; where d < d', they give the distance
+    matrix, in O(n^2 d) rather than O(n^2 d'), equal up to rounding."""
     if ps.p != 2:
         raise ValueError("random projection applies to p = 2 only")
     if target_dim < 1:
@@ -38,8 +40,9 @@ def jl_transform(ps: PointSet, target_dim: int, seed) -> PointSet:
     rng = np.random.default_rng(seed)  # seed: an int or a numpy SeedSequence
     mat = rng.normal(0.0, 1.0, size=(target_dim, ps.d)) / math.sqrt(target_dim)
     projected = ps.points @ mat.T
+    frame = ps.points @ np.linalg.qr(mat, mode="r").T if ps.d < target_dim else None
     try:
-        return scale_points(projected, 2, base_exponent=ps.scale_exponent)
+        return scale_points(projected, 2, base_exponent=ps.scale_exponent, frame=frame)
     except ValueError as exc:
         raise ValueError(f"projection collapsed two points ({exc}); retry with a new seed")
 

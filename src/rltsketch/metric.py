@@ -89,7 +89,9 @@ class PointSet:
 
     scale_exponent records the power-of-two divisor applied at ingestion (and,
     for the Euclidean pipeline, after projection); phi is the measured diameter
-    after scaling. dist caches the exact scaled distance matrix.
+    after scaling. dist caches the scaled distance matrix: on ingest, cdist of
+    the raw rows divided by 2^e, bit for bit; on the Euclidean projection, the
+    distances of a smaller frame (jl_transform), equal to cdist up to rounding.
     """
 
     points: np.ndarray
@@ -125,10 +127,12 @@ class PointSet:
             raise ValueError(f"max pairwise distance {off.max()} > phi={self.phi}")
 
 
-def scale_points(points: np.ndarray, p, base_exponent: int = 0) -> PointSet:
+def scale_points(points: np.ndarray, p, base_exponent: int = 0, *, frame=None) -> PointSet:
     """Normalize a raw point array into a PointSet: divide by the power of two
     M' in (M/2, M] (M = min pairwise distance) so the scaled minimum lands in
-    [1, 2) exactly; the cached distance matrix is scaled alongside.
+    [1, 2) exactly; the cached distance matrix is scaled alongside. It is
+    computed from `frame` if given: the points' rows in fewer columns, at the
+    same distances up to rounding.
 
     base_exponent is added to the recorded scale exponent (used when a
     projection stage rescales already-scaled points). Raises ValueError on
@@ -143,7 +147,7 @@ def scale_points(points: np.ndarray, p, base_exponent: int = 0) -> PointSet:
     n = points.shape[0]
     if n == 1:
         return PointSet(points, p, base_exponent, 1.0, dist=np.zeros((1, 1)))
-    dmat = pairwise_distances(points, p)
+    dmat = pairwise_distances(points if frame is None else frame, p)
     np.fill_diagonal(dmat, np.inf)  # in place: no n^2 copies
     m = float(dmat.min())
     if m <= 0.0:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rltsketch
 from rltsketch.codec import decode, encode, size_report
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import (
@@ -12,8 +16,8 @@ from rltsketch.euclid import (
     jl_transform,
     target_dimension,
 )
-from rltsketch.metric import pairwise_distances, scale_points
-from rltsketch.tree import build_coarse_tree, surrogate_units
+from rltsketch.metric import PointSet, pairwise_distances, scale_points
+from rltsketch.tree import build_coarse_tree, build_hierarchy, surrogate_units
 
 
 def random_pointset(rng, n, d, spread=100.0):
@@ -88,6 +92,79 @@ def test_jl_norm_scaling_unbiased():
         sq[seed] = y @ y
     se = sq.std() / math.sqrt(seeds)
     assert abs(sq.mean() - 1.0) <= 4 * se
+
+
+def _frame_inputs(seed):
+    """Normal points, clusters at scale 2^8 with spreads 2^-2..2^6, and an
+    integer grid with exact ties, each in fewer dimensions than d'."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(8, 8)) * 2.0 ** 8
+    spread = np.ldexp(1.0, rng.integers(-2, 7, size=120))[:, None]
+    clusters = centers[rng.integers(0, 8, size=120)] + rng.normal(size=(120, 8)) * spread
+    grid = np.unique(rng.integers(0, 6, size=(150, 5)), axis=0).astype(float)
+    return {"normal": rng.normal(size=(120, 12)) * 10, "clusters": clusters, "grid": grid}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_projected_distances_match_the_projected_points(seed):
+    # the distance matrix comes from the R factor's frame (d columns), but
+    # it is the projected points' own distance matrix up to rounding, and
+    # the tree and file built on either are the same
+    for name, pts in _frame_inputs(seed).items():
+        ps = scale_points(pts, 2)
+        dprime = target_dimension(ps.n, 0.3)
+        assert ps.d < dprime, name
+        proj = jl_transform(ps, dprime, seed)
+        want = pairwise_distances(proj.points, 2)
+        off = ~np.eye(ps.n, dtype=bool)
+        rel = np.abs(proj.distance_matrix() - want)[off] / want[off]
+        assert rel.max() <= 1e-12, name
+
+        own = PointSet(proj.points, 2, proj.scale_exponent, float(want.max()), dist=want)
+        sigma = np.random.default_rng(seed).random((2, dprime))
+        sketches, merges = [], []
+        for q in (proj, own):
+            tree, _ = build_coarse_tree(q, EUCLIDEAN_TREE_EPS)
+            tree.augmentations = build_augmentations(tree, q.points, *sigma)
+            sketches.append(encode(tree).data)
+            merges.append(build_hierarchy(q))
+        assert sketches[0] == sketches[1], name
+        for field in ("level", "children", "near"):
+            assert getattr(merges[0], field) == getattr(merges[1], field), name
+
+
+def test_projected_distances_over_wide_scales():
+    # clusters at 2^14 with spreads 2^-6..2^13: both ways of computing a
+    # small distance between large points cancel, so they agree to the
+    # rounding of the points' norms rather than of the distance itself
+    rng = np.random.default_rng(5)
+    centers = rng.normal(size=(8, 8)) * 2.0 ** 14
+    spread = np.ldexp(1.0, rng.integers(-6, 14, size=120))[:, None]
+    pts = centers[rng.integers(0, 8, size=120)] + rng.normal(size=(120, 8)) * spread
+    proj = jl_transform(scale_points(pts, 2), 231, 5)
+    want = pairwise_distances(proj.points, 2)
+    norms = np.sqrt((proj.points ** 2).sum(axis=1))
+    err = np.abs(proj.distance_matrix() - want)
+    assert (err <= 1e-13 * (norms[:, None] + norms[None, :])).all()
+
+
+def test_euclidean_bytes_do_not_depend_on_blas_threads():
+    # the build's products and its QR run in BLAS / LAPACK, whose summation
+    # order may follow the thread count; the file must not
+    script = ("import hashlib, numpy as np\n"
+              "from rltsketch import build_euclidean_sketch, scale_points\n"
+              "pts = np.random.default_rng(53).normal(size=(300, 50)) * 20\n"
+              "sk = build_euclidean_sketch(scale_points(pts, 2), 0.2, seed=9)\n"
+              "print(hashlib.sha256(sk.data).hexdigest())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rltsketch.__file__)))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
+                             capture_output=True, text=True).stdout
+        digests.add(out.strip())
+    assert len(digests) == 1
 
 
 def _fixed_tree(seed=0, n=14, d=6, dprime=40):
