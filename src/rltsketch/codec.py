@@ -394,7 +394,7 @@ def _read_field(r: BitReader, field: Field, f: _Fields, out=None) -> np.ndarray:
     lo, width = int(r.read_uint_array(1, 64)[0]), int(r.read_uint_array(1, 6)[0])
     if lo + (1 << width) > 1 << 63:
         raise DecodeError(f"{field.key}: range beyond int64")
-    return r.read_uint_array(shape, width, lo, out)
+    return r.read_uint_array(shape, width, lo, out=out)
 
 
 def encode(t: RelativeLocationTree, aug: Augmentations | None = None) -> SketchBits:
