@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .codec import SketchBits, encode
-from .metric import PointSet, lp_norms, norm_root, randomized_grid_round, scale_points
+from .metric import PointSet, _scale_points, lp_norms, norm_root, randomized_grid_round
 from .tree import (Augmentations, RelativeLocationTree, build_coarse_tree, quantize_eps,
                    surrogate_units)
 
@@ -30,9 +30,12 @@ def jl_transform(ps: PointSet, target_dim: int, seed) -> PointSet:
     """Project onto target_dim dimensions with an i.i.d. Gaussian matrix of
     entry deviation 1/sqrt(d'), then renormalize the scale so the projected
     minimum distance is in [1, 2). The diameter bound is recomputed from the
-    projected points. With mat = QR, the rows of points @ R.T (d columns)
-    have the projected distances; where d < d', they give the distance
-    matrix, in O(n^2 d) rather than O(n^2 d'), equal up to rounding."""
+    projected points. With mat = QR, the rows of points @ R.T (min(d, d')
+    columns) have the projected distances; where d < d', they give the
+    distance matrix, in O(n^2 d) rather than O(n^2 d'), equal up to rounding.
+    Where d >= d', the projected points are as narrow as that frame, and the
+    QR and the product would only add to the build (n = 1000, d = 1500,
+    d' = 748: 68 + 46 ms, on a 225 ms distance step that stays as it is)."""
     if ps.p != 2:
         raise ValueError("random projection applies to p = 2 only")
     if target_dim < 1:
@@ -42,7 +45,7 @@ def jl_transform(ps: PointSet, target_dim: int, seed) -> PointSet:
     projected = ps.points @ mat.T
     frame = ps.points @ np.linalg.qr(mat, mode="r").T if ps.d < target_dim else None
     try:
-        return scale_points(projected, 2, base_exponent=ps.scale_exponent, frame=frame)
+        return _scale_points(projected, 2, ps.scale_exponent, frame)
     except ValueError as exc:
         raise ValueError(f"projection collapsed two points ({exc}); retry with a new seed")
 

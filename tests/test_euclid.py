@@ -133,6 +133,15 @@ def test_projected_distances_match_the_projected_points(seed):
             assert getattr(merges[0], field) == getattr(merges[1], field), name
 
 
+@pytest.mark.parametrize("dprime", [20, 30])
+def test_projected_distances_at_d_not_below_dprime(dprime):
+    # where d >= d' no frame is taken: the distances are the projected
+    # points' own, bit for bit
+    ps = scale_points(np.random.default_rng(dprime).normal(size=(40, 30)) * 10, 2)
+    proj = jl_transform(ps, dprime, 3)
+    assert np.array_equal(proj.distance_matrix(), pairwise_distances(proj.points, 2))
+
+
 def test_projected_distances_over_wide_scales():
     # clusters at 2^14 with spreads 2^-6..2^13: both ways of computing a
     # small distance between large points cancel, so they agree to the
