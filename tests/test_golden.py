@@ -13,7 +13,10 @@ The estimates read from each sketch (`all_pairs`, and for the Euclidean case
 the unclamped squared estimates as well) are hashed separately: they depend
 on the tree only, not on its file layout, so they must hold across a format
 change that leaves the tree as it is. The `all_pairs` estimates of the tree
-tests' reference inputs are pinned the same way.
+tests' reference inputs are pinned the same way. Single queries are pinned
+apart from `all_pairs`, since they run another code path: each case's
+estimates and visit counts over the first 25 points and, on the Euclidean
+cases, their inner estimates and probabilistic surrogates.
 """
 import hashlib
 import json
@@ -70,6 +73,8 @@ CASES = {
     "lp-deep-ingress": lambda: build_lp_sketch(_deep_grid(), 0.125),
     "euclidean": lambda: build_euclidean_sketch(
         scale_points(np.random.default_rng(105).normal(size=(40, 10)), 2), 0.3, seed=7),
+    # long edges over multi-point subtrees, so the corner chains are pinned
+    "euclidean-multiscale": lambda: build_euclidean_sketch(_multiscale(104), 0.3, seed=7),
 }
 SKETCH_DIGESTS = {
     "lp-p1": "7fac80ff55451d870a9004fd2acb28b7388514770bcddee363f0fb152d386cba",
@@ -79,6 +84,7 @@ SKETCH_DIGESTS = {
     "lp-int-grid": "cc7b9abd1185a8f0ea930085a792314686ffdc19e8978028d1d18f5e7d5af9d8",
     "lp-deep-ingress": "cf329d5e0ad2f229925af5e07031583d2e5c53c6d325c7c51ef1516a34365fc0",
     "euclidean": "d4086e88e82ca8dbaf7e13e9a00a1c00f015e80fcaed9eeb7b0ecbb3bb1fe6d5",
+    "euclidean-multiscale": "3a528958c49d35220067a8afd786cfb0a76c651fc35509a6d32d31bae21fc9a0",
 }
 
 
@@ -95,9 +101,11 @@ ESTIMATE_DIGESTS = {
     "lp-int-grid": "5a16d78466912e96b4c806785718870bdfbb469ded7d3d1da1be91e7430a7e20",
     "lp-deep-ingress": "f65f007b62ddfb09a2290334d7cfbfa8e962afd3965aff75ca04d7a77c7a5ee4",
     "euclidean": "83989887af539238181c59ec0554932069fe1b4c3fb94ac392c8859989059f56",
+    "euclidean-multiscale": "ce72ca7aae9effad21d0f8d1689666e1fa73e1d097fbc0886448fefdef3e3c07",
 }
 SQUARED_DIGESTS = {
     "euclidean": "345fee9995c10084a6e6a18d1bf6cd4452ff1d3e101841c98242a25e33f0fa7a",
+    "euclidean-multiscale": "663c6fffd4673ffb077ac0ade4a8fd007e968337f09034aa7d12944c3f3ebf76",
 }
 
 
@@ -132,6 +140,44 @@ def test_golden_estimate_digest(name):
     assert _sha(ctx.all_pairs()) == ESTIMATE_DIGESTS[name]
     if name in SQUARED_DIGESTS:
         assert _sha(ctx.all_pairs_squared()) == SQUARED_DIGESTS[name]
+
+
+def _single_sha(sketch) -> str:
+    """estimate(i, j) over every pair i < j of the first 25 points, then the
+    sum of their visits_last; on a Euclidean sketch also inner_estimate over
+    the same pairs and both copies' probabilistic surrogates of each of those
+    points at the root and at its leaf's subtree root. On a fresh context."""
+    ctx = QueryContext(decode(sketch))
+    t = ctx.tree
+    m = min(t.n, 25)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    out, visits = [], 0
+    for i, j in pairs:
+        out.append(np.float64(ctx.estimate(i, j)).tobytes())
+        visits += ctx.visits_last
+    out.append(np.int64(visits).tobytes())
+    if t.flags_euclidean:
+        out += [np.float64(ctx.inner_estimate(i, j)).tobytes() for i, j in pairs]
+        out += [ctx.probabilistic_surrogate(i, r, c).tobytes() for i in range(m)
+                for r in (0, int(t.subtree_root[ctx.leaf_of[i]])) for c in (1, 2)]
+    return _sha(b"".join(out))
+
+
+SINGLE_DIGESTS = {
+    "lp-p1": "acbeafb7f1220767ae4071d9597749c462bad7d88f5e113143730fe25f4ac96a",
+    "lp-p2": "55c19d73e983a38065b379a90b9a6d19157ab876bc1dfa95b33ca944ea98ad70",
+    "lp-pinf": "bcf73f80284fb09cb3affd7e98c412ac296474d334b91eb72b81db2001612698",
+    "lp-multiscale": "7a2b9b777970349c06a85a68d135cc3ea579b2d7c994c7d928671df2654c8401",
+    "lp-int-grid": "50e9c8fa183d17700063140ef001e5da449d2743b2ed1bc53cf71b3580c2eb4c",
+    "lp-deep-ingress": "5512bcb6e623e5da28d0954e34acc55efd4681dee87433211281cad66fa3cee2",
+    "euclidean": "be4d186a0d6e58ef17abf31e8d872f9922f3db0687a7b005b1733428be49af9d",
+    "euclidean-multiscale": "76bd354df4867608bb342c1507f394f76fd9949a141c4e32d4f87b14a0b34dee",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_single_query_digest(name):
+    assert _single_sha(CASES[name]()) == SINGLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_INPUTS))
@@ -187,6 +233,7 @@ MERGES_DIGESTS = {
     "lp-int-grid": "93f707cc9b38d2493b1326c2a49bcb101f37455f5247eb80c2091d1225523c90",
     "lp-deep-ingress": "c9223ce5acbde6b1732aab24d2810a8b8868c35815807bb5138dcd96f7fb4c3a",
     "euclidean": "d15654b6f8837e9b6e6db2b6af34908796a4e2e860780731ba61b17a9fc46580",
+    "euclidean-multiscale": "0f4c8d62923b2155af44cef01b49f32cee3603305c40ea16690bc2687c683c85",
 }
 
 
@@ -205,6 +252,7 @@ def _current_digests() -> dict:
         "ESTIMATE_DIGESTS": {name: _sha(ctx.all_pairs()) for name, ctx in contexts.items()},
         "SQUARED_DIGESTS": {name: _sha(contexts[name].all_pairs_squared())
                             for name in SQUARED_DIGESTS},
+        "SINGLE_DIGESTS": {name: _single_sha(sk) for name, sk in sketches.items()},
         "REFERENCE_ESTIMATE_DIGESTS": {
             name: _sha(QueryContext(build_lp_sketch(ps, 0.1)).all_pairs())
             for name, ps in REFERENCE_INPUTS.items()},
