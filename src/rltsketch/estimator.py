@@ -139,21 +139,20 @@ class QueryContext:
 
     # -- Euclidean estimation -------------------------------------------------
 
-    def _x_units(self, chain, upto: int, copy: int) -> np.ndarray:
-        """Probabilistic surrogate in grid units for the subtree at chain
-        position `upto`: coarse surrogate of the entry leaf, its dithered
-        surrogate corner, and the dithered long-edge corners below it."""
+    def _x_units(self, chain, upto: int):
+        """Both probabilistic surrogates (copies 1 and 2) in grid units for the
+        subtree at chain position `upto`, from one walk: coarse surrogate of
+        the entry leaf, its dithered surrogate corner, and the dithered
+        long-edge corners below it."""
         t = self.tree
         aug = t.augmentations
-        amat = aug.a1 if copy == 1 else aug.a2
-        bmat = aug.b1 if copy == 1 else aug.b2
-        r, w = chain[upto]
-        x = self._s_units(w) + math.pow(2.0, self._level[w]) * amat[t.leaf_row[w]]
-        for s in range(upto):
-            w_low = chain[s][1]
-            w_up = chain[s + 1][1]
-            x = x + math.pow(2.0, self._level[w_up]) * bmat[t.corner_row[w_low]]
-        return x
+        w = chain[upto][1]
+        s, f, row = self._s_units(w), math.pow(2.0, self._level[w]), t.leaf_row[w]
+        x1, x2 = s + f * aug.a1[row], s + f * aug.a2[row]
+        for (_, w_low), (_, w_up) in zip(chain[:upto], chain[1:upto + 1]):
+            f, row = math.pow(2.0, self._level[w_up]), t.corner_row[w_low]
+            x1, x2 = x1 + f * aug.b1[row], x2 + f * aug.b2[row]
+        return x1, x2
 
     def probabilistic_surrogate(self, i: int, r: int, copy: int = 1) -> np.ndarray:
         """Unbiased randomized stand-in for point i relative to subtree root r,
@@ -168,7 +167,7 @@ class QueryContext:
         chain = self._chain(i)
         for idx, (root, _) in enumerate(chain):
             if root == r:
-                return self._x_units(chain, idx, copy) * self.unit
+                return self._x_units(chain, idx)[copy - 1] * self.unit
         raise ValueError(f"point {i} is not in the cluster of node {r}")
 
     def inner_estimate(self, i: int, j: int) -> float:
@@ -177,9 +176,8 @@ class QueryContext:
         if not t.flags_euclidean:
             raise ValueError("euclidean estimation requires a Euclidean sketch")
         ci, a, cj, b = self._common(i, j)
-        z1 = self._x_units(ci, a, 1) - self._x_units(cj, b, 1)
-        z2 = self._x_units(ci, a, 2) - self._x_units(cj, b, 2)
-        return (float(np.dot(z1, z2)) / t.d) * self.scale * self.scale
+        (x1, x2), (y1, y2) = self._x_units(ci, a), self._x_units(cj, b)
+        return (float(np.dot(x1 - y1, x2 - y2)) / t.d) * self.scale * self.scale
 
     def estimate_euclidean(self, i: int, j: int) -> float:
         """Randomized Euclidean estimate sqrt(max(0, Z1.Z2)) from the two

@@ -110,8 +110,7 @@ def _all_pairs_euclidean(ctx, est_sq_out: np.ndarray, pts: list):
     f2: list[dict[int, np.ndarray]] = [dict() for _ in range(t.n)]
     for i in range(t.n):
         for idx, (r, _) in enumerate(chains[i]):
-            f1[i][r] = ctx._x_units(chains[i], idx, 1)
-            f2[i][r] = ctx._x_units(chains[i], idx, 2)
+            f1[i][r], f2[i][r] = ctx._x_units(chains[i], idx)
     # process subtree roots shallow-to-deep so the lowest overwrites
     roots = sorted(t.subtree_roots().tolist(), key=lambda r: (int(t.depth[r]), r))
     for r in roots:

@@ -65,6 +65,29 @@ def test_a_warm_memo_changes_no_estimate_and_no_visit_count():
             assert warm.visits_last == fresh.visits_last
 
 
+def test_a_euclidean_query_counts_each_ingress_hop_once():
+    # as on the lp flavor: the chain steps, plus the hops from each entry
+    # leaf down to its nearest stored surrogate, whatever the two copies
+    t = decode(build_euclidean_sketch(_multiscale_clusters(), 0.3, seed=7))
+    stored = set(t.subtree_roots().tolist()) | set(t.landmarks.tolist())
+
+    def hops(v):
+        k = 0
+        while v not in stored:
+            v, k = int(t.ingress[v]), k + 1
+        return k
+
+    ctx, total = QueryContext(t), 0
+    for i, j in itertools.combinations(range(0, t.n, 9), 2):
+        ctx.inner_estimate(i, j)
+        walk = QueryContext(t)
+        ci, a, cj, b = walk._common(i, j)
+        extra = hops(ci[a][1]) + hops(cj[b][1])
+        assert ctx.visits_last == walk.visits_last + extra
+        total += extra
+    assert total > 0
+
+
 def _deep_chain():
     """The criterion 8 input: a geometric chain up to ~2^40, then a
     unit-spaced tail, 500 points."""

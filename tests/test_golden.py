@@ -170,8 +170,8 @@ SINGLE_DIGESTS = {
     "lp-multiscale": "7a2b9b777970349c06a85a68d135cc3ea579b2d7c994c7d928671df2654c8401",
     "lp-int-grid": "50e9c8fa183d17700063140ef001e5da449d2743b2ed1bc53cf71b3580c2eb4c",
     "lp-deep-ingress": "5512bcb6e623e5da28d0954e34acc55efd4681dee87433211281cad66fa3cee2",
-    "euclidean": "be4d186a0d6e58ef17abf31e8d872f9922f3db0687a7b005b1733428be49af9d",
-    "euclidean-multiscale": "76bd354df4867608bb342c1507f394f76fd9949a141c4e32d4f87b14a0b34dee",
+    "euclidean": "47d42484a68c4c0e840653d7c48cdc1b0318b214af63b9b194779e59f255ffdd",
+    "euclidean-multiscale": "7c97795ab21de49d9d500d7d4e7adf6878b49665693e1a712af63afcfeffc10f",
 }
 
 
