@@ -64,6 +64,8 @@ def _load_input(args):
 
 
 def cmd_sketch(args) -> int:
+    if args.strict_eps and args.euclidean:
+        raise InputError("--strict-eps applies to the lp pipeline only, not to --euclidean")
     ps, _ = _load_input(args)
     eps = args.eps / 4.0 if args.strict_eps else args.eps
     t0 = time.perf_counter()
@@ -168,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="randomized Euclidean pipeline (p=2 only)")
     sk.add_argument("--seed", type=int, default=0)
     sk.add_argument("--strict-eps", action="store_true",
-                    help="pre-divide eps by 4 so the guarantee band is (1±eps)")
+                    help="lp only: pre-divide eps by 4 so the guarantee band is (1±eps)")
     sk.add_argument("--out", required=True)
     sk.set_defaults(func=cmd_sketch)
 

@@ -127,23 +127,20 @@ class PointSet:
             raise ValueError(f"max pairwise distance {off.max()} > phi={self.phi}")
 
 
-def scale_points(points: np.ndarray, p, base_exponent: int = 0) -> PointSet:
+def scale_points(points: np.ndarray, p) -> PointSet:
     """Normalize a raw point array into a PointSet: divide by the power of two
     M' in (M/2, M] (M = min pairwise distance) so the scaled minimum lands in
-    [1, 2) exactly; the cached distance matrix is scaled alongside.
-
-    base_exponent is added to the recorded scale exponent (used when a
-    projection stage rescales already-scaled points). Raises ValueError on
-    duplicates, on distinct points whose distance underflows to 0, and on
-    non-finite points, distances or scaled coordinates.
+    [1, 2) exactly; the cached distance matrix is scaled alongside. Raises
+    ValueError on duplicates, on distinct points whose distance underflows
+    to 0, and on non-finite points, distances or scaled coordinates.
     """
-    return _scale_points(points, p, base_exponent, None)
+    return _scale_points(points, p, 0, None)
 
 
 def _scale_points(points: np.ndarray, p, base_exponent: int, frame) -> PointSet:
-    """scale_points, with the distance matrix computed from `frame` if given:
-    the points' rows in fewer columns, at the same distances up to rounding
-    (jl_transform's R frame)."""
+    """scale_points, adding base_exponent to the scale exponent, with the
+    distance matrix computed from `frame` if given: the points' rows in fewer
+    columns, at the same distances up to rounding (jl_transform's R frame)."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
         raise ValueError("points must be a non-empty 2-D array")

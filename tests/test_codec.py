@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 import re
 import zlib
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from rltsketch import bits
 from rltsketch.bits import CHUNK, BitReader, BitWriter, width_for_count
 from rltsketch.codec import (
+    _CRC,
     _HEADER,
+    FIELDS,
     SECTION_NAMES,
     VERSION,
     _crc,
@@ -266,6 +269,21 @@ def test_read_header_gives_the_checked_header():
             read_header(sk.data[:_HEADER.size - 1])
         with pytest.raises(DecodeError, match="header CRC mismatch"):
             read_header(_set_header(sk.data, "n", t.n + 1))
+
+
+def test_readme_format_section_matches_the_codec():
+    # a format change edits the README's Format section and the codec together
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    fmt = readme[readme.index("## Format"):]
+    header_bytes, crc_bytes = re.search(r"\*\*Header\*\* \((\d+) bytes\).*?CRC-32.*?of those "
+                                        r"(\d+) bytes", fmt, re.S).groups()
+    assert (int(header_bytes), int(crc_bytes)) == (_HEADER.size + _CRC.size, _HEADER.size)
+    order = re.search(r"\*\*Sections\*\*, in this order: (.*?)\.\s", fmt, re.S).group(1)
+    assert tuple(re.findall(r"`(\w+)`", order)) == SECTION_NAMES
+    fields = fmt[fmt.index("**Fields**"):fmt.index("**Finite estimates.**")]
+    items = re.findall(r"(\d+)\. `(\w+\.\w+)`", fields)  # 15/16 and 17/18 share an item
+    assert [int(k) for k, _ in items] == list(range(1, len(FIELDS) + 1))
+    assert [key for _, key in items] == [f.key for f in FIELDS]
 
 
 def test_roundtrip_three_points():

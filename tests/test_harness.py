@@ -449,6 +449,19 @@ def test_cli_strict_eps(tmp_path, capsys):
     assert rep.fraction_in_band == 1.0
 
 
+def test_cli_strict_eps_is_an_input_error_on_the_euclidean_flavor(tmp_path, capsys):
+    # the Euclidean band is 48*eps on squared distances: dividing eps by 4
+    # would not make it (1 +/- eps), and d' would grow sixteenfold
+    inp = tmp_path / "pts.txt"
+    save_points_text(str(inp), np.random.default_rng(13).normal(size=(20, 3)))
+    out = tmp_path / "s.rlts"
+    assert cli.main(["sketch", "--input", str(inp), "--eps", "0.4", "--euclidean",
+                     "--strict-eps", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--strict-eps" in err and "--euclidean" in err
+    assert not out.exists()
+
+
 def test_cli_metric_pipeline(tmp_path, capsys):
     mfile = tmp_path / "m.txt"
     assert cli.main(["gen-lb-general", "--n", "12", "--eps", "0.25",
