@@ -93,6 +93,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.pairs and not args.report:
+        raise InputError("--pairs is written beside the summary: it needs --report")
     sketch = _read_sketch(args.sketch)
     # the header alone, checked; harness.evaluate decodes the rest
     header = read_header(sketch.data)
@@ -188,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="relative error band (default 4*eps, squared 48*eps for euclidean)")
     ev.add_argument("--min-fraction", type=_parse_fraction, default=None)
     ev.add_argument("--report", default=None, help="write JSON summary here")
-    ev.add_argument("--pairs", default=None, help="write per-pair JSONL here")
+    ev.add_argument("--pairs", default=None, help="write per-pair JSONL here (needs --report)")
     ev.set_defaults(func=cmd_evaluate)
 
     info = sub.add_parser("info", help="per-section size report")

@@ -26,6 +26,10 @@ from .tree import RelativeLocationTree, surrogate_units
 class QueryContext:
     """Read-only query state over a decoded sketch.
 
+    One entry per quantity, single and bulk alike: estimate / all_pairs give
+    distances on either flavor, inner_estimate / all_pairs_squared the
+    unclamped Euclidean squared distances Z1.Z2.
+
     Shifted surrogates are replayed along ingress links from the nearest
     stored one (a landmark or a subtree root) and kept in a memo across
     queries. The memo has no observable effect, on values or on
@@ -124,15 +128,16 @@ class QueryContext:
             k += 1
         return ci, len(ci) - k, cj, len(cj) - k
 
-    # -- lp estimation -------------------------------------------------------
+    # -- estimation -----------------------------------------------------------
 
-    def estimate_lp(self, i: int, j: int) -> float:
-        """Deterministic lp estimate, within (1 +/- 4*eps) of the true distance:
-        the norm between the fine surrogates of the pair's entry leaves into
-        their lowest common subtree."""
+    def estimate(self, i: int, j: int) -> float:
+        """Distance estimate. lp: deterministic, within (1 +/- 4*eps) of the
+        true distance, the norm between the fine surrogates of the pair's
+        entry leaves into their lowest common subtree. Euclidean: randomized,
+        sqrt(max(0, Z1.Z2)) from inner_estimate."""
         t = self.tree
         if t.flags_euclidean:
-            raise ValueError("lp estimation requires an lp-flavor sketch")
+            return math.sqrt(max(0.0, self.inner_estimate(i, j)))
         ci, a, cj, b = self._common(i, j)
         diff = self._fine_units(ci[a][1]) - self._fine_units(cj[b][1])
         return (lp_norm(diff, t.p) * self.unit) * self.scale
@@ -154,20 +159,19 @@ class QueryContext:
             x1, x2 = x1 + f * aug.b1[row], x2 + f * aug.b2[row]
         return x1, x2
 
-    def probabilistic_surrogate(self, i: int, r: int, copy: int = 1) -> np.ndarray:
-        """Unbiased randomized stand-in for point i relative to subtree root r,
-        in the sketch's (projected, scaled) coordinate space."""
+    def probabilistic_surrogate(self, i: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Both unbiased randomized stand-ins (x1, x2) for point i relative to
+        subtree root r, in the sketch's (projected, scaled) coordinate space."""
         t = self.tree
         if not t.flags_euclidean:
             raise ValueError("probabilistic surrogates require a Euclidean sketch")
-        if copy not in (1, 2):
-            raise ValueError("copy must be 1 or 2")
         if not 0 <= i < t.n:
             raise IndexError("point index out of range")
         chain = self._chain(i)
         for idx, (root, _) in enumerate(chain):
             if root == r:
-                return self._x_units(chain, idx)[copy - 1] * self.unit
+                x1, x2 = self._x_units(chain, idx)
+                return x1 * self.unit, x2 * self.unit
         raise ValueError(f"point {i} is not in the cluster of node {r}")
 
     def inner_estimate(self, i: int, j: int) -> float:
@@ -178,16 +182,6 @@ class QueryContext:
         ci, a, cj, b = self._common(i, j)
         (x1, x2), (y1, y2) = self._x_units(ci, a), self._x_units(cj, b)
         return (float(np.dot(x1 - y1, x2 - y2)) / t.d) * self.scale * self.scale
-
-    def estimate_euclidean(self, i: int, j: int) -> float:
-        """Randomized Euclidean estimate sqrt(max(0, Z1.Z2)) from the two
-        independently shifted surrogate copies."""
-        return math.sqrt(max(0.0, self.inner_estimate(i, j)))
-
-    def estimate(self, i: int, j: int) -> float:
-        if self.tree.flags_euclidean:
-            return self.estimate_euclidean(i, j)
-        return self.estimate_lp(i, j)
 
     # -- bulk all-pairs -------------------------------------------------------
 

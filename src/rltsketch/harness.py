@@ -59,6 +59,8 @@ def load_points_binary(path: str) -> np.ndarray:
                 raise InputError(f"truncated binary header in {path}")
             n = int.from_bytes(head[:8], "little")
             d = int.from_bytes(head[8:], "little")
+            if n < 1 or d < 1:
+                raise InputError(f"binary point file {path} declares shape ({n}, {d})")
             if 8 * n * d > os.fstat(fh.fileno()).st_size - len(head):
                 raise InputError(f"truncated binary point data in {path}")
             body = np.fromfile(fh, dtype="<f8", count=n * d)

@@ -790,3 +790,19 @@ def test_every_decoder_check_is_reached(message):
     assert bad != data and len(bad) == len(data)
     with pytest.raises(DecodeError, match=re.escape(message)):
         decode(SketchBits(reseal(bad)))
+
+
+def test_decode_rejects_a_repeated_landmark():
+    # the second stored landmark id set equal to the first: ids must rise
+    # strictly, not merely not fall
+    from test_golden import CASES
+
+    data = CASES["lp-deep-ingress"]().data
+    t = decode(SketchBits(data))
+    stored = t.landmarks[t.subtree_root[t.landmarks] != t.landmarks]
+    assert len(stored) >= 2
+    width = _node_width(t)  # K, the count, then one id per stored landmark
+    bad = _set_value(data, "landmarks", 16 + 2 * width, width, int(stored[0]))
+    assert bad != data
+    with pytest.raises(DecodeError, match="landmarks are not ascending ids of non-root nodes"):
+        decode(SketchBits(reseal(bad)))

@@ -279,17 +279,25 @@ def test_fine_surrogate_requires_subtree_leaf():
         ctx.shifted_surrogate(internal, fine=True)
 
 
+def test_shifted_surrogate_rejects_a_node_out_of_range():
+    t = build_tree(pointset_1d([0, 1, 10]), 0.5)
+    ctx = QueryContext(encode(t))
+    for v in (-1, t.node_count):  # -1 must not wrap around to the last node
+        with pytest.raises(ValueError, match=f"node {v} out of range"):
+            ctx.shifted_surrogate(v)
+
+
 def test_lp_estimation_rejects_euclidean_sketch():
     rng = np.random.default_rng(11)
     ps = random_pointset(rng, 10, 4, 2)
     sk = build_euclidean_sketch(ps, 0.4, seed=0)
     ctx = QueryContext(sk)
     with pytest.raises(ValueError):
-        ctx.estimate_lp(0, 1)
+        ctx.shifted_surrogate(0, fine=True)
     # and the reverse
     ctx2 = QueryContext(build_lp_sketch(ps, 0.25))
     with pytest.raises(ValueError):
-        ctx2.estimate_euclidean(0, 1)
+        ctx2.inner_estimate(0, 1)
 
 
 def test_euclidean_estimate_symmetric():
@@ -324,7 +332,7 @@ def test_negative_inner_product_clamps_to_zero():
     for i in range(6):
         for j in range(i + 1, 6):
             if ctx.inner_estimate(i, j) < 0:
-                assert ctx.estimate_euclidean(i, j) == 0.0
+                assert ctx.estimate(i, j) == 0.0
                 found = True
     assert found
 

@@ -278,10 +278,10 @@ def test_copy_one_never_reads_copy_two():
     ps = random_pointset(rng, 12, 4)
     sk = build_euclidean_sketch(ps, 0.3, seed=2)
     ctx = QueryContext(sk)
-    before = [ctx.probabilistic_surrogate(i, 0, copy=1) for i in range(12)]
+    before = [ctx.probabilistic_surrogate(i, 0)[0] for i in range(12)]
     ctx.tree.augmentations.a2[:] = 5  # trample the second copy
     ctx.tree.augmentations.b2[:] = 3
-    after = [ctx.probabilistic_surrogate(i, 0, copy=1) for i in range(12)]
+    after = [ctx.probabilistic_surrogate(i, 0)[0] for i in range(12)]
     for x, y in zip(before, after):
         assert np.array_equal(x, y)
 
@@ -328,7 +328,7 @@ def test_probabilistic_surrogate_expectation_and_support():
         tree.augmentations = build_augmentations(
             tree, proj.points, rng.random(d), rng.random(d))
         ctx = QueryContext(tree)
-        vals[k] = ctx.probabilistic_surrogate(i, r, copy=1)
+        vals[k] = ctx.probabilistic_surrogate(i, r)[0]
     target = proj.points[i] - proj.points[tree.center[r]]
     se = vals.std(axis=0) / math.sqrt(draws)
     assert np.all(np.abs(vals.mean(axis=0) - target) <= 4 * se + 1e-12)
@@ -346,13 +346,11 @@ def test_probabilistic_surrogate_requires_membership():
     other = [v for v in range(tree.node_count)
              if v not in tree.parent and tree.center[v] != 0][0]
     with pytest.raises(ValueError):
-        ctx.probabilistic_surrogate(0, other, copy=1)
-    with pytest.raises(ValueError):
-        ctx.probabilistic_surrogate(0, 0, copy=3)
+        ctx.probabilistic_surrogate(0, other)
     # -1 must not wrap around to the last point
     for i in (-1, tree.n):
         with pytest.raises(IndexError, match="point index out of range"):
-            ctx.probabilistic_surrogate(i, 0, copy=1)
+            ctx.probabilistic_surrogate(i, 0)
 
 
 def test_bit_growth_scales_with_inverse_eps_squared():

@@ -158,8 +158,8 @@ def _single_sha(sketch) -> str:
     out.append(np.int64(visits).tobytes())
     if t.flags_euclidean:
         out += [np.float64(ctx.inner_estimate(i, j)).tobytes() for i, j in pairs]
-        out += [ctx.probabilistic_surrogate(i, r, c).tobytes() for i in range(m)
-                for r in (0, int(t.subtree_root[ctx.leaf_of[i]])) for c in (1, 2)]
+        out += [x.tobytes() for i in range(m) for r in (0, int(t.subtree_root[ctx.leaf_of[i]]))
+                for x in ctx.probabilistic_surrogate(i, r)]
     return _sha(b"".join(out))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -556,11 +557,24 @@ def test_cli_evaluate_rejects_a_bad_band_or_fraction(tmp_path, capsys, flag, val
     assert cli.main(["sketch", "--input", str(inp), "--eps", "0.1", "--out", str(sk)]) == 0
     args = ["evaluate", "--sketch", str(sk), "--input", str(inp)]
     assert cli.main(args + ["--band", "0.5", "--min-fraction", "1"]) == 0
+    assert cli.main(args + ["--min-fraction", "0"]) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         cli.main(args + [flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_cli_evaluate_rejects_pairs_without_report(tmp_path, capsys):
+    # the per-pair file is written with the report: without --report the
+    # command would exit 0 and write nothing. Rejected before the sketch is
+    # read, so a missing sketch does not mask it
+    pairs = tmp_path / "pairs.jsonl"
+    assert cli.main(["evaluate", "--sketch", str(tmp_path / "none.rlts"),
+                     "--input", str(tmp_path / "none.txt"), "--pairs", str(pairs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--pairs" in err and "--report" in err
+    assert not pairs.exists()
 
 
 def test_cli_rejects_binary_points_shorter_than_their_header(tmp_path, capsys):
@@ -571,3 +585,14 @@ def test_cli_rejects_binary_points_shorter_than_their_header(tmp_path, capsys):
     assert cli.main(["sketch", "--input", str(inp), "--format", "binary", "--eps", "0.1",
                      "--out", str(tmp_path / "s.rlts")]) == 2
     assert capsys.readouterr().err.startswith("error: truncated binary point data")
+
+
+@pytest.mark.parametrize("n,d", [(0, (1 << 64) - 1), (1 << 63, 0)])
+def test_binary_points_declaring_an_empty_shape_are_an_input_error(tmp_path, n, d):
+    # 8*n*d = 0 passes the size check; the shape is rejected before numpy
+    # is asked to reshape into it
+    inp = tmp_path / "pts.bin"
+    inp.write_bytes(n.to_bytes(8, "little") + d.to_bytes(8, "little"))
+    with pytest.raises(InputError, match=re.escape(f"{inp} declares shape ({n}, {d})")):
+        load_points_binary(str(inp))
+
