@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 INF = math.inf
 
@@ -61,6 +60,8 @@ def pairwise_distances(points: np.ndarray, p) -> np.ndarray:
     cdist(points, points) and exactly symmetric (the build reads each pair in
     one direction only).
     """
+    from scipy.spatial.distance import cdist  # only building loads scipy
+
     points = np.ascontiguousarray(points, dtype=np.float64)
     if p == INF:
         kind, kw = "chebyshev", {}

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,9 +12,11 @@ from invariants import fine_surrogate_units
 from reference_estimator import reference_all_pairs, reference_lca_entries
 from test_tree import _multiscale_clusters, _reference_inputs
 
+import rltsketch
 from rltsketch.codec import build_lp_sketch, decode, encode
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
+from rltsketch.harness import ingest_array
 from rltsketch.metric import INF, pairwise_distances, scale_points
 from rltsketch.tree import build_tree, surrogate_units
 
@@ -364,3 +369,56 @@ def test_descaling_round_trip():
         for j in range(i + 1, 3):
             est = ctx.estimate(i, j)
             assert abs(est - exact[i, j]) <= 4 * 0.05 * exact[i, j]
+
+
+_READ_SIDE_SCRIPT = """\
+import pathlib
+import sys
+import numpy as np
+from rltsketch import (QueryContext, SketchBits, build_lp_sketch, decode, ingest_array,
+                       read_header, size_report)
+from rltsketch import cli
+
+folder = pathlib.Path(sys.argv[1])
+paths = {name: folder / f"{name}.rlt" for name in ("lp2", "lpinf", "euclid")}
+for name, path in paths.items():
+    sk = SketchBits(path.read_bytes())
+    read_header(sk.data)
+    decode(sk)
+    size_report(sk)
+    ctx = QueryContext(sk)
+    print(name, repr(ctx.estimate(0, 1)))
+    assert cli.main(["info", "--sketch", str(path)]) == 0
+    assert cli.main(["estimate", "--sketch", str(path), "--i", "0", "--j", "1"]) == 0
+ctx.inner_estimate(0, 1)  # the Euclidean sketch, opened last
+ctx.probabilistic_surrogate(0, 0)
+ctx.all_pairs()
+assert "scipy" not in sys.modules
+
+pts = np.load(folder / "points.npy")
+for name, p in (("lp2", 2), ("lpinf", float("inf"))):
+    assert build_lp_sketch(ingest_array(pts, p), 0.2).data == paths[name].read_bytes()
+assert "scipy" in sys.modules
+print("ok")
+"""
+
+
+def test_opening_and_querying_loads_no_scipy(tmp_path):
+    # scipy serves only the exact distance matrix of a build; a process that
+    # opens a sketch and queries it must not pay its import
+    pts = np.random.default_rng(61).normal(size=(60, 5)) * 30
+    np.save(tmp_path / "points.npy", pts)
+    builds = {"lp2": build_lp_sketch(ingest_array(pts, 2), 0.2),
+              "lpinf": build_lp_sketch(ingest_array(pts, INF), 0.2),
+              "euclid": build_euclidean_sketch(ingest_array(pts, 2), 0.3, seed=4)}
+    for name, sk in builds.items():
+        (tmp_path / f"{name}.rlt").write_bytes(sk.data)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rltsketch.__file__)))
+    out = subprocess.run([sys.executable, "-c", _READ_SIDE_SCRIPT, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[-1] == "ok"
+    for name, sk in builds.items():
+        assert f"{name} {QueryContext(sk).estimate(0, 1)!r}" in lines

@@ -104,6 +104,9 @@ def test_general_metric_validation():
     ])
     with pytest.raises(InputError):
         GeneralMetric(3, tri).validate()  # 5 > 1 + 1
+    tri[0, 2] = tri[2, 0] = 2.0 + 1e-6  # past the rounding slack of 1e-9
+    with pytest.raises(InputError):
+        GeneralMetric(3, tri).validate()
 
 
 def test_embed_two_point_metric():
@@ -300,6 +303,8 @@ def test_evaluate_summary_matches_off_diagonal_formulas(flavor):
             assert 0.0 < rep.fraction_in_band < 1.0
         if band == -1.0:
             assert rep.fraction_in_band == 0.0
+    # an error equal to the band is in it
+    assert evaluate(sk, exact, band=float(band_err.max())).fraction_in_band == 1.0
 
 
 def test_evaluate_memory_peak():

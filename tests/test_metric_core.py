@@ -80,6 +80,11 @@ def test_round_to_net_rejects_large_norm():
         round_to_net(np.array([1.0, 1.0]), 0.5, 2)
     with pytest.raises(ValueError):
         round_to_net(np.array([0.5]), 0.0, 2)
+    # the norm check forgives float rounding, not a real excess
+    for p in (1, 2, INF):
+        with pytest.raises(ValueError, match="norm precondition"):
+            round_to_net(np.array([1.0 + 1e-7, 0.0]), 0.5, p)
+        round_to_net(np.array([1.0 + 1e-10, 0.0]), 0.5, p)
 
 
 @st.composite
