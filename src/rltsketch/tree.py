@@ -20,12 +20,13 @@ of each cross-child pair of the distance matrix gives both the merged
 diameter and the children's neighbor graph (children within 2^l), whose BFS
 spanning tree fixes, right there, the point each later child's ingress
 enters by. The merges of one level whose members fit metric.ROW_BLOCK are
-read together, with one gather of all their cross-child pairs and one BFS
-over the disjoint union of their child graphs. Each larger merge is read on
-its own, a run of single-point children as row blocks of at most
-metric.ROW_BLOCK rows and each larger child as one block. The members of
-the clusters not merged yet are one array, cluster by cluster, and no copy
-of the members' distances is made.
+read together, with one gather of all their cross-child pairs. Each larger
+merge is read on its own, a run of single-point children as row blocks of
+at most metric.ROW_BLOCK rows and each larger child as one block. Both
+fill one child graph per level, the disjoint union of the merges' graphs,
+whose one BFS and one gather give every later child's entry point. The
+members of the clusters not merged yet are one array, cluster by cluster,
+and no copy of the members' distances is made.
 
 Layout: a tree is a set of flat arrays indexed by node id in preorder (root
 0), the same for built and decoded trees. Its shape is `parent` and
@@ -279,8 +280,8 @@ def build_hierarchy(ps: PointSet) -> Merges:
     with some points within 2^level, `<=`). A BFS of it from the first child
     gives each later child a parent sibling, whose point nearest to the child
     (ties: smallest index) is the child's `near`. _read_level reads a level's
-    small merges (members within metric.ROW_BLOCK) together, with a fixed
-    number of array calls per level, and each larger merge on its own.
+    small merges (members within metric.ROW_BLOCK) together and each larger
+    merge on its own, into one child graph with one BFS per level.
     """
     n = ps.n
     dm = ps.distance_matrix()
@@ -344,12 +345,11 @@ def _read_level(dm: np.ndarray, order: np.ndarray, was: np.ndarray, label: np.nd
     index; -1 at first children.
 
     The merges whose members fit metric.ROW_BLOCK are read together: one
-    gather of all their cross-child pairs, one reduceat for the diameters,
-    one BFS over the disjoint union of their child graphs, and one gather
-    for the nearest points (_nearest). Each larger merge is read by
-    _read_merge and is a BFS of its own; the later children of each of its
-    multi-point BFS parents read that parent's points with one gather, and
-    a parent of one point needs no read.
+    gather of all their cross-child pairs and one reduceat for the
+    diameters. Each larger merge is read by _read_merge into its diagonal
+    block of the level's child graph (children in kid order). Then one BFS
+    of that graph from every merge's first child, and one read for the
+    nearest points (_nearest).
     """
     cstart = np.flatnonzero(np.diff(was, prepend=-1))  # every child's positions
     cend = np.append(cstart[1:], len(order))
@@ -360,39 +360,32 @@ def _read_level(dm: np.ndarray, order: np.ndarray, was: np.ndarray, label: np.nd
     cs, ce = cstart[kid], cend[kid]
     k0 = count.cumsum() - count  # each merge's first child
     cross = np.empty(len(tops))
-    near = np.full(len(kid), -1)
+    adj = np.zeros((len(kid), len(kid)), dtype=bool)  # the level's child graph
 
     small = np.flatnonzero(ge - gs <= metric.ROW_BLOCK)
-    batch = _ranges(k0[small], count[small])  # their children
     size = ge[small] - gs[small]
     pos = _ranges(gs[small], size)  # their members' positions
-    child = np.searchsorted(cs[batch], pos, side="right") - 1  # in batch
+    child = np.searchsorted(cs, pos, side="right") - 1
     # each position against the positions of the later children of its merge
-    span = np.repeat(ge[small], size) - ce[batch][child]
+    span = np.repeat(ge[small], size) - ce[child]
     rows = np.repeat(pos, span)
-    cols = _ranges(ce[batch][child], span)
+    cols = _ranges(ce[child], span)
     dist = dm[order[rows], order[cols]]
     pairs = np.add.reduceat(span, size.cumsum() - size)
     cross[small] = np.maximum.reduceat(dist, pairs.cumsum() - pairs)
     close = dist <= thr
     a = np.repeat(child, span)[close]
-    b = np.searchsorted(cs[batch], cols[close], side="right") - 1
-    adj = np.zeros((len(batch), len(batch)), dtype=bool)
+    b = np.searchsorted(cs, cols[close], side="right") - 1
     adj[a, b] = adj[b, a] = True
-    parent = batch[_bfs_parents(adj, count[small].cumsum() - count[small])]
-    later = parent != batch
-    near[batch[later]] = _nearest(dm, order, cs, ce, batch[later], parent[later])
 
     for g in np.flatnonzero(ge - gs > metric.ROW_BLOCK).tolist():
-        c = np.arange(k0[g], k0[g] + count[g])
-        cross[g], adj = _read_merge(dm, order[gs[g]:ge[g]], ce[c] - cs[c], thr)
-        b, a = c[1:], c[_bfs_parents(adj, np.zeros(1, dtype=np.int64))[1:]]
-        near[b] = order[cs[a]]
-        for j in np.unique(a[ce[a] - cs[a] > 1]).tolist():
-            bs = b[a == j]
-            nb, xs = ce[bs] - cs[bs], order[cs[j]:ce[j]]
-            d = np.minimum.reduceat(dm[order[_ranges(cs[bs], nb)][:, None], xs], nb.cumsum() - nb)
-            near[bs] = np.where(d == d.min(axis=1, keepdims=True), xs, len(order)).min(axis=1)
+        c = slice(k0[g], k0[g] + count[g])
+        cross[g] = _read_merge(dm, order[gs[g]:ge[g]], ce[c] - cs[c], thr, adj[c, c])
+
+    parent = _bfs_parents(adj, k0)
+    near = np.full(len(kid), -1)
+    later = np.flatnonzero(parent != np.arange(len(kid)))
+    near[later] = _nearest(dm, order, cs, ce, later, parent[later])
     return cross, near
 
 
@@ -401,8 +394,8 @@ def _bfs_parents(adj: np.ndarray, roots: np.ndarray) -> np.ndarray:
     roots (ascending; a root is its own parent). The BFS goes level by
     level: a node's parent is its first neighbor, in queue order, in the
     level above, and the next level's queue order is by parent, then by
-    node. On a disjoint union of graphs, one root each, every graph gets
-    the forest it would get alone."""
+    node. On a disjoint union of graphs, one root each (a level's merges),
+    every graph gets the forest it would get alone."""
     parent = np.arange(len(adj))
     seen = np.zeros(len(adj), dtype=bool)
     seen[roots] = True
@@ -422,25 +415,28 @@ def _bfs_parents(adj: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def _nearest(dm: np.ndarray, order: np.ndarray, cs: np.ndarray, ce: np.ndarray,
              b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """For each child b[i], the point of child a[i] nearest to it, ties to
-    the smallest index (children: positions [cs, ce) in order): one gather
-    of all their pairs, row by row of b, and the smallest point of a at
-    each block's least distance."""
+    the smallest index (children: positions [cs, ce) in order): one take
+    of all their pairs from the flat dm, row by row of b, and the smallest
+    point of a at each block's least distance."""
     na, nb = ce[a] - cs[a], ce[b] - cs[b]
     cnt = na * nb
     off = cnt.cumsum() - cnt
     span = np.repeat(na, nb)
     x = order[_ranges(np.repeat(cs[a], nb), span)]
-    dist = dm[np.repeat(order[_ranges(cs[b], nb)], span), x]
+    at = np.repeat(order[_ranges(cs[b], nb)] * len(dm), span)
+    at += x  # the pairs' flat indices
+    dist = dm.take(at)
     at = dist == np.repeat(np.minimum.reduceat(dist, off), cnt)
     return np.minimum.reduceat(np.where(at, x, len(order)), off)
 
 
 def _read_merge(dm: np.ndarray, mem: np.ndarray, sizes: np.ndarray,
-                thr: float) -> tuple[float, np.ndarray]:
+                thr: float, adj: np.ndarray) -> float:
     """One read of each cross-child pair of a merge with members mem, its
     children's points side by side (sizes: points per child), child by
-    child: the largest cross-child distance, and the children's neighbor
-    graph (child pairs with some points within thr, `<=`).
+    child: returns the largest cross-child distance, and sets in adj (the
+    merge's block of the level's child graph, all False) the child pairs
+    with some points within thr, `<=`.
 
     Each row group is read against the later children. A group is one
     multi-point child, read with one 2-D gather, or a run of up to
@@ -462,7 +458,6 @@ def _read_merge(dm: np.ndarray, mem: np.ndarray, sizes: np.ndarray,
     sizes, starts = sizes.tolist(), starts.tolist()
     n, row_block = dm.shape[0], metric.ROW_BLOCK
     row_buf, block_buf = np.empty((min(row_block, k), n)), np.empty(min(row_block, k) * len(mem))
-    adj = np.zeros((k, k), dtype=bool)
     cross = 0.0
     i = m = 0  # a group's first child; multi[m:] are the later multi-point children
     while i < k - 1:
@@ -490,7 +485,7 @@ def _read_merge(dm: np.ndarray, mem: np.ndarray, sizes: np.ndarray,
         adj[i:j, i + 1:] = hit
         adj[i + 1:, i:j] = hit.T
         i = j
-    return cross, adj
+    return cross
 
 
 def compress_paths(h: Merges, ps: PointSet, eps: float) -> tuple[RelativeLocationTree, np.ndarray]:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from rltsketch import metric
+from rltsketch.codec import build_lp_sketch
+from rltsketch.harness import evaluate, ingest_array
 from rltsketch.metric import INF, PointSet, scale_points
 from rltsketch.tree import (
     _bfs_parents,
@@ -380,6 +382,19 @@ def test_compression_boundary_preserves_leaf_diameter_bound():
     check_tree_invariants(t, ps)
 
 
+def test_long_edge_at_the_diameter_tie():
+    # {0, 1} (delta = 1) idles from level 1 to the level-3 merge with 6:
+    # k = 2 and delta equals 2^(3-1) * eps exactly, so the run folds into
+    # one long edge of length 2, and every estimate stays in the band
+    pts = np.array([[0.0], [1.0], [6.0]])
+    ps = ingest_array(pts, 2)
+    t = build_tree(ps, 0.25)
+    assert t.edge_len.tolist() == [0, 0, 2, 0, 0, 0]
+    check_tree_invariants(t, ps)
+    rep = evaluate(build_lp_sketch(ps, 0.25), metric.pairwise_distances(pts, 2))
+    assert rep.fraction_in_band == 1.0
+
+
 def test_tree_structure_matches_per_node_definitions():
     # every derived field against its definition, node by node, on built
     # trees with long edges (so several subtrees and corner rows)
@@ -561,6 +576,18 @@ def test_check_finite_bounds_fine_etas_on_the_lp_flavor():
     t.eta_eps[4] = 1 << 60
     with pytest.raises(OverflowError, match="surrogate units"):
         check_finite(t)
+
+
+def test_check_finite_keeps_estimates_below_2_to_the_1020():
+    # one coordinate difference below 2x = 2^51 at p = 20: its p-th power
+    # reaches 2^1020 exactly, and a little less stays inside
+    t = _chain_tree(5)
+    t.p = 20
+    t.eta[4, 0] = 2**50
+    with pytest.raises(OverflowError, match="estimates exceed"):
+        check_finite(t)
+    t.eta[4, 0] = 2**50 - 2**44
+    check_finite(t)
 
 
 def _layers_by_walk(t):
