@@ -15,18 +15,18 @@ weight < 2^l, and the merges of one level form one node each. Prim gives
 the MST as each point's parent in it, and a level's clusters are the chain
 ends of the forest of its edges up to that level, each named by its min
 member. A cluster that merges with nothing at a level gets no node there:
-its chain is made when the tree is emitted. When clusters merge, one read
-of each cross-child pair of the distance matrix gives both the merged
-diameter and the children's neighbor graph (children within 2^l), whose BFS
-spanning tree fixes, right there, the point each later child's ingress
-enters by. The merges of one level whose members fit metric.ROW_BLOCK are
-read together, with one gather of all their cross-child pairs. Each larger
-merge is read on its own, a run of single-point children as row blocks of
-at most metric.ROW_BLOCK rows and each larger child as one block. Both
-fill one child graph per level, the disjoint union of the merges' graphs,
-whose one BFS and one gather give every later child's entry point. The
-members of the clusters not merged yet are one array, cluster by cluster,
-and no copy of the members' distances is made.
+its chain is made when the tree is emitted. Below the root, one read of
+each cross-child pair of a merge gives both its diameter and the children's
+neighbor graph (children within 2^l), whose BFS spanning tree fixes, right
+there, the point each later child's ingress enters by. A level's merges
+whose members fit metric.ROW_BLOCK are read with one gather of all their
+cross-child pairs, each larger one on its own in row blocks. Both fill one
+child graph per level, whose one BFS and one gather give every later
+child's entry point. The root merges all n points, so its diameter is the
+one ingest measured, and its BFS reads only its fronts' rows, round by
+round, against the children not reached yet: no root child graph is kept.
+The members of the clusters not merged yet are one array, cluster by
+cluster, and no copy of the members' distances is made.
 
 Layout: a tree is a set of flat arrays indexed by node id in preorder (root
 0), the same for built and decoded trees. Its shape is `parent` and
@@ -230,21 +230,22 @@ def _mst_edges(dm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weight of the edge to that parent (0 at point 0).
 
     Weights are entries of dm, so they compare exactly against power-of-two
-    thresholds.
+    thresholds. Each step compares the new row once with cap and updates
+    only the vertices strictly closer; ties go to the first index.
     """
     n = dm.shape[0]
     best = np.full(n, np.inf)  # lightest edge from the tree to each vertex
+    cap = best.copy()  # best, but -1 at the tree's vertices: no row is below
     parent = np.zeros(n, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
+    mask = np.empty(n, dtype=bool)
     v = 0
     for _ in range(n - 1):
-        done[v] = True
-        best[v] = np.inf
+        best[v], cap[v] = np.inf, -1.0
         row = dm[v]
-        closer = (row < best) & ~done
-        best[closer] = row[closer]
+        closer = np.less(row, cap, out=mask).nonzero()[0]
+        best[closer] = cap[closer] = row[closer]
         parent[closer] = v
-        v = int(np.argmin(best))
+        v = int(best.argmin())
     return parent, dm[parent, np.arange(n)]
 
 
@@ -275,13 +276,13 @@ def build_hierarchy(ps: PointSet) -> Merges:
     cluster that merges with nothing gets no node until its next merge, and
     compress_paths makes its chain. A merged cluster's diameter is the max of
     its children's diameters and of the distances across children, so each
-    point pair is read once, at the level where its two points first share a
-    cluster. The same read gives the children's neighbor graph (child pairs
-    with some points within 2^level, `<=`). A BFS of it from the first child
-    gives each later child a parent sibling, whose point nearest to the child
-    (ties: smallest index) is the child's `near`. _read_level reads a level's
-    small merges (members within metric.ROW_BLOCK) together and each larger
-    merge on its own, into one child graph with one BFS per level.
+    point pair is read at most once, at the level where its two points first
+    share a cluster; the root's is ps.phi. A BFS of the children's neighbor
+    graph (child pairs with some points within 2^level, `<=`) from the first
+    child gives each later child a parent sibling, whose point nearest to the
+    child (ties: smallest index) is the child's `near`. _read_level reads the
+    levels below the root, one child graph and one BFS per level, and
+    _read_root runs the root's BFS on demand.
     """
     n = ps.n
     dm = ps.distance_matrix()
@@ -313,13 +314,17 @@ def build_hierarchy(ps: PointSet) -> Merges:
         # a stable sort by new cluster puts each merge's children side by side
         order = order[np.argsort(new[order], kind="stable")]
 
-        cross, near[kids] = _read_level(dm, order, name[order], new[order], tops,
-                                        math.pow(2.0, lvl))
+        thr = math.pow(2.0, lvl)
         size = count[tops]
         first = size.cumsum() - size
         v = len(children) + np.arange(len(tops))
         level[v] = lvl
-        delta[v] = np.maximum(cross, np.maximum.reduceat(delta[kids], first))
+        if lvl < edge_level.max():
+            cross, near[kids] = _read_level(dm, order, name[order], new[order], tops, thr)
+            delta[v] = np.maximum(cross, np.maximum.reduceat(delta[kids], first))
+        else:  # the root: one merge of all n points, whose diameter ingest measured
+            near[kids] = _read_root(dm, order, name[order], thr)
+            delta[v] = ps.phi
         kids = kids.tolist()
         children += [kids[a:a + k] for a, k in zip(first.tolist(), size.tolist())]
         node_of[tops] = v
@@ -336,13 +341,13 @@ def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 def _read_level(dm: np.ndarray, order: np.ndarray, was: np.ndarray, label: np.ndarray,
                 tops: np.ndarray, thr: float) -> tuple[np.ndarray, np.ndarray]:
-    """One read of each cross-child pair of one level's merges: the new
-    clusters tops, whose positions in order hold their children side by side
-    (label: each position's new cluster, was: its child). Returns each
-    merge's largest cross-child distance, and for each child, merge by
-    merge, the point of its BFS parent (_bfs_parents over the neighbor
-    graph, pairs within thr, `<=`) nearest to it, ties to the smallest
-    index; -1 at first children.
+    """One read of each cross-child pair of one level's merges, below the
+    root: the new clusters tops, whose positions in order hold their
+    children side by side (label: each position's new cluster, was: its
+    child). Returns each merge's largest cross-child distance, and for each
+    child, merge by merge, the point of its BFS parent (_bfs_parents over
+    the neighbor graph, pairs within thr, `<=`) nearest to it, ties to the
+    smallest index; -1 at first children.
 
     The merges whose members fit metric.ROW_BLOCK are read together: one
     gather of all their cross-child pairs and one reduceat for the
@@ -387,6 +392,54 @@ def _read_level(dm: np.ndarray, order: np.ndarray, was: np.ndarray, label: np.nd
     later = np.flatnonzero(parent != np.arange(len(kid)))
     near[later] = _nearest(dm, order, cs, ce, later, parent[later])
     return cross, near
+
+
+def _read_root(dm: np.ndarray, order: np.ndarray, was: np.ndarray, thr: float) -> np.ndarray:
+    """The root's children, positions in order child by child (was: each
+    position's child): for each child, the point of its BFS parent nearest
+    to it (_nearest), -1 at the first child.
+
+    The BFS of the neighbor graph (pairs within thr, `<=`) is _bfs_parents',
+    run on demand. Each round reads its front's points in queue order, at
+    most metric.ROW_BLOCK rows per block (a child may span blocks), against
+    the points of the children not reached yet. A newly reached child's
+    parent is its first neighbor in the front, and the next front is sorted
+    over the whole round by parent, then by child. Reading stops once every
+    child is reached."""
+    cs = np.flatnonzero(np.diff(was, prepend=-1))  # every child's positions
+    ce = np.append(cs[1:], len(order))
+    k, rb = len(cs), metric.ROW_BLOCK
+    parent = np.zeros(k, dtype=np.int64)
+    left = np.arange(1, k)  # the children not reached yet
+    front = np.zeros(1, dtype=np.int64)
+    row_buf, block_buf = np.empty((rb, len(dm))), np.empty(rb * len(order))
+    while len(left):
+        size = ce[front] - cs[front]
+        rows = order[_ranges(cs[front], size)]  # the front's points, queue order
+        at = np.repeat(np.arange(len(front)), size)  # each row's queue position
+        by, got = [], []
+        for a in range(0, len(rows), rb):
+            if not len(left):
+                break
+            size = ce[left] - cs[left]
+            cols = order[_ranges(cs[left], size)]
+            r = rows[a:a + rb]
+            # mode="clip" takes straight into out; "raise" would buffer it
+            block = dm.take(r, axis=0, mode="clip", out=row_buf[:len(r)]).take(
+                cols, axis=1, mode="clip", out=block_buf[:len(r) * len(cols)].reshape(len(r), -1))
+            close = block <= thr
+            hit = np.where(close.any(axis=0), close.argmax(axis=0), len(r))
+            hit = np.minimum.reduceat(hit, size.cumsum() - size)  # first row per child
+            new = hit < len(r)
+            by.append(at[a + hit[new]])
+            got.append(left[new])
+            left = left[~new]
+        by, got = np.concatenate(by), np.concatenate(got)
+        if not len(got):
+            raise AssertionError("child neighbor graph is disconnected (construction bug)")
+        parent[got] = front[by]
+        front = got[np.lexsort((got, by))]
+    return np.append(-1, _nearest(dm, order, cs, ce, np.arange(1, k), parent[1:]))
 
 
 def _bfs_parents(adj: np.ndarray, roots: np.ndarray) -> np.ndarray:

@@ -14,8 +14,11 @@ points to get its children's neighbor graph and nearest points, where the
 library fills that graph while it reads the cross-child blocks for the
 diameters and picks the nearest points at the merge.
 `reference_landmarks` runs the greedy landmark rule node by node, where the
-library makes one bottom-up pass over the ingress layers. The tests use this
-module to check that both give identical results.
+library makes one bottom-up pass over the ingress layers.
+`reference_prim` is Prim's algorithm with a fresh mask of the closer
+vertices outside the tree at every step, where the library compares each
+row once against a copy of the best edges that holds -1 in the tree. The
+tests use this module to check that both give identical results.
 """
 import math
 
@@ -35,6 +38,26 @@ def cluster_min_matrix(dm: np.ndarray, labels: np.ndarray) -> np.ndarray:
     red = np.minimum.reduceat(sub, starts, axis=0)
     red = np.minimum.reduceat(red, starts, axis=1)
     return red
+
+
+def reference_prim(dm: np.ndarray):
+    """(parent, weight) of Prim's minimum spanning tree from point 0: a
+    vertex's parent changes only to a strictly lighter edge, and the next
+    vertex is the first index of the least edge."""
+    n = dm.shape[0]
+    best = np.full(n, np.inf)  # lightest edge from the tree to each vertex
+    parent = np.zeros(n, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    v = 0
+    for _ in range(n - 1):
+        done[v] = True
+        best[v] = np.inf
+        row = dm[v]
+        closer = (row < best) & ~done
+        best[closer] = row[closer]
+        parent[closer] = v
+        v = int(np.argmin(best))
+    return parent, dm[parent, np.arange(n)]
 
 
 def reference_hierarchy(dm: np.ndarray):

@@ -87,6 +87,15 @@ def test_round_to_net_rejects_large_norm():
         round_to_net(np.array([1.0 + 1e-10, 0.0]), 0.5, p)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, INF])
+def test_round_to_net_rejects_a_nan_row(p):
+    # a NaN norm compares false both ways: it must fail the check, not pass
+    with pytest.raises(ValueError, match="norm precondition"):
+        round_to_net(np.array([np.nan, 0.0]), 1.0, p)
+    with pytest.raises(ValueError, match="norm precondition"):
+        round_to_net(np.array([[0.5, 0.0], [0.0, np.nan]]), np.full(2, 0.5), p)
+
+
 @st.composite
 def unit_ball_vector(draw):
     p = draw(st.sampled_from([1, 2, 3, INF]))

@@ -9,6 +9,8 @@ from rltsketch.tree import (
     _bfs_parents,
     _chain_sums,
     _mst_edges,
+    _nearest,
+    _read_root,
     assign_centers,
     assign_ingresses,
     build_hierarchy,
@@ -29,6 +31,7 @@ from reference_hierarchy import (
     reference_hierarchy,
     reference_ingresses,
     reference_landmarks,
+    reference_prim,
 )
 
 
@@ -98,6 +101,9 @@ def _reference_inputs():
 @pytest.mark.parametrize("name,ps", list(_reference_inputs()))
 def test_hierarchy_matches_per_level_reference(name, ps):
     raw = reference_hierarchy(ps.distance_matrix())
+    parent, weight = _mst_edges(ps.distance_matrix())
+    want_parent, want_weight = reference_prim(ps.distance_matrix())
+    assert np.array_equal(parent, want_parent) and np.array_equal(weight, want_weight)
     h = build_hierarchy(ps)
     for eps in (quantize_eps(0.1), 0.5):
         want = reference_compress(*raw, eps)
@@ -290,6 +296,8 @@ def test_prim_gives_a_minimum_spanning_tree_under_ties(seed):
     _, end = _chain_sums(parent, np.zeros(n, dtype=np.int64))
     assert np.all(end == 0)  # one tree, no cycle
     assert weight.sum() == minimum_spanning_tree(dm).sum()
+    want_parent, want_weight = reference_prim(dm)
+    assert np.array_equal(parent, want_parent) and np.array_equal(weight, want_weight)
 
 
 def test_bfs_of_a_disjoint_union_is_each_graph_alone():
@@ -318,6 +326,77 @@ def test_bfs_of_a_disconnected_child_graph_raises():
         _bfs_parents(adj, np.array([0, 2]))
     with pytest.raises(AssertionError, match="disconnected"):
         _bfs_parents(np.zeros((2, 2), dtype=bool), np.zeros(1, dtype=np.int64))
+    # the root reader's on-demand BFS: cut off after a round, then at once
+    x = np.array([0.0, 1.0, 2.0, 10.0, 11.0])
+    for was in ([0, 0, 1, 2, 2], [0, 0, 0, 1, 1]):
+        with pytest.raises(AssertionError, match="disconnected"):
+            _read_root(np.abs(x[:, None] - x), np.arange(5), np.array(was), 4.0)
+
+
+def _assert_root_matches_the_dense_bfs(dm, order, was, thr):
+    """_read_root against the full child graph's BFS (_bfs_parents) from
+    child 0 and _nearest: the same near points, each in the same parent
+    child. Returns the parents."""
+    cs = np.flatnonzero(np.diff(was, prepend=-1))
+    ce = np.append(cs[1:], len(order))
+    k = len(cs)
+    child = np.repeat(np.arange(k), ce - cs)
+    a, b = np.nonzero(dm[np.ix_(order, order)] <= thr)
+    adj = np.zeros((k, k), dtype=bool)
+    adj[child[a], child[b]] = True
+    np.fill_diagonal(adj, False)
+    parent = _bfs_parents(adj, np.zeros(1, dtype=np.int64))
+    got = _read_root(dm, order, was, thr)
+    assert got[0] == -1
+    assert np.array_equal(got[1:], _nearest(dm, order, cs, ce, np.arange(1, k), parent[1:]))
+    child_of = np.empty(len(order), dtype=np.int64)
+    child_of[order] = child
+    assert np.array_equal(child_of[got[1:]], parent[1:])
+    return parent
+
+
+def _split_front_root():
+    """A root read at threshold 4 over points on a line, listed in a
+    shuffled index order. Child 0, the BFS root, is 130 points 1 apart, so
+    its rows span two or more blocks at any ROW_BLOCK up to 129. Child 2 (at
+    -3) is within 4 of child 0's first two points only, and child 1 (at 132)
+    of its last two only, so child 0 reaches the higher id in an earlier
+    block. Child 3 (at -6 and 135) neighbors children 1 and 2 only: its BFS
+    parent is child 1 only if the next front is sorted over the whole round,
+    not block by block. Child 4, 140 points 1 apart from 138 on, is child
+    3's only neighbor after that, and child 5 (at 281) neighbors its last
+    point only."""
+    groups = [np.arange(130.0), [132.0], [-3.0], [-6.0, 135.0], 138.0 + np.arange(140), [281.0]]
+    x = np.concatenate(groups)
+    ids = np.random.default_rng(9).permutation(len(x))
+    dm = np.zeros((len(x), len(x)))
+    dm[np.ix_(ids, ids)] = np.abs(x[:, None] - x[None, :])
+    return dm, ids, np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+
+
+@pytest.mark.parametrize("row_block", [1, 2, 3, metric.ROW_BLOCK])
+def test_root_reader_matches_the_dense_bfs(monkeypatch, row_block):
+    assert 130 > metric.ROW_BLOCK
+    monkeypatch.setattr(metric, "ROW_BLOCK", row_block)
+    parent = _assert_root_matches_the_dense_bfs(*_split_front_root(), 4.0)
+    assert parent.tolist() == [0, 0, 0, 1, 3, 4]
+    # children of random sizes over shuffled point ids; the threshold is the
+    # child graph's bottleneck, so some pairs sit on it
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    rng = np.random.default_rng(10)
+    for n in (40, 400):
+        pts = rng.uniform(0, 30, size=(n, 2))
+        dm = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1)
+        cut = np.sort(rng.choice(np.arange(1, n), size=n // 8, replace=False))
+        was = np.cumsum(np.isin(np.arange(n), cut))
+        order = rng.permutation(n)
+        k = was[-1] + 1
+        cm = np.full((k, k), np.inf)
+        np.minimum.at(cm, (was[:, None], was[None, :]), dm[np.ix_(order, order)])
+        np.fill_diagonal(cm, 0.0)
+        thr = minimum_spanning_tree(cm).toarray().max()
+        _assert_root_matches_the_dense_bfs(dm, order, was, thr)
 
 
 @pytest.mark.parametrize("name,ps", list(_reference_inputs()))
