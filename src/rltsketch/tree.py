@@ -15,18 +15,18 @@ weight < 2^l, and the merges of one level form one node each. Prim gives
 the MST as each point's parent in it, and a level's clusters are the chain
 ends of the forest of its edges up to that level, each named by its min
 member. A cluster that merges with nothing at a level gets no node there:
-its chain is made when the tree is emitted. Below the root, one read of
-each cross-child pair of a merge gives both its diameter and the children's
-neighbor graph (children within 2^l), whose BFS spanning tree fixes, right
-there, the point each later child's ingress enters by. A level's merges
-whose members fit metric.ROW_BLOCK are read with one gather of all their
-cross-child pairs, each larger one on its own in row blocks. Both fill one
-child graph per level, whose one BFS and one gather give every later
-child's entry point. The root merges all n points, so its diameter is the
-one ingest measured, and its BFS reads only its fronts' rows, round by
-round, against the children not reached yet: no root child graph is kept.
-The members of the clusters not merged yet are one array, cluster by
-cluster, and no copy of the members' distances is made.
+its chain is made when the tree is emitted. A merge's diameter comes from
+its cross-child pairs, and the BFS spanning tree of its children's
+neighbor graph (children within 2^l) fixes, right there, the point each
+later child's ingress enters by. A level's merges whose members fit
+metric.ROW_BLOCK are read with one gather of all their cross-child pairs,
+which gives their diameters and one child graph for one BFS. Each larger
+merge reads its diameter in row blocks, and its BFS reads only its fronts'
+rows, round by round, against the children not reached yet, with no child
+graph; the root, a merge of all n points, takes the diameter ingest
+measured. One gather per level gives every later child's entry point. The
+members of the clusters not merged yet are one array, cluster by cluster,
+and no copy of the members' distances is made.
 
 Layout: a tree is a set of flat arrays indexed by node id in preorder (root
 0), the same for built and decoded trees. Its shape is `parent` and
@@ -280,9 +280,9 @@ def build_hierarchy(ps: PointSet) -> Merges:
     share a cluster; the root's is ps.phi. A BFS of the children's neighbor
     graph (child pairs with some points within 2^level, `<=`) from the first
     child gives each later child a parent sibling, whose point nearest to the
-    child (ties: smallest index) is the child's `near`. _read_level reads the
-    levels below the root, one child graph and one BFS per level, and
-    _read_root runs the root's BFS on demand.
+    child (ties: smallest index) is the child's `near`. _read_level reads
+    each level, its small merges through one child graph and one BFS, each
+    merge above metric.ROW_BLOCK members through a BFS on demand.
     """
     n = ps.n
     dm = ps.distance_matrix()
@@ -319,12 +319,8 @@ def build_hierarchy(ps: PointSet) -> Merges:
         first = size.cumsum() - size
         v = len(children) + np.arange(len(tops))
         level[v] = lvl
-        if lvl < edge_level.max():
-            cross, near[kids] = _read_level(dm, order, name[order], new[order], tops, thr)
-            delta[v] = np.maximum(cross, np.maximum.reduceat(delta[kids], first))
-        else:  # the root: one merge of all n points, whose diameter ingest measured
-            near[kids] = _read_root(dm, order, name[order], thr)
-            delta[v] = ps.phi
+        cross, near[kids] = _read_level(dm, order, name[order], new[order], tops, thr, ps.phi)
+        delta[v] = np.maximum(cross, np.maximum.reduceat(delta[kids], first))
         kids = kids.tolist()
         children += [kids[a:a + k] for a, k in zip(first.tolist(), size.tolist())]
         node_of[tops] = v
@@ -340,21 +336,22 @@ def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 
 def _read_level(dm: np.ndarray, order: np.ndarray, was: np.ndarray, label: np.ndarray,
-                tops: np.ndarray, thr: float) -> tuple[np.ndarray, np.ndarray]:
-    """One read of each cross-child pair of one level's merges, below the
-    root: the new clusters tops, whose positions in order hold their
-    children side by side (label: each position's new cluster, was: its
-    child). Returns each merge's largest cross-child distance, and for each
-    child, merge by merge, the point of its BFS parent (_bfs_parents over
-    the neighbor graph, pairs within thr, `<=`) nearest to it, ties to the
-    smallest index; -1 at first children.
+                tops: np.ndarray, thr: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """One read of one level's merges: the new clusters tops, whose
+    positions in order hold their children side by side (label: each
+    position's new cluster, was: its child). Returns for each merge a
+    distance whose max with its children's diameters is its diameter, and
+    for each child, merge by merge, the point of its BFS parent
+    (_bfs_parents over the neighbor graph, pairs within thr, `<=`) nearest
+    to it, ties to the smallest index; -1 at first children.
 
     The merges whose members fit metric.ROW_BLOCK are read together: one
-    gather of all their cross-child pairs and one reduceat for the
-    diameters. Each larger merge is read by _read_merge into its diagonal
-    block of the level's child graph (children in kid order). Then one BFS
-    of that graph from every merge's first child, and one read for the
-    nearest points (_nearest).
+    gather of all their cross-child pairs gives their largest, and a child
+    graph over their children only, with one BFS from every merge's first
+    child. Each larger merge gets its BFS on demand (_read_bfs) and a
+    row-block read for its diameter (_read_cross), but a merge of all the
+    points, the root, takes phi, the diameter ingest measured. Then one
+    read gives every later child's nearest point (_nearest).
     """
     cstart = np.flatnonzero(np.diff(was, prepend=-1))  # every child's positions
     cend = np.append(cstart[1:], len(order))
@@ -365,81 +362,107 @@ def _read_level(dm: np.ndarray, order: np.ndarray, was: np.ndarray, label: np.nd
     cs, ce = cstart[kid], cend[kid]
     k0 = count.cumsum() - count  # each merge's first child
     cross = np.empty(len(tops))
-    adj = np.zeros((len(kid), len(kid)), dtype=bool)  # the level's child graph
+    parent = np.empty(len(kid), dtype=np.int64)
 
     small = np.flatnonzero(ge - gs <= metric.ROW_BLOCK)
+    sk = _ranges(k0[small], count[small])  # their children
     size = ge[small] - gs[small]
     pos = _ranges(gs[small], size)  # their members' positions
-    child = np.searchsorted(cs, pos, side="right") - 1
+    child = np.searchsorted(cs[sk], pos, side="right") - 1
     # each position against the positions of the later children of its merge
-    span = np.repeat(ge[small], size) - ce[child]
+    after = ce[sk[child]]
+    span = np.repeat(ge[small], size) - after
     rows = np.repeat(pos, span)
-    cols = _ranges(ce[child], span)
+    cols = _ranges(after, span)
     dist = dm[order[rows], order[cols]]
     pairs = np.add.reduceat(span, size.cumsum() - size)
     cross[small] = np.maximum.reduceat(dist, pairs.cumsum() - pairs)
     close = dist <= thr
     a = np.repeat(child, span)[close]
-    b = np.searchsorted(cs, cols[close], side="right") - 1
+    b = np.searchsorted(cs[sk], cols[close], side="right") - 1
+    adj = np.zeros((len(sk), len(sk)), dtype=bool)  # their children's graph
     adj[a, b] = adj[b, a] = True
+    parent[sk] = sk[_bfs_parents(adj, count[small].cumsum() - count[small])]
 
     for g in np.flatnonzero(ge - gs > metric.ROW_BLOCK).tolist():
         c = slice(k0[g], k0[g] + count[g])
-        cross[g] = _read_merge(dm, order[gs[g]:ge[g]], ce[c] - cs[c], thr, adj[c, c])
+        cross[g] = phi if ge[g] - gs[g] == len(dm) else _read_cross(dm, order, cs[c], ce[c])
+        parent[c] = k0[g] + _read_bfs(dm, order, cs[c], ce[c], thr)
 
-    parent = _bfs_parents(adj, k0)
     near = np.full(len(kid), -1)
     later = np.flatnonzero(parent != np.arange(len(kid)))
     near[later] = _nearest(dm, order, cs, ce, later, parent[later])
     return cross, near
 
 
-def _read_root(dm: np.ndarray, order: np.ndarray, was: np.ndarray, thr: float) -> np.ndarray:
-    """The root's children, positions in order child by child (was: each
-    position's child): for each child, the point of its BFS parent nearest
-    to it (_nearest), -1 at the first child.
+def _take(dm: np.ndarray, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """dm[rows][:, cols] through buf, at least len(rows) * (len(dm) +
+    len(cols)) floats: one row gather, then one column take."""
+    # mode="clip" takes straight into out; "raise" would buffer it
+    r = dm.take(rows, axis=0, mode="clip", out=buf[:len(rows) * len(dm)].reshape(len(rows), -1))
+    out = buf[len(r) * len(dm):len(r) * (len(dm) + len(cols))].reshape(len(r), -1)
+    return r.take(cols, axis=1, mode="clip", out=out)
 
-    The BFS of the neighbor graph (pairs within thr, `<=`) is _bfs_parents',
-    run on demand. Each round reads its front's points in queue order, at
-    most metric.ROW_BLOCK rows per block (a child may span blocks), against
-    the points of the children not reached yet. A newly reached child's
-    parent is its first neighbor in the front, and the next front is sorted
-    over the whole round by parent, then by child. Reading stops once every
-    child is reached."""
-    cs = np.flatnonzero(np.diff(was, prepend=-1))  # every child's positions
-    ce = np.append(cs[1:], len(order))
+
+def _read_cross(dm: np.ndarray, order: np.ndarray, cs: np.ndarray, ce: np.ndarray) -> float:
+    """The largest distance from a point of a merge's children (positions
+    [cs, ce) in order) to the points after its child: rows in blocks of at
+    most metric.ROW_BLOCK, each read against the points after its first
+    row's child. That takes every cross-child pair, and a block's rows past
+    that child read their own child's points too, at most its diameter, so
+    the merge's diameter is the max of this and its children's."""
+    rb, end = metric.ROW_BLOCK, ce[-1]
+    buf = np.empty(rb * (len(dm) + end - ce[0]))
+    cross = 0.0
+    for a in range(cs[0], cs[-1], rb):
+        c = np.searchsorted(cs, a, side="right") - 1
+        block = _take(dm, order[a:min(a + rb, cs[-1])], order[ce[c]:end], buf)
+        cross = max(cross, float(block.max()))
+    return cross
+
+
+def _read_bfs(dm: np.ndarray, order: np.ndarray, cs: np.ndarray, ce: np.ndarray,
+              thr: float) -> np.ndarray:
+    """The BFS parents of one merge's children (positions [cs, ce) in
+    order) in their neighbor graph (pairs within thr, `<=`) from child 0,
+    as _bfs_parents gives them, by child index (child 0 is its own).
+
+    The BFS runs on demand. Each round reads its front's points in queue
+    order, at most metric.ROW_BLOCK rows per block (a child may span
+    blocks), against the points of the children not reached yet. A newly
+    reached child's parent is its first neighbor in the front, and the next
+    front is sorted over the whole round by parent, then by child. Reading
+    stops once every child is reached."""
     k, rb = len(cs), metric.ROW_BLOCK
+    size = ce - cs
     parent = np.zeros(k, dtype=np.int64)
-    left = np.arange(1, k)  # the children not reached yet
+    reached = np.zeros(k, dtype=bool)
+    pts = order[ce[0]:ce[-1]]  # the points of the children not reached yet
+    own = np.repeat(np.arange(1, k), size[1:])  # and their children
     front = np.zeros(1, dtype=np.int64)
-    row_buf, block_buf = np.empty((rb, len(dm))), np.empty(rb * len(order))
-    while len(left):
-        size = ce[front] - cs[front]
-        rows = order[_ranges(cs[front], size)]  # the front's points, queue order
-        at = np.repeat(np.arange(len(front)), size)  # each row's queue position
+    buf = np.empty(rb * (len(dm) + len(pts)))
+    while len(pts):
+        rows = order[_ranges(cs[front], size[front])]  # the front's points, queue order
+        at = np.repeat(np.arange(len(front)), size[front])  # each row's queue position
         by, got = [], []
         for a in range(0, len(rows), rb):
-            if not len(left):
+            if not len(pts):
                 break
-            size = ce[left] - cs[left]
-            cols = order[_ranges(cs[left], size)]
-            r = rows[a:a + rb]
-            # mode="clip" takes straight into out; "raise" would buffer it
-            block = dm.take(r, axis=0, mode="clip", out=row_buf[:len(r)]).take(
-                cols, axis=1, mode="clip", out=block_buf[:len(r) * len(cols)].reshape(len(r), -1))
-            close = block <= thr
-            hit = np.where(close.any(axis=0), close.argmax(axis=0), len(r))
-            hit = np.minimum.reduceat(hit, size.cumsum() - size)  # first row per child
-            new = hit < len(r)
-            by.append(at[a + hit[new]])
-            got.append(left[new])
-            left = left[~new]
+            close = _take(dm, rows[a:a + rb], pts, buf) <= thr
+            col = close.any(axis=0).nonzero()[0]
+            new = own[col]
+            run = np.flatnonzero(np.diff(new, prepend=0))  # each new child's first column
+            by.append(at[a + np.minimum.reduceat(close[:, col].argmax(axis=0), run)])
+            got.append(new[run])
+            reached[new] = True
+            keep = ~reached[own]
+            pts, own = pts[keep], own[keep]
         by, got = np.concatenate(by), np.concatenate(got)
         if not len(got):
             raise AssertionError("child neighbor graph is disconnected (construction bug)")
         parent[got] = front[by]
         front = got[np.lexsort((got, by))]
-    return np.append(-1, _nearest(dm, order, cs, ce, np.arange(1, k), parent[1:]))
+    return parent
 
 
 def _bfs_parents(adj: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -481,64 +504,6 @@ def _nearest(dm: np.ndarray, order: np.ndarray, cs: np.ndarray, ce: np.ndarray,
     dist = dm.take(at)
     at = dist == np.repeat(np.minimum.reduceat(dist, off), cnt)
     return np.minimum.reduceat(np.where(at, x, len(order)), off)
-
-
-def _read_merge(dm: np.ndarray, mem: np.ndarray, sizes: np.ndarray,
-                thr: float, adj: np.ndarray) -> float:
-    """One read of each cross-child pair of a merge with members mem, its
-    children's points side by side (sizes: points per child), child by
-    child: returns the largest cross-child distance, and sets in adj (the
-    merge's block of the level's child graph, all False) the child pairs
-    with some points within thr, `<=`.
-
-    Each row group is read against the later children. A group is one
-    multi-point child, read with one 2-D gather, or a run of up to
-    metric.ROW_BLOCK single-point children, read with one row gather and
-    one column take into buffers reused across groups. The columns are
-    each later child's first point, one per child, then the other points
-    of the later multi-point children, or-reduced onto their child's
-    column. Both triangles of the graph are filled as each group is read;
-    its diagonal may be set too.
-    """
-    k = len(sizes)
-    starts = sizes.cumsum() - sizes
-    first = mem[starts]
-    other = np.ones(len(mem), dtype=bool)
-    other[starts] = False
-    rest = mem[other]  # the other points, child by child
-    multi = (sizes > 1).nonzero()[0]
-    rest_at = starts[multi] - multi  # each multi-point child's first row in rest
-    sizes, starts = sizes.tolist(), starts.tolist()
-    n, row_block = dm.shape[0], metric.ROW_BLOCK
-    row_buf, block_buf = np.empty((min(row_block, k), n)), np.empty(min(row_block, k) * len(mem))
-    cross = 0.0
-    i = m = 0  # a group's first child; multi[m:] are the later multi-point children
-    while i < k - 1:
-        skip = starts[i] + sizes[i] - i - 1  # rest of the children up to i
-        cols = np.concatenate([first[i + 1:], rest[skip:]])
-        j = i + 1
-        if sizes[i] > 1:
-            m += 1
-            block = dm[mem[starts[i]:starts[i] + sizes[i], None], cols]
-        else:
-            while j < min(i + row_block, k - 1) and sizes[j] == 1:
-                j += 1
-            # mode="clip" takes straight into out; "raise" would buffer it
-            rows = dm.take(first[i:j], axis=0, mode="clip", out=row_buf[:j - i])
-            block = rows.take(cols, axis=1, mode="clip",
-                              out=block_buf[:(j - i) * len(cols)].reshape(j - i, len(cols)))
-        cross = max(cross, float(block.max()))
-        close = block <= thr
-        if sizes[i] > 1:
-            close = close.any(axis=0, keepdims=True)
-        hit = close[:, :k - i - 1]  # one column per later child
-        if m < len(multi):
-            hit[:, multi[m:] - i - 1] |= np.logical_or.reduceat(
-                close[:, k - i - 1:], rest_at[m:] - skip, axis=1)
-        adj[i:j, i + 1:] = hit
-        adj[i + 1:, i:j] = hit.T
-        i = j
-    return cross
 
 
 def compress_paths(h: Merges, ps: PointSet, eps: float) -> tuple[RelativeLocationTree, np.ndarray]:

@@ -592,6 +592,28 @@ def test_cli_rejects_binary_points_shorter_than_their_header(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: truncated binary point data")
 
 
+@pytest.mark.parametrize("fmt,content,error", [
+    ("metric", "", "empty metric file"),
+    ("metric", "2\n0 1 1\n", "metric file should hold n then n^2 entries, got 3"),
+    ("metric", "2\n0 1 x 0\n", "cannot parse metric file"),
+    ("metric", "2\n1 1 1 0\n", "metric diagonal must be zero"),
+    ("metric", "2\n0 nan nan 0\n", "metric contains non-finite entries"),
+    ("metric", "2\n0 0.5 0.5 0\n", "metric distances must be >= 1"),
+    ("text", "0 1\n2 x\n", "cannot parse point file"),
+    ("binary", bytes(10), "truncated binary header"),
+])
+def test_cli_rejects_a_malformed_input_file(tmp_path, capsys, fmt, content, error):
+    inp, out = tmp_path / "input", tmp_path / "s.rlts"
+    if isinstance(content, bytes):
+        inp.write_bytes(content)
+    else:
+        inp.write_text(content)
+    assert cli.main(["sketch", "--input", str(inp), "--format", fmt, "--eps", "0.1",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n,d", [(0, (1 << 64) - 1), (1 << 63, 0)])
 def test_binary_points_declaring_an_empty_shape_are_an_input_error(tmp_path, n, d):
     # 8*n*d = 0 passes the size check; the shape is rejected before numpy

@@ -9,8 +9,8 @@ from rltsketch.tree import (
     _bfs_parents,
     _chain_sums,
     _mst_edges,
-    _nearest,
-    _read_root,
+    _read_bfs,
+    _read_cross,
     assign_centers,
     assign_ingresses,
     build_hierarchy,
@@ -326,59 +326,70 @@ def test_bfs_of_a_disconnected_child_graph_raises():
         _bfs_parents(adj, np.array([0, 2]))
     with pytest.raises(AssertionError, match="disconnected"):
         _bfs_parents(np.zeros((2, 2), dtype=bool), np.zeros(1, dtype=np.int64))
-    # the root reader's on-demand BFS: cut off after a round, then at once
+    # the large merges' on-demand BFS: cut off after a round, then at once
     x = np.array([0.0, 1.0, 2.0, 10.0, 11.0])
     for was in ([0, 0, 1, 2, 2], [0, 0, 0, 1, 1]):
+        cs, ce = _child_bounds(np.array(was))
         with pytest.raises(AssertionError, match="disconnected"):
-            _read_root(np.abs(x[:, None] - x), np.arange(5), np.array(was), 4.0)
+            _read_bfs(np.abs(x[:, None] - x), np.arange(5), cs, ce, 4.0)
 
 
-def _assert_root_matches_the_dense_bfs(dm, order, was, thr):
-    """_read_root against the full child graph's BFS (_bfs_parents) from
-    child 0 and _nearest: the same near points, each in the same parent
-    child. Returns the parents."""
+def _child_bounds(was):
+    """Each child's positions [cs, ce), from each position's child."""
     cs = np.flatnonzero(np.diff(was, prepend=-1))
-    ce = np.append(cs[1:], len(order))
+    return cs, np.append(cs[1:], len(was))
+
+
+def _assert_reader_matches_the_dense_bfs(dm, order, was, thr):
+    """The large-merge readers against dense reads of the merge's children
+    (positions child by child in order, was: each position's child):
+    _read_bfs gives the full child graph's BFS parents (_bfs_parents) from
+    child 0, and _read_cross, on the merge of each prefix of the children,
+    the brute-force max over cross-child pairs, or a larger distance within
+    a child, which leaves max(cross, children's diameters) the merge's
+    diameter. Returns the parents."""
+    cs, ce = _child_bounds(was)
     k = len(cs)
-    child = np.repeat(np.arange(k), ce - cs)
-    a, b = np.nonzero(dm[np.ix_(order, order)] <= thr)
+    sub = dm[np.ix_(order, order)]
+    other = was[:, None] != was[None, :]
+    a, b = np.nonzero((sub <= thr) & other)
     adj = np.zeros((k, k), dtype=bool)
-    adj[child[a], child[b]] = True
-    np.fill_diagonal(adj, False)
+    adj[was[a], was[b]] = True
     parent = _bfs_parents(adj, np.zeros(1, dtype=np.int64))
-    got = _read_root(dm, order, was, thr)
-    assert got[0] == -1
-    assert np.array_equal(got[1:], _nearest(dm, order, cs, ce, np.arange(1, k), parent[1:]))
-    child_of = np.empty(len(order), dtype=np.int64)
-    child_of[order] = child
-    assert np.array_equal(child_of[got[1:]], parent[1:])
+    assert np.array_equal(_read_bfs(dm, order, cs, ce, thr), parent)
+    for j in range(2, k + 1):  # the merge of children 0..j-1
+        m = ce[j - 1]
+        cross, inner = sub[:m, :m][other[:m, :m]].max(), sub[:m, :m][~other[:m, :m]].max()
+        assert cross <= _read_cross(dm, order, cs[:j], ce[:j]) <= max(cross, inner)
     return parent
 
 
+_SPLIT_FRONT = [np.arange(130.0), [132.0], [-3.0], [-6.0, 135.0], 138.0 + np.arange(140), [281.0]]
+
+
 def _split_front_root():
-    """A root read at threshold 4 over points on a line, listed in a
-    shuffled index order. Child 0, the BFS root, is 130 points 1 apart, so
-    its rows span two or more blocks at any ROW_BLOCK up to 129. Child 2 (at
-    -3) is within 4 of child 0's first two points only, and child 1 (at 132)
-    of its last two only, so child 0 reaches the higher id in an earlier
-    block. Child 3 (at -6 and 135) neighbors children 1 and 2 only: its BFS
-    parent is child 1 only if the next front is sorted over the whole round,
-    not block by block. Child 4, 140 points 1 apart from 138 on, is child
-    3's only neighbor after that, and child 5 (at 281) neighbors its last
-    point only."""
-    groups = [np.arange(130.0), [132.0], [-3.0], [-6.0, 135.0], 138.0 + np.arange(140), [281.0]]
-    x = np.concatenate(groups)
+    """A merge read at threshold 4 over points on a line (_SPLIT_FRONT),
+    listed in a shuffled index order. Child 0, the BFS root, is 130 points
+    1 apart, so its rows span two or more blocks at any ROW_BLOCK up to 129.
+    Child 2 (at -3) is within 4 of child 0's first two points only, and
+    child 1 (at 132) of its last two only, so child 0 reaches the higher id
+    in an earlier block. Child 3 (at -6 and 135) neighbors children 1 and 2
+    only: its BFS parent is child 1 only if the next front is sorted over
+    the whole round, not block by block. Child 4, 140 points 1 apart from
+    138 on, is child 3's only neighbor after that, and child 5 (at 281)
+    neighbors its last point only."""
+    x = np.concatenate(_SPLIT_FRONT)
     ids = np.random.default_rng(9).permutation(len(x))
     dm = np.zeros((len(x), len(x)))
     dm[np.ix_(ids, ids)] = np.abs(x[:, None] - x[None, :])
-    return dm, ids, np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return dm, ids, np.repeat(np.arange(len(_SPLIT_FRONT)), [len(g) for g in _SPLIT_FRONT])
 
 
 @pytest.mark.parametrize("row_block", [1, 2, 3, metric.ROW_BLOCK])
 def test_root_reader_matches_the_dense_bfs(monkeypatch, row_block):
     assert 130 > metric.ROW_BLOCK
     monkeypatch.setattr(metric, "ROW_BLOCK", row_block)
-    parent = _assert_root_matches_the_dense_bfs(*_split_front_root(), 4.0)
+    parent = _assert_reader_matches_the_dense_bfs(*_split_front_root(), 4.0)
     assert parent.tolist() == [0, 0, 0, 1, 3, 4]
     # children of random sizes over shuffled point ids; the threshold is the
     # child graph's bottleneck, so some pairs sit on it
@@ -396,7 +407,21 @@ def test_root_reader_matches_the_dense_bfs(monkeypatch, row_block):
         np.minimum.at(cm, (was[:, None], was[None, :]), dm[np.ix_(order, order)])
         np.fill_diagonal(cm, 0.0)
         thr = minimum_spanning_tree(cm).toarray().max()
-        _assert_root_matches_the_dense_bfs(dm, order, was, thr)
+        _assert_reader_matches_the_dense_bfs(dm, order, was, thr)
+
+
+@pytest.mark.parametrize("row_block", [1, 3, metric.ROW_BLOCK])
+def test_large_merges_below_the_root_match_the_references(monkeypatch, row_block):
+    """Two copies of _SPLIT_FRONT's line 1e5 apart, in a shuffled order:
+    each copy is one merge of more than ROW_BLOCK members at levels 2 and 3,
+    below the root."""
+    x = np.concatenate(_SPLIT_FRONT)
+    x = np.concatenate([x, x + 1e5])
+    ps = pointset_1d(x[np.random.default_rng(11).permutation(len(x))])
+    sizes = _merge_sizes_by_level(build_hierarchy(ps))
+    assert sizes[2] == [274, 274] and sizes[3] == [275, 275] and sizes[17] == [550]
+    monkeypatch.setattr(metric, "ROW_BLOCK", row_block)
+    _assert_matches_the_references(ps)
 
 
 @pytest.mark.parametrize("name,ps", list(_reference_inputs()))
