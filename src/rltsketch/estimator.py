@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .codec import SketchBits, decode
-from .metric import lp_norm, pairwise_distances
+from .metric import _pairwise, lp_norm
 from .tree import RelativeLocationTree, surrogate_units
 
 
@@ -220,9 +220,10 @@ class QueryContext:
 
     def all_pairs(self) -> np.ndarray:
         """n x n matrix of estimates (original units, zero diagonal). An lp
-        block holds the distances between fine surrogates; entries may differ
-        from single queries in the last ulp (lp_norm and cdist sum in
-        different orders), never beyond."""
+        block holds the distances between fine surrogates, computed and
+        scaled in row blocks on every CPU (pairwise_distances); entries may
+        differ from single queries in the last ulp (lp_norm and cdist sum
+        in different orders), never beyond."""
         t = self.tree
         if t.flags_euclidean:
             est = self.all_pairs_squared()
@@ -232,9 +233,7 @@ class QueryContext:
         rows = s[t.ingress[v]] + (np.ldexp(1.0, t.level[v]) * t.eps)[:, None] * t.eta_eps[v]
 
         def block_of(run):
-            block = pairwise_distances(rows[run], t.p)
-            block *= self.unit
-            return np.multiply(block, self.scale, out=block)
+            return _pairwise(rows[run], t.p, (self.unit, self.scale))
 
         return self._assemble(pt[idx], runs, block_of)
 

@@ -3,20 +3,26 @@
 Everything here is a pure function over immutable inputs: lp norms and
 distance matrices, the grid net of the radius-2 lp ball, deterministic
 floor-rounding onto that net, and the randomized (dithered) grid rounding
-used by the Euclidean augmentations.
+used by the Euclidean augmentations. Distance matrices are computed in row
+blocks on every CPU the process may run on (cdist releases the GIL); the
+result is the same bits at any CPU count, and there is no option for it.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 INF = math.inf
 
-# Rows per cdist call in pairwise_distances; its buffer holds ROW_BLOCK x n
-# distances (4 MB at n = 4000).
+# Rows per cdist call in pairwise_distances; each worker reuses one buffer
+# of ROW_BLOCK x n distances (4 MB at n = 4000).
 ROW_BLOCK = 128
+# Threads pairwise_distances spreads its row blocks over: the CPUs this
+# process may run on. A call with one block, or on one CPU, starts none.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def norm_root(d: int, p) -> float:
@@ -55,11 +61,20 @@ def pairwise_distances(points: np.ndarray, p) -> np.ndarray:
 
     Rows are taken ROW_BLOCK at a time: the block of rows [a, b) against
     columns [a, n) is one cdist call, and its part right of column b is
-    mirrored into rows [b, n). cdist computes each entry from its pair alone,
-    with an arithmetic symmetric in the pair, so the result is bitwise
-    cdist(points, points) and exactly symmetric (the build reads each pair in
-    one direction only).
+    mirrored into rows [b, n). The blocks run on up to WORKERS threads and
+    write disjoint parts of the result. cdist computes each entry from its
+    pair alone, with an arithmetic symmetric in the pair, so the result is
+    bitwise cdist(points, points) and exactly symmetric (the build reads
+    each pair in one direction only), whatever the thread count.
     """
+    return _pairwise(points, p)
+
+
+def _pairwise(points: np.ndarray, p, factors=()) -> np.ndarray:
+    """pairwise_distances with every entry multiplied by each of `factors` in
+    turn, block by block while the block is in cache: the same roundings as
+    multiplying the whole matrix afterwards, without its passes over n^2."""
+    from concurrent.futures import ThreadPoolExecutor
     from scipy.spatial.distance import cdist  # only building loads scipy
 
     points = np.ascontiguousarray(points, dtype=np.float64)
@@ -73,13 +88,25 @@ def pairwise_distances(points: np.ndarray, p) -> np.ndarray:
         kind, kw = "minkowski", {"p": p}
     n = points.shape[0]
     out = np.empty((n, n))
-    buf = np.empty(min(ROW_BLOCK, n) * n)  # cdist's out= must be contiguous
-    for a in range(0, n, ROW_BLOCK):
-        b = min(a + ROW_BLOCK, n)
-        block = buf[: (b - a) * (n - a)].reshape(b - a, n - a)
-        cdist(points[a:b], points[a:], kind, out=block, **kw)
-        out[a:b, a:] = block
-        out[b:, a:b] = block[:, b - a:].T
+    workers = max(1, min(WORKERS, -(-n // ROW_BLOCK)))
+
+    def rows(k):
+        """Worker k's blocks: every workers-th one, from the k-th."""
+        buf = np.empty(min(ROW_BLOCK, n) * n)  # cdist's out= must be contiguous
+        for a in range(k * ROW_BLOCK, n, workers * ROW_BLOCK):
+            b = min(a + ROW_BLOCK, n)
+            block = buf[: (b - a) * (n - a)].reshape(b - a, n - a)
+            cdist(points[a:b], points[a:], kind, out=block, **kw)
+            for f in factors:
+                block *= f
+            out[a:b, a:] = block
+            out[b:, a:b] = block[:, b - a:].T
+
+    if workers == 1:
+        rows(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(rows, range(workers)))
     return out
 
 

@@ -265,8 +265,9 @@ def test_read_header_gives_the_checked_header():
         assert header == (euclidean, t.n, t.d, p, int(t.eps * (1 << EPS_EXPONENT)),
                           t.scale_exponent, t.phi_exponent)
         assert header.euclidean is euclidean and header.p == p
-        with pytest.raises(DecodeError, match="truncated header"):
-            read_header(sk.data[:_HEADER.size - 1])
+        for size in (_HEADER.size - 1, _HEADER.size + 2):  # short of the header or its CRC
+            with pytest.raises(DecodeError, match="truncated header"):
+                read_header(sk.data[:size])
         with pytest.raises(DecodeError, match="header CRC mismatch"):
             read_header(_set_header(sk.data, "n", t.n + 1))
 
@@ -779,6 +780,13 @@ DECODER_CHECKS = {
     "dimension 0": ("lp", lambda data, t: _set_header(data, "d", 0)),
     "estimates exceed the float64 range": (
         "lp", lambda data, t: _set_header(data, "scale_exp", 1023)),
+    "overflows a double": ("lp", lambda data, t: _set_header(data, "scale_exp", 1024)),
+    "topology is not one balanced tree": (
+        "lp", lambda data, t: _set_value(data, "topology", 0, 1, 0)),  # the root's open
+    "long edge with invalid length": (
+        "lp-long-edges",  # the lengths' range min, after the count and nodes, set to 1
+        lambda data, t: _set_value(data, "long_edges",
+                                   _node_width(t) * (1 + int(t.edge_long.sum())), 64, 1)),
 }
 
 

@@ -262,12 +262,14 @@ def _current_digests() -> dict:
 
 def test_block_sizes_change_no_byte(monkeypatch):
     # scaling the build must not change a byte: distance row blocks and
-    # codec chunks far smaller than the inputs give the same files and
-    # estimates
+    # codec chunks far smaller than the inputs, spread over 1 or 3 worker
+    # threads, give the same files and estimates
     want = _current_digests()
     monkeypatch.setattr(metric, "ROW_BLOCK", 3)
     monkeypatch.setattr(bits, "CHUNK", 5)
-    assert _current_digests() == want
+    for workers in (1, 3):
+        monkeypatch.setattr(metric, "WORKERS", workers)
+        assert _current_digests() == want
 
 
 if __name__ == "__main__":

@@ -455,6 +455,18 @@ def test_cli_strict_eps(tmp_path, capsys):
     assert rep.fraction_in_band == 1.0
 
 
+def test_cli_eps_too_small_to_quantize(tmp_path, capsys):
+    # eps in (0, 1) below the file's eps resolution: an input error, not a
+    # sketch with eps 0
+    inp = tmp_path / "pts.txt"
+    save_points_text(str(inp), np.random.default_rng(13).normal(size=(8, 2)))
+    out = tmp_path / "s.rlts"
+    assert cli.main(["sketch", "--input", str(inp), "--eps", "1e-12", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eps too small to quantize: 1e-12" in err
+    assert not out.exists()
+
+
 def test_cli_strict_eps_is_an_input_error_on_the_euclidean_flavor(tmp_path, capsys):
     # the Euclidean band is 48*eps on squared distances: dividing eps by 4
     # would not make it (1 +/- eps), and d' would grow sixteenfold

@@ -1,5 +1,8 @@
+import concurrent.futures
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from rltsketch import metric
 from rltsketch.metric import (
     INF,
     ROW_BLOCK,
@@ -43,12 +47,23 @@ CDIST_METRIC = {1: ("cityblock", {}), 2: ("euclidean", {}), 3: ("minkowski", {"p
                 INF: ("chebyshev", {})}
 
 
-# pairwise_distances computes each unordered pair once, by row blocks, and
-# mirrors it; the result must still be the full cdist bit for bit.
+@pytest.fixture
+def fast_switch():
+    """Threads switch every microsecond, so worker threads interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+# pairwise_distances computes each unordered pair once, by row blocks spread
+# over worker threads, and mirrors it; the result must still be the full
+# cdist bit for bit, at the defaults and at 1, 2 and 3 workers over blocks
+# of 4 rows (up to 65 blocks, many per worker).
 @pytest.mark.parametrize("d", [1, 300])
 @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
 @pytest.mark.parametrize("p", [1, 2, 3, INF])
-def test_pairwise_distances_is_bitwise_cdist(p, n, d):
+def test_pairwise_distances_is_bitwise_cdist(monkeypatch, fast_switch, p, n, d):
     rng = np.random.default_rng(n * 1000 + d)
     row_scales = 10.0 ** rng.permutation(np.linspace(-6.0, 6.0, n))[:, None]
     inputs = [
@@ -58,9 +73,38 @@ def test_pairwise_distances_is_bitwise_cdist(p, n, d):
     ]
     kind, kw = CDIST_METRIC[p]
     for x in inputs:
+        want = cdist(x, x, kind, **kw)
         dm = pairwise_distances(x, p)
-        assert np.array_equal(dm, cdist(x, x, kind, **kw))
+        assert np.array_equal(dm, want)
         assert np.array_equal(dm, dm.T)
+        for workers in (1, 2, 3):
+            with monkeypatch.context() as m:
+                m.setattr(metric, "ROW_BLOCK", 4)
+                m.setattr(metric, "WORKERS", workers)
+                assert np.array_equal(pairwise_distances(x, p), want)
+
+
+def test_scale_points_of_one_point(monkeypatch):
+    # one point: no scaling, phi 1 and a zero matrix; its distance matrix,
+    # like any single row block, starts no thread pool, and more blocks
+    # start one of at most one worker per block
+    started = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, workers):
+            started.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(metric, "WORKERS", 3)
+    ps = scale_points(np.array([[3.0, -7.5]]), 2)
+    assert (ps.scale_exponent, ps.phi, ps.dist.tolist()) == (0, 1.0, [[0.0]])
+    assert pairwise_distances(ps.points, 2).tolist() == [[0.0]]
+    pairwise_distances(np.arange(float(ROW_BLOCK))[:, None], 1)
+    assert started == []
+    pairwise_distances(np.arange(ROW_BLOCK + 1.0)[:, None], 1)
+    pairwise_distances(np.arange(3 * ROW_BLOCK + 1.0)[:, None], 1)
+    assert started == [2, 3]
 
 
 def test_round_to_net_examples():
