@@ -25,8 +25,8 @@ merge reads its diameter in row blocks, and its BFS reads only its fronts'
 rows, round by round, against the children not reached yet, with no child
 graph; the root, a merge of all n points, takes the diameter ingest
 measured. One gather per level gives every later child's entry point. The
-members of the clusters not merged yet are one array, cluster by cluster,
-and no copy of the members' distances is made.
+members of the clusters not merged yet are one array, cluster by cluster;
+a block of the cached matrix is read as a row take, then a column take.
 
 Layout: a tree is a set of flat arrays indexed by node id in preorder (root
 0), the same for built and decoded trees. Its shape is `parent` and
@@ -237,12 +237,11 @@ def _mst_edges(dm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     best = np.full(n, np.inf)  # lightest edge from the tree to each vertex
     cap = best.copy()  # best, but -1 at the tree's vertices: no row is below
     parent = np.zeros(n, dtype=np.int64)
-    mask = np.empty(n, dtype=bool)
     v = 0
     for _ in range(n - 1):
         best[v], cap[v] = np.inf, -1.0
         row = dm[v]
-        closer = np.less(row, cap, out=mask).nonzero()[0]
+        closer = (row < cap).nonzero()[0]
         best[closer] = cap[closer] = row[closer]
         parent[closer] = v
         v = int(best.argmin())
@@ -395,28 +394,18 @@ def _read_level(dm: np.ndarray, order: np.ndarray, was: np.ndarray, label: np.nd
     return cross, near
 
 
-def _take(dm: np.ndarray, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """dm[rows][:, cols] through buf, at least len(rows) * (len(dm) +
-    len(cols)) floats: one row gather, then one column take."""
-    # mode="clip" takes straight into out; "raise" would buffer it
-    r = dm.take(rows, axis=0, mode="clip", out=buf[:len(rows) * len(dm)].reshape(len(rows), -1))
-    out = buf[len(r) * len(dm):len(r) * (len(dm) + len(cols))].reshape(len(r), -1)
-    return r.take(cols, axis=1, mode="clip", out=out)
-
-
 def _read_cross(dm: np.ndarray, order: np.ndarray, cs: np.ndarray, ce: np.ndarray) -> float:
     """The largest distance from a point of a merge's children (positions
-    [cs, ce) in order) to the points after its child: rows in blocks of at
-    most metric.ROW_BLOCK, each read against the points after its first
+    [cs, ce) in order) to the points after its child: row blocks of at most
+    metric.ROW_BLOCK, each with its columns of the points after its first
     row's child. That takes every cross-child pair, and a block's rows past
     that child read their own child's points too, at most its diameter, so
     the merge's diameter is the max of this and its children's."""
     rb, end = metric.ROW_BLOCK, ce[-1]
-    buf = np.empty(rb * (len(dm) + end - ce[0]))
     cross = 0.0
     for a in range(cs[0], cs[-1], rb):
         c = np.searchsorted(cs, a, side="right") - 1
-        block = _take(dm, order[a:min(a + rb, cs[-1])], order[ce[c]:end], buf)
+        block = dm.take(order[a:min(a + rb, cs[-1])], 0).take(order[ce[c]:end], 1)
         cross = max(cross, float(block.max()))
     return cross
 
@@ -440,7 +429,6 @@ def _read_bfs(dm: np.ndarray, order: np.ndarray, cs: np.ndarray, ce: np.ndarray,
     pts = order[ce[0]:ce[-1]]  # the points of the children not reached yet
     own = np.repeat(np.arange(1, k), size[1:])  # and their children
     front = np.zeros(1, dtype=np.int64)
-    buf = np.empty(rb * (len(dm) + len(pts)))
     while len(pts):
         rows = order[_ranges(cs[front], size[front])]  # the front's points, queue order
         at = np.repeat(np.arange(len(front)), size[front])  # each row's queue position
@@ -448,7 +436,7 @@ def _read_bfs(dm: np.ndarray, order: np.ndarray, cs: np.ndarray, ce: np.ndarray,
         for a in range(0, len(rows), rb):
             if not len(pts):
                 break
-            close = _take(dm, rows[a:a + rb], pts, buf) <= thr
+            close = dm.take(rows[a:a + rb], 0).take(pts, 1) <= thr
             col = close.any(axis=0).nonzero()[0]
             new = own[col]
             run = np.flatnonzero(np.diff(new, prepend=0))  # each new child's first column

@@ -30,7 +30,7 @@ from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.metric import INF, PointSet, scale_points
 from rltsketch.tree import (EPS_EXPONENT, build_coarse_tree, build_tree, first_leaves,
-                            later_children)
+                            later_children, leaves)
 
 
 def pointset_1d(coords, p=2):
@@ -231,6 +231,15 @@ def test_writes_of_values_outside_the_width_raise():
     for values, width in (([0, 2], 1), ([1, 8], 3), ([-1], 5), ([3], 0)):
         with pytest.raises(ValueError):
             BitWriter().write_uint_array(np.array(values), width)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BitWriter().write_uint_array([0], 65),
+    lambda: BitReader(bytes(16), 128).read_uint_array(1, 65),
+], ids=["write", "read"])
+def test_widths_past_64_bits_are_rejected(call):
+    with pytest.raises(ValueError, match="width 65 outside 0..64"):
+        call()
 
 
 def test_width_helpers():
@@ -652,6 +661,55 @@ def test_encode_rejects_trees_whose_derived_fields_differ():
             encode(u)
 
 
+def _coarse_span_of_2_63(t):
+    # the first non-root that is not a subtree leaf: its coarse eta is
+    # stored as it is, not as a residual
+    v = int(np.flatnonzero((t.subtree_root != np.arange(t.node_count))
+                           & ~t.is_subtree_leaf)[0])
+    t.eta[v, :2] = 1 << 62, -(1 << 62)
+
+
+def _two_leaves_one_center(t):
+    leaf = leaves(t.parent)
+    t.center[leaf[1]] = t.center[leaf[0]]
+
+
+@pytest.mark.parametrize("edit,error", [
+    (_coarse_span_of_2_63, "etas.coarse spans more than 2^63 values"),
+    (lambda t: setattr(t, "eps", 0.0), "eps 0.0 not representable"),
+    (lambda t: setattr(t, "eta_eps", np.pad(t.eta_eps, ((0, 0), (0, 1)))),
+     "leaf_etas.fine holds"),
+    (_two_leaves_one_center,
+     "tree does not encode: leaf centers are not a permutation of the points"),
+], ids=["coarse-span", "eps-zero", "eta-eps-width", "repeated-center"])
+def test_encode_rejects_a_tree_the_file_cannot_hold(edit, error):
+    t = decode(build_lp_sketch(random_pointset(np.random.default_rng(3), 40, 3, 2), 0.25))
+    edit(t)
+    with pytest.raises(ValueError, match=re.escape(error)):
+        encode(t)
+
+
+def test_encode_rejects_a_file_too_small_for_its_tree():
+    # two points at d = 2^19 with every eta zeroed: 3 * 2^19 cells, more
+    # than the few hundred bytes of the file may describe
+    pts = np.zeros((2, 1 << 19))
+    pts[1, 0] = 1.0
+    t = build_tree(scale_points(pts, 2), 0.5)
+    assert t.node_count == 3
+    t.eta[:] = 0
+    t.eta_eps[:] = 0
+    with pytest.raises(ValueError, match="3 nodes of dimension 524288 need a larger file"):
+        encode(t)
+
+
+def test_size_report_of_a_corrupt_stream_raises_decode_error():
+    # the coarse etas' range width set to 63: more bits than the section holds
+    sk = build_lp_sketch(random_pointset(np.random.default_rng(5), 20, 2, 2), 0.25)
+    bad = reseal(_set_value(sk.data, "etas", 64, 6, 63))
+    with pytest.raises(DecodeError, match="corrupt stream"):
+        size_report(SketchBits(bad))
+
+
 def test_euclidean_trees_hold_no_fine_etas():
     ps = random_pointset(np.random.default_rng(13), 14, 4, 2)
     dec = decode(build_euclidean_sketch(ps, 0.3, seed=1))
@@ -760,6 +818,12 @@ def _ingress_into_another_subtree(data: bytes, t) -> bytes:
     return _set_value(data, "ingresses", i * width, width, 0)
 
 
+def _repeated_leaf_center(data: bytes, t) -> bytes:
+    # the second stored leaf center set equal to the first
+    width = width_for_count(t.n)
+    return _set_value(data, "centers", width, width, int(t.center[leaves(t.parent)[0]]))
+
+
 # each decoder check, the small sketch it is reached from, and one rewritten
 # header field or fixed-width value that reaches it
 DECODER_CHECKS = {
@@ -787,6 +851,7 @@ DECODER_CHECKS = {
         "lp-long-edges",  # the lengths' range min, after the count and nodes, set to 1
         lambda data, t: _set_value(data, "long_edges",
                                    _node_width(t) * (1 + int(t.edge_long.sum())), 64, 1)),
+    "leaf centers are not a permutation of the points": ("lp", _repeated_leaf_center),
 }
 
 

@@ -305,6 +305,19 @@ def test_lp_estimation_rejects_euclidean_sketch():
         ctx2.inner_estimate(0, 1)
 
 
+@pytest.mark.parametrize("call,kind,message", [
+    (lambda ctx: QueryContext(42), TypeError, "expected SketchBits or a decoded tree"),
+    (lambda ctx: ctx.probabilistic_surrogate(0, 0), ValueError,
+     "probabilistic surrogates require a Euclidean sketch"),
+    (lambda ctx: ctx.all_pairs_squared(), ValueError,
+     "squared estimates require a Euclidean sketch"),
+], ids=["not-a-sketch", "probabilistic-surrogate", "all-pairs-squared"])
+def test_queries_outside_the_sketch_flavor_are_rejected(call, kind, message):
+    ctx = QueryContext(build_lp_sketch(pointset_1d([0, 1, 10]), 0.25))
+    with pytest.raises(kind, match=message):
+        call(ctx)
+
+
 def test_euclidean_estimate_symmetric():
     rng = np.random.default_rng(13)
     ps = random_pointset(rng, 16, 6, 2)

@@ -389,3 +389,21 @@ def test_first_long_edge_corner_row_of_each_subtree_is_derived():
         width = int(stored.max() - stored.min()).bit_length()
         # d' values of this width fewer per non-root subtree, per copy
         assert fields[name] == 70 + (len(back) - len(first)) * dec.d * width
+
+
+def test_euclidean_sketches_require_p2():
+    with pytest.raises(ValueError, match="euclidean sketches require p = 2"):
+        build_euclidean_sketch(scale_points(np.array([[0.0], [1.0]]), 1), 0.5, seed=0)
+
+
+def test_a_surrogate_displacement_past_its_cell_is_a_construction_bug():
+    # one non-root subtree leaf's coarse eta moved by 3 in every coordinate:
+    # its surrogate moves 3 * 2^level, so its center lies outside the ball
+    # its corners are drawn in
+    tree, proj = _fixed_tree(seed=6)
+    fine = tree.is_subtree_leaf & (tree.subtree_root != np.arange(tree.node_count))
+    v = int(np.flatnonzero(fine)[0])
+    tree.eta[v] += 3
+    rng = np.random.default_rng(31)
+    with pytest.raises(AssertionError, match=rf"^surrogate displacement .* at node {v}$"):
+        build_augmentations(tree, proj.points, rng.random(tree.d), rng.random(tree.d))

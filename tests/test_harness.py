@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rltsketch import cli
-from rltsketch.codec import build_lp_sketch, decode, size_report
+from rltsketch.codec import build_lp_sketch, decode, read_header, size_report
 from rltsketch.estimator import QueryContext
 from rltsketch.euclid import build_euclidean_sketch
 from rltsketch.harness import (
@@ -560,6 +560,38 @@ def test_cli_input_errors(tmp_path, capsys):
         assert cli.main(["sketch", "--input", str(mfile), "--format", "metric",
                          "--eps", "0.1", "--out", str(tmp_path / "m.rlts")]) == 2
         assert capsys.readouterr().err.startswith(f"error: metric file declares n = {n},")
+
+
+def test_general_metric_rejects_a_matrix_of_the_wrong_shape():
+    with pytest.raises(InputError, match="metric matrix shape mismatch"):
+        GeneralMetric(2, np.zeros((2, 3))).validate()
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["sketch", "--input", "{tmp}", "--format", "binary", "--eps", "0.1",  # a directory
+      "--out", "{tmp}/t.rlts"], "cannot read"),
+    (["gen-lb-euclidean", "--n", "4", "--eps", "0.5", "--seed", "0",  # k = n: one support
+      "--out", "{tmp}/lb.txt"], "not enough distinct k-sparse supports"),
+    (["recover", "--sketch", "{tmp}/s.rlts", "--n", "16", "--eps", "0.5"],
+     "sketch holds 20 points, expected 32"),
+], ids=["binary-directory", "too-few-supports", "recover-n"])
+def test_cli_input_checks_exit_2(tmp_path, capsys, argv, error):
+    inp = tmp_path / "pts.txt"
+    save_points_text(str(inp), np.arange(20.0)[:, None])
+    assert cli.main(["sketch", "--input", str(inp), "--eps", "0.1",
+                     "--out", str(tmp_path / "s.rlts")]) == 0
+    capsys.readouterr()
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+@pytest.mark.parametrize("spelling", ["inf", "Infinity", "oo"])
+def test_cli_sketch_reads_the_max_norm(tmp_path, spelling):
+    inp, out = tmp_path / "pts.txt", tmp_path / "s.rlts"
+    save_points_text(str(inp), np.random.default_rng(0).uniform(0, 10, size=(12, 3)))
+    assert cli.main(["sketch", "--input", str(inp), "--p", spelling, "--eps", "0.1",
+                     "--out", str(out)]) == 0
+    assert read_header(out.read_bytes()).p == INF
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,6 +15,7 @@ from rltsketch import metric
 from rltsketch.metric import (
     INF,
     ROW_BLOCK,
+    PointSet,
     lp_distance,
     norm_root,
     pairwise_distances,
@@ -251,6 +253,25 @@ def test_scale_points_powers_of_two():
         scale_points(np.array([[1.0], [1.0]]), 2)
     with pytest.raises(ValueError):
         scale_points(np.array([[np.nan], [1.0]]), 2)
+
+
+def test_scale_points_rejects_a_1d_array():
+    with pytest.raises(ValueError, match="points must be a non-empty 2-D array"):
+        scale_points(np.array([0.0, 1.0]), 2)
+
+
+@pytest.mark.parametrize("points,phi,error", [
+    (np.zeros((0, 2)), 1.0, "need n >= 1 and d >= 1"),
+    (np.array([[0.0], [0.5]]), 1.0, "min pairwise distance 0.5 < 1 after scaling"),
+    (np.array([[0.0], [3.0]]), 2.0, "max pairwise distance 3.0 > phi=2.0"),
+], ids=["empty", "below-one", "above-phi"])
+def test_point_set_validation_failures(points, phi, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        PointSet(points, 2, phi=phi).validate()
+
+
+def test_a_single_point_validates():
+    PointSet(np.array([[0.0]]), 2).validate()  # no pair to check
 
 
 def test_scale_points_tells_an_underflow_from_duplicates():
